@@ -21,8 +21,9 @@ from . import __version__
 from .config import MODELS, RunConfig, load_config
 from .coupling import effective_potential
 from .errors import ConfigError, SimulationError
-from .exact import (DENSE_CAP, build_full_ising, build_xy_sector,
-                    default_time_grid, diagonal_ensemble, evolve)
+from .exact import (DENSE_CAP, HamiltonianRep, build_full_ising,
+                    build_xy_sector, default_time_grid, diagonal_ensemble,
+                    evolve)
 from .iocsv import (write_c_summary_csv, write_csv, write_gge_csv,
                     write_indexed_csv, write_manifest, write_matrix_csv,
                     write_shot_lines, write_trace_csv)
@@ -45,15 +46,20 @@ def _manifest_base(cfg: RunConfig, command: str) -> dict:
     }
 
 
+def _hamiltonian(cfg: RunConfig, jm, pattern: ExcitationPattern
+                 ) -> HamiltonianRep:
+    """Exact or XY Hamiltonian whose basis holds the pattern."""
+    if cfg.model == "exact":
+        return build_full_ising(jm, cfg.b_field)
+    return build_xy_sector(jm, cfg.b_field, pattern.n_excitations)
+
+
 def _run_model(cfg: RunConfig, jm, pattern: ExcitationPattern,
                times: np.ndarray) -> QuenchTrace:
-    b = cfg.b_field
-    if cfg.model == "exact":
-        return evolve(build_full_ising(jm, b), pattern, times)
-    if cfg.model == "xy":
-        h = build_xy_sector(jm, b, pattern.n_excitations)
-        return evolve(h, pattern, times)
-    return evolve_spinwave(build_spinwave(jm, b), pattern, times)
+    if cfg.model == "spinwave":
+        return evolve_spinwave(build_spinwave(jm, cfg.b_field), pattern,
+                               times)
+    return evolve(_hamiltonian(cfg, jm, pattern), pattern, times)
 
 
 def cmd_couplings(cfg: RunConfig, outdir: Path) -> dict:
@@ -101,15 +107,27 @@ def cmd_evolve(cfg: RunConfig, outdir: Path) -> dict:
         "t_max_seconds": float(times[-1]),
     }
     outputs = []
+    # Noise-free Hamiltonians, one per command for the full model and one
+    # per excitation number for XY; patterns of one sector share its
+    # spectrum through the rep.
+    reps: dict[int | None, HamiltonianRep] = {}
     for pattern in cfg.patterns:
         tag = _pattern_tag(pattern)
+        h = None
+        if cfg.model in ("exact", "xy"):
+            key = pattern.n_excitations if cfg.model == "xy" else None
+            if key not in reps:
+                reps[key] = _hamiltonian(cfg, jm, pattern)
+            h = reps[key]
         if n_noise > 0:
             trace = noise_average(
                 lambda s: _run_model(cfg, jm.scaled(s), pattern, times),
                 model, n_noise, threads=r["threads"],
             )
+        elif h is not None:
+            trace = evolve(h, pattern, times)
         else:
-            trace = _run_model(cfg, jm, pattern, times)
+            trace = evolve_spinwave(sw, pattern, times)
         ns = n_noise if n_noise > 0 else None
         write_trace_csv(outdir / f"trace_{cfg.model}_{tag}.csv", trace, ns)
         write_c_summary_csv(outdir / f"c_{cfg.model}_{tag}.csv", trace, ns)
@@ -117,15 +135,12 @@ def cmd_evolve(cfg: RunConfig, outdir: Path) -> dict:
                       gge_state(sw, pattern).sz_gge)
         outputs += [f"trace_{cfg.model}_{tag}.csv", f"c_{cfg.model}_{tag}.csv",
                     f"gge_{tag}.csv"]
-        if cfg.model in ("exact", "xy"):
-            h = (build_full_ising(jm, cfg.b_field) if cfg.model == "exact"
-                 else build_xy_sector(jm, cfg.b_field, pattern.n_excitations))
-            if h.dimension <= DENSE_CAP:
-                sz_de = diagonal_ensemble(h, pattern)
-                write_csv(outdir / f"diag_ensemble_{tag}.csv",
-                          ("site", "sz_diag"),
-                          ((s + 1, v) for s, v in enumerate(sz_de)))
-                outputs.append(f"diag_ensemble_{tag}.csv")
+        if h is not None and h.dimension <= DENSE_CAP:
+            sz_de = diagonal_ensemble(h, pattern)
+            write_csv(outdir / f"diag_ensemble_{tag}.csv",
+                      ("site", "sz_diag"),
+                      ((s + 1, v) for s, v in enumerate(sz_de)))
+            outputs.append(f"diag_ensemble_{tag}.csv")
     manifest["outputs"] = outputs
     write_manifest(outdir / "manifest.json", manifest)
     return manifest
@@ -197,13 +212,17 @@ def cmd_gaps(cfg: RunConfig, outdir: Path) -> dict:
 
 def _full_spectrum_gaps(jm, b_field: float, pattern: ExcitationPattern,
                         weight_floor: float = 1e-12):
-    """Pair gaps over the full Ising spectrum, weighted by overlap."""
+    """Pair gaps over the full Ising spectrum, weighted by overlap.
+
+    Only the parity sector of the pattern carries weight, so only its
+    eigenstates pair up.
+    """
     h = build_full_ising(jm, b_field)
     if h.dimension > DENSE_CAP:
         raise SimulationError("full-spectrum gaps need dimension <= "
                               f"{DENSE_CAP}")
-    idx0 = h.state_index(pattern)
-    evals, evecs = np.linalg.eigh(h.matrix.toarray())
+    block, idx0 = h.sector(pattern)
+    evals, evecs = block.spectrum
     p = evecs[idx0, :] ** 2
     m, n = np.triu_indices(len(evals), k=1)
     w = p[m] * p[n]

@@ -68,14 +68,16 @@ _SCHEMA: dict[str, tuple[str, object]] = {
 
 def _parse_value(key: str, raw: str):
     kind = _SCHEMA[key][0]
+    if kind == "str":
+        return raw
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
+        value = int(raw) if kind == "int" else float(raw)
     except ValueError:
         raise ConfigError(f"{key}: cannot parse {raw!r} as {kind}") from None
-    return raw
+    # range checks in RunConfig compare false against NaN; reject it here
+    if kind == "float" and not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite, got {raw!r}")
+    return value
 
 
 def _parse_patterns(spec: str, n_ions: int) -> list[ExcitationPattern]:

@@ -9,15 +9,24 @@ on all 2^N basis states, and its excitation-conserving XY reduction
 
     H_XY = sum_{i<j} J_ij (s+_i s-_j + h.c.) + B sum_i sz_i
 
-restricted to a fixed number of up spins.  Small problems are evolved
-through a dense eigendecomposition; larger ones through a deterministic
-Lanczos approximation of exp(-i H dt).
+restricted to a fixed number of up spins.
+
+A product-state quench never leaves the block of its initial state.
+The sx_i sx_j couplings flip spins in pairs, so the full model splits
+into its two prod_i sz_i parity sectors; an XY sector is a single block.
+``HamiltonianRep.sector`` hands out the block of a pattern, and the
+block's eigendecomposition is computed once and shared by dense
+evolution, the diagonal ensemble and the gap spectrum.  Dense work
+happens only when the full dimension of the rep, not the sector's, is at
+most DENSE_CAP; larger problems are evolved inside the block by a
+deterministic Lanczos approximation of exp(-i H dt).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -29,7 +38,37 @@ from .errors import SectorError, SimulationError, SizeError
 from .observables import ExcitationPattern, QuenchTrace, assemble_trace
 
 FULL_SPACE_CAP = 16      # spins; 2^16 states is the largest full build
-DENSE_CAP = 4096         # dimension above which evolve switches to Lanczos
+DENSE_CAP = 4096         # full dimension above which evolve switches to Lanczos
+
+
+@dataclass(frozen=True)
+class Sector:
+    """One block of a HamiltonianRep that dynamics never leave.
+
+    indices are the rep's basis indices of the block in ascending
+    order, matrix is the block of the rep's matrix and zmat the
+    matching (dim, n_ions) table of sigma^z eigenvalues (+-1).
+    """
+
+    indices: np.ndarray
+    matrix: sp.csr_matrix
+    zmat: np.ndarray
+
+    def __post_init__(self):
+        self.indices.setflags(write=False)
+        self.zmat.setflags(write=False)
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[0]
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (ascending) and eigenvectors of the block."""
+        evals, evecs = np.linalg.eigh(self.matrix.toarray())
+        evals.setflags(write=False)
+        evecs.setflags(write=False)
+        return evals, evecs
 
 
 @dataclass(frozen=True)
@@ -48,6 +87,8 @@ class HamiltonianRep:
     basis_states: np.ndarray
     occupations: np.ndarray
     k_excitations: int | None = None
+    _sectors: dict[int, Sector] = field(default_factory=dict, init=False,
+                                        repr=False, compare=False)
 
     def __post_init__(self):
         self.basis_states.setflags(write=False)
@@ -74,6 +115,28 @@ class HamiltonianRep:
         if idx >= len(self.basis_states) or self.basis_states[idx] != mask:
             raise SectorError("pattern is not a basis state of this sector")
         return idx
+
+    def sector(self, pattern: ExcitationPattern) -> tuple[Sector, int]:
+        """The block holding a product state and the state's index in it.
+
+        Blocks are built on first use and kept with the rep: the
+        prod sz parity sector for the full model, the whole rep for an
+        XY sector.
+        """
+        idx = self.state_index(pattern)
+        key = pattern.n_excitations % 2 if self.k_excitations is None else 0
+        block = self._sectors.get(key)
+        if block is None:
+            if self.k_excitations is None:
+                parity = self.occupations.sum(axis=1) % 2
+                indices = np.flatnonzero(parity == key)
+                matrix = self.matrix[indices][:, indices]
+            else:
+                indices = np.arange(self.dimension)
+                matrix = self.matrix
+            zmat = 2.0 * self.occupations[indices].astype(float) - 1.0
+            block = self._sectors[key] = Sector(indices, matrix, zmat)
+        return block, int(np.searchsorted(block.indices, idx))
 
 
 def _occupation_table(states: np.ndarray, n: int) -> np.ndarray:
@@ -189,49 +252,51 @@ def _lanczos_expm_step(hmat: sp.csr_matrix, v: np.ndarray, dt: float,
     raise SimulationError("Lanczos step failed to converge")  # pragma: no cover
 
 
-def _dense_sz_series(h: HamiltonianRep, idx0: int, times: np.ndarray
+def _dense_sz_series(block: Sector, idx0: int, times: np.ndarray
                      ) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(h.matrix.toarray())
+    evals, evecs = block.spectrum
     amps = evecs[idx0, :]  # overlaps of the one-hot initial state
-    zmat = 2.0 * h.occupations.astype(float) - 1.0
-    sz = np.empty((times.size, h.n_ions))
-    block = max(1, int(2**22 // max(h.dimension, 1)))
-    for start in range(0, times.size, block):
-        tt = times[start:start + block]
+    sz = np.empty((times.size, block.zmat.shape[1]))
+    chunk = max(1, int(2**22 // max(block.dimension, 1)))
+    for start in range(0, times.size, chunk):
+        tt = times[start:start + chunk]
         phases = np.exp(-1j * np.outer(tt, evals)) * amps[None, :]
         psi = phases @ evecs.T
         norms = np.linalg.norm(psi, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-8):
             raise SimulationError("propagation lost unitarity")
-        sz[start:start + block] = (np.abs(psi) ** 2) @ zmat
+        sz[start:start + chunk] = (np.abs(psi) ** 2) @ block.zmat
     return sz
 
 
-def _krylov_sz_series(h: HamiltonianRep, idx0: int, times: np.ndarray
+def _krylov_sz_series(block: Sector, idx0: int, times: np.ndarray
                       ) -> np.ndarray:
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be sorted ascending")
-    psi = np.zeros(h.dimension, dtype=complex)
+    psi = np.zeros(block.dimension, dtype=complex)
     psi[idx0] = 1.0
-    zmat = 2.0 * h.occupations.astype(float) - 1.0
-    sz = np.empty((times.size, h.n_ions))
+    sz = np.empty((times.size, block.zmat.shape[1]))
     t_now = 0.0
     for row, t in enumerate(times):
         dt = t - t_now
         if dt > 0:
-            psi = _lanczos_expm_step(h.matrix, psi, dt)
+            psi = _lanczos_expm_step(block.matrix, psi, dt)
             t_now = t
         norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > 1e-8:
             raise SimulationError("propagation lost unitarity")
-        sz[row] = (np.abs(psi) ** 2) @ zmat
+        sz[row] = (np.abs(psi) ** 2) @ block.zmat
     return sz
 
 
 def evolve(h: HamiltonianRep, pattern: ExcitationPattern, times: np.ndarray,
            method: str = "auto", dense_cap: int = DENSE_CAP) -> QuenchTrace:
-    """Quench from a product state, sampling <sigma^z_i> on a time grid."""
-    idx0 = h.state_index(pattern)
+    """Quench from a product state, sampling <sigma^z_i> on a time grid.
+
+    The state is propagated inside its sector; the dense/Krylov choice
+    compares the full dimension of h with dense_cap.
+    """
+    block, idx0 = h.sector(pattern)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if method == "auto":
         method = "dense" if h.dimension <= dense_cap else "krylov"
@@ -240,9 +305,9 @@ def evolve(h: HamiltonianRep, pattern: ExcitationPattern, times: np.ndarray,
             raise SizeError(
                 f"dimension {h.dimension} exceeds dense cap {dense_cap}"
             )
-        sz = _dense_sz_series(h, idx0, times)
+        sz = _dense_sz_series(block, idx0, times)
     elif method == "krylov":
-        sz = _krylov_sz_series(h, idx0, times)
+        sz = _krylov_sz_series(block, idx0, times)
     else:
         raise ValueError(f"unknown method {method!r}")
     return assemble_trace(times, sz, model=h.kind, pattern=pattern.flipped,
@@ -256,26 +321,27 @@ def diagonal_ensemble(h: HamiltonianRep, pattern: ExcitationPattern,
 
     Eigenvalues closer than degeneracy_rtol times the spectral spread
     are treated as one block and the initial state is projected into it
-    whole, so exactly degenerate pairs keep their coherences.
+    whole, so exactly degenerate pairs keep their coherences.  Only the
+    sector of the initial state enters; dense_cap bounds the full
+    dimension of h.
     """
     if h.dimension > dense_cap:
         raise SizeError(
             f"dimension {h.dimension} exceeds dense cap {dense_cap}"
         )
-    idx0 = h.state_index(pattern)
-    evals, evecs = np.linalg.eigh(h.matrix.toarray())
+    block, idx0 = h.sector(pattern)
+    evals, evecs = block.spectrum
     amps = evecs[idx0, :]
     spread = max(evals[-1] - evals[0], abs(evals[-1]), 1e-300)
     tol = degeneracy_rtol * spread
-    prob = np.zeros(h.dimension)
+    prob = np.zeros(block.dimension)
     start = 0
-    for stop in range(1, h.dimension + 1):
-        if stop == h.dimension or evals[stop] - evals[stop - 1] > tol:
-            block = evecs[:, start:stop] @ amps[start:stop]
-            prob += np.abs(block) ** 2
+    for stop in range(1, block.dimension + 1):
+        if stop == block.dimension or evals[stop] - evals[stop - 1] > tol:
+            proj = evecs[:, start:stop] @ amps[start:stop]
+            prob += np.abs(proj) ** 2
             start = stop
-    zmat = 2.0 * h.occupations.astype(float) - 1.0
-    return prob @ zmat
+    return prob @ block.zmat
 
 
 def energy_expectation(h: HamiltonianRep, psi: np.ndarray) -> float:

@@ -53,6 +53,14 @@ class ExcitationPattern:
         )
 
 
+def _location_weights(n: int) -> np.ndarray:
+    """Signed distance of each site from the chain center, in [-1, 1]."""
+    if n < 2:
+        raise ValueError("observable needs at least 2 sites")
+    i = np.arange(1, n + 1)
+    return (2.0 * i - n - 1.0) / (n - 1.0)
+
+
 def observable_c(sz: np.ndarray) -> float:
     """Mean excitation location, scaled to [-1, 1].
 
@@ -61,12 +69,7 @@ def observable_c(sz: np.ndarray) -> float:
     Negative values mean the excitation sits in the left half.
     """
     sz = np.asarray(sz, dtype=float)
-    n = sz.shape[-1]
-    if n < 2:
-        raise ValueError("observable needs at least 2 sites")
-    i = np.arange(1, n + 1)
-    weights = (2.0 * i - n - 1.0) / (n - 1.0)
-    return float(np.dot(weights, (sz + 1.0) / 2.0))
+    return float(np.dot(_location_weights(sz.shape[-1]), (sz + 1.0) / 2.0))
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,8 @@ def assemble_trace(times: np.ndarray, sz: np.ndarray, **meta: Any) -> QuenchTrac
     sz = np.ascontiguousarray(sz, dtype=float)
     if sz.ndim != 2 or times.ndim != 1 or sz.shape[0] != times.shape[0]:
         raise ValueError("sz must be (n_times, n_sites) matching times")
-    c = np.array([observable_c(row) for row in sz])
+    p_up = (sz + 1.0) / 2.0
+    c = p_up @ _location_weights(sz.shape[1])
     c_cum = np.cumsum(c) / np.arange(1, len(c) + 1)
-    n_exc = ((sz + 1.0) / 2.0).sum(axis=1)
+    n_exc = p_up.sum(axis=1)
     return QuenchTrace(times, sz, c, c_cum, n_exc, dict(meta))

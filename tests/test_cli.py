@@ -89,6 +89,16 @@ class TestExitCodes:
         assert main(["evolve", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("line", ["b_khz = nan", "t_max_over_jmax = nan",
+                                      "j_max_khz = inf"])
+    def test_non_finite_value_is_2(self, tmp_path, capsys, line):
+        cfg = write_config(tmp_path, f"n_ions = 4\nn_times = 6\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+        key = line.split()[0]
+        assert f"{key}: must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_seed_and_threads_are_2(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
         out = str(tmp_path / "out")

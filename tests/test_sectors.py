@@ -1,0 +1,128 @@
+"""Parity sectors of the full Ising model and the spectrum cached per sector.
+
+Property tests draw seeded random symmetric couplings; the reference is
+the Kronecker-product oracle on all 2^N states.
+"""
+
+import numpy as np
+import pytest
+
+from helpers import JMAX, dense_ising_oracle, dense_sz_dynamics, product_state
+from ionquench.cli import main
+from ionquench.coupling import CouplingMatrix, power_law_couplings
+from ionquench.exact import (_lanczos_expm_step, build_full_ising,
+                             build_xy_sector, diagonal_ensemble, evolve)
+from ionquench.observables import ExcitationPattern
+
+SIZES = range(3, 9)
+
+
+def random_case(n):
+    """Couplings, field and a product-state pattern drawn from seed n."""
+    rng = np.random.default_rng(2016 + n)
+    j = rng.uniform(-JMAX, JMAX, (n, n))
+    jm = CouplingMatrix.from_full((j + j.T) / 2.0)
+    b_field = rng.uniform(0.5, 3.0) * JMAX
+    k = int(rng.integers(0, n + 1))
+    sites = tuple(int(s) for s in rng.choice(np.arange(1, n + 1), k,
+                                             replace=False))
+    return jm, b_field, ExcitationPattern(n, sites)
+
+
+def parity(states):
+    return np.array([bin(int(s)).count("1") % 2 for s in states])
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_full_model_is_hermitian_and_parity_block_diagonal(n):
+    jm, b_field, _ = random_case(n)
+    h = build_full_ising(jm, b_field)
+    assert h.dimension == 2**n
+    assert (h.matrix != h.matrix.conj().T).nnz == 0
+    par = parity(h.basis_states)
+    full = h.matrix.toarray()
+    assert np.all(full[np.ix_(par == 0, par == 1)] == 0.0)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_sector_holds_the_pattern_parity(n):
+    jm, b_field, pattern = random_case(n)
+    h = build_full_ising(jm, b_field)
+    block, local = h.sector(pattern)
+    assert block.dimension == 2**(n - 1)
+    assert np.all(parity(h.basis_states[block.indices])
+                  == pattern.n_excitations % 2)
+    assert block.indices[local] == h.state_index(pattern)
+    full = h.matrix.toarray()
+    assert np.array_equal(block.matrix.toarray(),
+                          full[np.ix_(block.indices, block.indices)])
+    assert np.array_equal(block.zmat[local], pattern.sz())
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_sector_evolution_matches_full_oracle(n):
+    jm, b_field, pattern = random_case(n)
+    h = build_full_ising(jm, b_field)
+    times = np.linspace(0.0, 5.0 / JMAX, 8)
+    ref = dense_sz_dynamics(dense_ising_oracle(jm.j_script, b_field),
+                            product_state(pattern.flipped, n), times, n)
+    dense = evolve(h, pattern, times, method="dense")
+    krylov = evolve(h, pattern, times, method="krylov")
+    assert np.abs(dense.sz - ref).max() < 1e-10
+    assert np.abs(krylov.sz - ref).max() < 1e-8
+
+    block, local = h.sector(pattern)
+    evals, evecs = block.spectrum
+    psi = evecs @ (np.exp(-1j * evals * times[-1]) * evecs[local])
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+    psi0 = np.zeros(block.dimension, dtype=complex)
+    psi0[local] = 1.0
+    psi = _lanczos_expm_step(block.matrix, psi0, times[-1])
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
+
+
+def test_xy_sector_is_one_block():
+    jm = power_law_couplings(5, JMAX, 1.0)
+    h = build_xy_sector(jm, 10.0 * JMAX, 2)
+    block, local = h.sector(ExcitationPattern(5, (2, 4)))
+    assert block.matrix is h.matrix
+    assert np.array_equal(block.indices, np.arange(h.dimension))
+    assert local == h.state_index(ExcitationPattern(5, (2, 4)))
+    again, _ = h.sector(ExcitationPattern(5, (1, 5)))
+    assert again is block
+
+
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """Matrix size of every np.linalg.eigh call made during the test."""
+    sizes = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return sizes
+
+
+def test_one_eigh_serves_pattern_and_mirror(eigh_sizes):
+    n = 6
+    h = build_full_ising(power_law_couplings(n, JMAX, 0.55), 10.0 * JMAX)
+    times = np.linspace(0.0, 5.0 / JMAX, 6)
+    for pattern in (ExcitationPattern(n, (2,)), ExcitationPattern(n, (5,))):
+        evolve(h, pattern, times)
+        diagonal_ensemble(h, pattern)
+    assert eigh_sizes == [2**(n - 1)]
+
+
+def test_cmd_evolve_diagonalises_each_sector_once(tmp_path, eigh_sizes):
+    n = 6
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n_ions = {n}\nmodel = exact\npatterns = 1; 6\n"
+                   "n_times = 6\nt_max_over_jmax = 5\n")
+    assert main(["evolve", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    # the GGE's spin-wave build diagonalises the n x n hopping matrix;
+    # both traces and both diagonal ensembles share one sector spectrum
+    assert sorted(eigh_sizes) == [n, 2**(n - 1)]
