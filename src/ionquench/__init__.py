@@ -28,6 +28,5 @@ from .spinwave import (GgeState, HeisenbergPropagator, SpinWaveSystem,
                        build_spinwave, evolve_spinwave, gge_lambdas,
                        gge_magnetization, gge_occupations, gge_state,
                        pair_gap_spectrum, propagator)
-from .stochastic import (NoiseModel, PostselectionResult, ShotRecord,
-                         corrupt_pattern, noise_average, postselect,
-                         sample_shots, shot_pipeline)
+from .stochastic import (NoiseModel, PostselectionResult, noise_average,
+                         postselect, shot_pipeline)

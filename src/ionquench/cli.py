@@ -21,7 +21,7 @@ from . import __version__
 from .config import MODELS, RunConfig, load_config
 from .coupling import effective_potential
 from .errors import ConfigError, SimulationError
-from .exact import (DENSE_CAP, HamiltonianRep, build_full_ising,
+from .exact import (DENSE_CAP, HamiltonianRep, _levels, build_full_ising,
                     build_xy_sector, default_time_grid, diagonal_ensemble,
                     evolve)
 from .iocsv import (write_c_summary_csv, write_csv, write_gge_csv,
@@ -215,7 +215,8 @@ def _full_spectrum_gaps(jm, b_field: float, pattern: ExcitationPattern,
     """Pair gaps over the full Ising spectrum, weighted by overlap.
 
     Only the parity sector of the pattern carries weight, so only its
-    eigenstates pair up.
+    levels pair up.  A level weighs |P_E psi|^2, which does not depend
+    on the basis eigh picks inside a degenerate level.
     """
     h = build_full_ising(jm, b_field)
     if h.dimension > DENSE_CAP:
@@ -223,11 +224,13 @@ def _full_spectrum_gaps(jm, b_field: float, pattern: ExcitationPattern,
                               f"{DENSE_CAP}")
     block, idx0 = h.sector(pattern)
     evals, evecs = block.spectrum
-    p = evecs[idx0, :] ** 2
-    m, n = np.triu_indices(len(evals), k=1)
+    bounds = _levels(evals)
+    p = np.add.reduceat(evecs[idx0, :] ** 2, bounds[:-1])
+    energies = np.add.reduceat(evals, bounds[:-1]) / np.diff(bounds)
+    m, n = np.triu_indices(len(p), k=1)
     w = p[m] * p[n]
     keep = w > weight_floor
-    gaps = np.abs(evals[m] - evals[n])[keep]
+    gaps = np.abs(energies[m] - energies[n])[keep]
     return list(zip(gaps.tolist(), w[keep].tolist()))
 
 
@@ -314,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", choices=MODELS, default=None,
                        help="dynamics model override")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for sweeps and noise averages")
+                       help="worker threads for noise averages")
     return parser
 
 

@@ -54,7 +54,6 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "geometry": ("str", "uniform"),
     "noise_samples": ("int", 0),
     "j_noise_sigma": ("float", 0.12),
-    "b_offset_hz": ("float", 30.0),
     "prep_fidelity": ("float", 0.97),
     "detection_error": ("float", 0.05),
     "n_shots": ("int", 3000),
@@ -154,8 +153,6 @@ class RunConfig:
             raise ConfigError("noise_samples: must be non-negative")
         if r["j_noise_sigma"] < 0:
             raise ConfigError("j_noise_sigma: must be non-negative")
-        if r["b_offset_hz"] < 0:
-            raise ConfigError("b_offset_hz: must be non-negative")
         if not 0 <= r["prep_fidelity"] <= 1:
             raise ConfigError("prep_fidelity: must be a probability")
         if not 0 <= r["detection_error"] <= 1:
@@ -250,7 +247,6 @@ class RunConfig:
         r = self.raw
         return NoiseModel(
             j_relative_sigma=r["j_noise_sigma"],
-            b_offset_sigma=TWO_PI * r["b_offset_hz"],
             prep_flip_fidelity=r["prep_fidelity"],
             detection_error=r["detection_error"],
             seed=r["seed"] if seed is None else seed,

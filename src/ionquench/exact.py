@@ -39,6 +39,7 @@ from .observables import ExcitationPattern, QuenchTrace, assemble_trace
 
 FULL_SPACE_CAP = 16      # spins; 2^16 states is the largest full build
 DENSE_CAP = 4096         # full dimension above which evolve switches to Lanczos
+_DEGENERACY_RTOL = 1e-11  # level tolerance, relative to the spectral spread
 
 
 @dataclass(frozen=True)
@@ -314,9 +315,23 @@ def evolve(h: HamiltonianRep, pattern: ExcitationPattern, times: np.ndarray,
                           b_field=h.b_field, method=method)
 
 
+def _levels(evals: np.ndarray,
+            degeneracy_rtol: float = _DEGENERACY_RTOL) -> np.ndarray:
+    """Boundaries of the energy levels of an ascending spectrum.
+
+    Neighbouring eigenvalues closer than degeneracy_rtol times the
+    spectral spread belong to one level; level j holds the eigenvalues
+    evals[bounds[j]:bounds[j + 1]].
+    """
+    spread = max(evals[-1] - evals[0], abs(evals[-1]), 1e-300)
+    cuts = np.flatnonzero(np.diff(evals) > degeneracy_rtol * spread) + 1
+    return np.concatenate(([0], cuts, [evals.size]))
+
+
 def diagonal_ensemble(h: HamiltonianRep, pattern: ExcitationPattern,
                       dense_cap: int = DENSE_CAP,
-                      degeneracy_rtol: float = 1e-11) -> np.ndarray:
+                      degeneracy_rtol: float = _DEGENERACY_RTOL
+                      ) -> np.ndarray:
     """Infinite-time average of <sigma^z_i>.
 
     Eigenvalues closer than degeneracy_rtol times the spectral spread
@@ -332,15 +347,11 @@ def diagonal_ensemble(h: HamiltonianRep, pattern: ExcitationPattern,
     block, idx0 = h.sector(pattern)
     evals, evecs = block.spectrum
     amps = evecs[idx0, :]
-    spread = max(evals[-1] - evals[0], abs(evals[-1]), 1e-300)
-    tol = degeneracy_rtol * spread
+    bounds = _levels(evals, degeneracy_rtol)
     prob = np.zeros(block.dimension)
-    start = 0
-    for stop in range(1, block.dimension + 1):
-        if stop == block.dimension or evals[stop] - evals[stop - 1] > tol:
-            proj = evecs[:, start:stop] @ amps[start:stop]
-            prob += np.abs(proj) ** 2
-            start = stop
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        proj = evecs[:, start:stop] @ amps[start:stop]
+        prob += np.abs(proj) ** 2
     return prob @ block.zmat
 
 

@@ -14,7 +14,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .observables import QuenchTrace
-from .stochastic import ShotRecord
 
 
 def fmt(x) -> str:
@@ -77,11 +76,13 @@ def write_gge_csv(path: Path, sz_gge: np.ndarray) -> None:
               ((s + 1, v) for s, v in enumerate(sz_gge)))
 
 
-def write_shot_lines(path: Path, shots: Sequence[ShotRecord]) -> None:
+def write_shot_lines(path: Path, shots: np.ndarray) -> None:
+    """One line of 0/1 characters per row of an (n_shots, N) bit array."""
+    lines = np.empty((shots.shape[0], shots.shape[1] + 1), dtype=np.uint8)
+    lines[:, :-1] = shots + ord("0")
+    lines[:, -1] = ord("\n")
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        for rec in shots:
-            fh.write("".join("1" if b else "0" for b in rec.bits) + "\n")
+    path.write_bytes(lines.tobytes())
 
 
 def write_manifest(path: Path, manifest: dict) -> None:

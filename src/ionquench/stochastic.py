@@ -7,10 +7,9 @@ work is scheduled across threads.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -23,8 +22,6 @@ _STREAM_PREP = 1
 _STREAM_SHOTS = 2
 _STREAM_DETECT = 3
 
-TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -32,20 +29,18 @@ class NoiseModel:
 
     j_relative_sigma    std dev of the global multiplicative coupling
                         noise (fraction of J)
-    b_offset_sigma      std dev of a static field offset (rad/s)
     prep_flip_fidelity  probability that one intended spin flip succeeds
     detection_error     probability a readout bit is reported wrong
     """
 
     j_relative_sigma: float = 0.12
-    b_offset_sigma: float = TWO_PI * 30.0
     prep_flip_fidelity: float = 0.97
     detection_error: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
-        if self.j_relative_sigma < 0 or self.b_offset_sigma < 0:
-            raise ValueError("noise magnitudes must be non-negative")
+        if self.j_relative_sigma < 0:
+            raise ValueError("j_relative_sigma must be non-negative")
         if not 0.0 <= self.prep_flip_fidelity <= 1.0:
             raise ValueError("prep_flip_fidelity must be a probability")
         if not 0.0 <= self.detection_error <= 1.0:
@@ -97,50 +92,27 @@ def noise_average(base_run: Callable[[float], QuenchTrace], model: NoiseModel,
     return assemble_trace(times, mean_sz, **meta)
 
 
-@dataclass
-class ShotRecord:
-    """One simulated measurement: detected bits and their excitation count."""
+def _readout(sz: np.ndarray, rows: np.ndarray,
+             model: NoiseModel) -> np.ndarray:
+    """Fluorescence readout of independent site outcomes.
 
-    bits: np.ndarray
-    n_excitations: int
-    accepted: bool | None = None
-
-
-def corrupt_pattern(pattern: ExcitationPattern, model: NoiseModel,
-                    rng: np.random.Generator) -> ExcitationPattern:
-    """Apply preparation errors: each intended flip fails independently.
-
-    A failed flip leaves that spin in the down state; nothing else is
-    disturbed.
+    sz holds rows of sigma^z marginals and shot j reads out row
+    rows[j]; indexing the rows late builds one (n_shots, N) float array
+    fewer.  Each site reads up with probability (sz + 1)/2, drawn from
+    stream SHOTS; each bit is then reported wrong with the detection
+    error probability, drawn from stream DETECT.  Returns the bits as a
+    (len(rows), N) uint8 array.
     """
-    kept = tuple(
-        site for site in pattern.flipped
-        if rng.random() < model.prep_flip_fidelity
-    )
-    return ExcitationPattern(pattern.n_ions, kept)
-
-
-def sample_shots(sz_probabilities: np.ndarray, model: NoiseModel,
-                 n_shots: int, _shot_offset: int = 0) -> list[ShotRecord]:
-    """Simulated projective readout of a product of site marginals.
-
-    Draws each site as an independent Bernoulli with p_i = (sz_i + 1)/2,
-    then flips every bit with the detection error probability.
-    """
-    p = (np.asarray(sz_probabilities, dtype=float) + 1.0) / 2.0
-    if np.any(p < -1e-9) or np.any(p > 1.0 + 1e-9):
-        raise ValueError("sz probabilities must lie in [-1, 1]")
-    p = np.clip(p, 0.0, 1.0)
-    if n_shots < 1:
-        raise ValueError("n_shots must be >= 1")
-    n = p.size
-    rng_shot = model.rng(_STREAM_SHOTS, _shot_offset)
-    rng_det = model.rng(_STREAM_DETECT, _shot_offset)
-    bits = (rng_shot.random((n_shots, n)) < p[None, :]).astype(np.uint8)
+    # NaN fails both comparisons, so non-finite marginals raise too
+    if not (sz.min() >= -1.0 - 1e-9 and sz.max() <= 1.0 + 1e-9):
+        raise ValueError("sz marginals must be finite and lie in [-1, 1]")
+    p = np.clip((sz + 1.0) / 2.0, 0.0, 1.0)
+    shape = (rows.size, sz.shape[1])
+    up = model.rng(_STREAM_SHOTS).random(shape) < p[rows]
+    bits = up.astype(np.uint8)
     if model.detection_error > 0:
-        flips = rng_det.random((n_shots, n)) < model.detection_error
-        bits ^= flips.astype(np.uint8)
-    return [ShotRecord(bits=row, n_excitations=int(row.sum())) for row in bits]
+        bits ^= model.rng(_STREAM_DETECT).random(shape) < model.detection_error
+    return bits
 
 
 @dataclass(frozen=True)
@@ -155,13 +127,16 @@ class PostselectionResult:
     sz_err: np.ndarray
 
 
-def postselect(shots: Sequence[ShotRecord], k: int) -> PostselectionResult:
-    """Keep only shots whose detected excitation count equals k."""
-    if not shots:
+def postselect(shots: np.ndarray, k: int) -> PostselectionResult:
+    """Keep only shots whose detected excitation count equals k.
+
+    shots is the (n_shots, N) 0/1 array from shot_pipeline; it is read,
+    never modified.
+    """
+    shots = np.asarray(shots)
+    if len(shots) == 0:
         raise ValueError("no shots given")
-    for rec in shots:
-        rec.accepted = rec.n_excitations == k
-    kept = np.array([rec.bits for rec in shots if rec.accepted], dtype=float)
+    kept = shots[shots.sum(axis=1) == k].astype(float)
     fraction = len(kept) / len(shots)
     if len(kept) == 0:
         raise EmptySelectionError(
@@ -178,30 +153,28 @@ def postselect(shots: Sequence[ShotRecord], k: int) -> PostselectionResult:
 
 def shot_pipeline(pattern: ExcitationPattern,
                   run_to_sz: Callable[[ExcitationPattern], np.ndarray],
-                  model: NoiseModel, n_shots: int) -> list[ShotRecord]:
+                  model: NoiseModel, n_shots: int) -> np.ndarray:
     """Full measurement emulation for one nominal preparation.
 
-    Each shot first suffers preparation errors, then the dynamics of
-    its (possibly corrupted) pattern fixes the site marginals that the
-    detector samples.  Dynamics are cached per distinct corrupted
-    pattern; the empty pattern short-circuits to all spins down.
+    Each shot first suffers preparation errors: every intended flip
+    succeeds independently with prep_flip_fidelity, and a failed flip
+    leaves that spin down.  The dynamics of the pattern that was kept
+    then fix the site marginals that the detector reads out.  Dynamics
+    run once per distinct kept pattern; the empty pattern short-circuits
+    to all spins down.  Returns the detected bits as an (n_shots, N)
+    uint8 array.
     """
-    rng_prep = model.rng(_STREAM_PREP)
-    corrupted = [corrupt_pattern(pattern, model, rng_prep)
-                 for _ in range(n_shots)]
-    cache: dict[tuple[int, ...], np.ndarray] = {}
-    p_rows = np.empty((n_shots, pattern.n_ions))
-    for row, pat in enumerate(corrupted):
-        key = pat.flipped
-        if key not in cache:
-            cache[key] = (np.full(pattern.n_ions, -1.0) if not key
-                          else np.asarray(run_to_sz(pat), dtype=float))
-        p_rows[row] = (cache[key] + 1.0) / 2.0
-    p_rows = np.clip(p_rows, 0.0, 1.0)
-    rng_shot = model.rng(_STREAM_SHOTS)
-    rng_det = model.rng(_STREAM_DETECT)
-    bits = (rng_shot.random(p_rows.shape) < p_rows).astype(np.uint8)
-    if model.detection_error > 0:
-        flips = rng_det.random(p_rows.shape) < model.detection_error
-        bits ^= flips.astype(np.uint8)
-    return [ShotRecord(bits=row, n_excitations=int(row.sum())) for row in bits]
+    if n_shots < 1:
+        raise ValueError("n_shots must be >= 1")
+    sites = np.array(pattern.flipped, dtype=int)
+    # row-major draws: shot by shot, site by site within a shot
+    kept = (model.rng(_STREAM_PREP).random((n_shots, sites.size))
+            < model.prep_flip_fidelity)
+    rows, which = np.unique(kept, axis=0, return_inverse=True)
+    sz = np.full((len(rows), pattern.n_ions), -1.0)
+    for r, row in enumerate(rows):
+        if row.any():
+            sz[r] = run_to_sz(ExcitationPattern(pattern.n_ions,
+                                                tuple(sites[row])))
+    # numpy 2.0.0 returns the inverse with shape (n_shots, 1)
+    return _readout(sz, which.reshape(-1), model)

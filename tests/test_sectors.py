@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import JMAX, dense_ising_oracle, dense_sz_dynamics, product_state
-from ionquench.cli import main
+from ionquench.cli import _full_spectrum_gaps, main
 from ionquench.coupling import CouplingMatrix, power_law_couplings
 from ionquench.exact import (_lanczos_expm_step, build_full_ising,
                              build_xy_sector, diagonal_ensemble, evolve)
@@ -79,6 +79,33 @@ def test_sector_evolution_matches_full_oracle(n):
     psi0[local] = 1.0
     psi = _lanczos_expm_step(block.matrix, psi0, times[-1])
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("flipped", [(1,), (2, 5)])
+def test_gap_weights_are_level_weights_of_the_full_oracle(flipped):
+    """At alpha = 0 every coupling is equal and the spectrum is highly
+    degenerate; each level weighs |P_E psi|^2 whatever basis eigh picks
+    inside it, so the gaps match levels grouped on the 2^N oracle."""
+    n = 6
+    jm = power_law_couplings(n, JMAX, 0.0)
+    b_field = 10.0 * JMAX
+    evals, evecs = np.linalg.eigh(dense_ising_oracle(jm.j_script, b_field))
+    overlap2 = (evecs.T @ product_state(flipped, n)) ** 2
+    levels = np.split(np.arange(evals.size),
+                      np.flatnonzero(np.diff(evals) > 1e-9 * JMAX) + 1)
+    energy = np.array([evals[lev].mean() for lev in levels])
+    weight = np.array([overlap2[lev].sum() for lev in levels])
+    m, k = np.triu_indices(len(levels), k=1)
+    w = weight[m] * weight[k]
+    keep = w > 1e-12
+    oracle = np.array(sorted(zip(np.abs(energy[m] - energy[k])[keep],
+                                 w[keep])))
+
+    pattern = ExcitationPattern(n, flipped)
+    pairs = np.array(sorted(_full_spectrum_gaps(jm, b_field, pattern)))
+    assert pairs.shape == oracle.shape
+    assert np.abs(pairs[:, 0] - oracle[:, 0]).max() < 1e-10 * JMAX
+    assert np.abs(pairs[:, 1] - oracle[:, 1]).max() < 1e-12
 
 
 def test_xy_sector_is_one_block():

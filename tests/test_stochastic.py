@@ -6,8 +6,7 @@ from ionquench.coupling import power_law_couplings
 from ionquench.errors import EmptySelectionError
 from ionquench.observables import ExcitationPattern
 from ionquench.spinwave import build_spinwave, evolve_spinwave
-from ionquench.stochastic import (NoiseModel, ShotRecord, corrupt_pattern,
-                                  noise_average, postselect, sample_shots,
+from ionquench.stochastic import (NoiseModel, noise_average, postselect,
                                   shot_pipeline)
 
 BASE_JM = power_law_couplings(5, JMAX, 0.55)
@@ -23,8 +22,6 @@ def run_scaled(scale):
 def test_model_validation():
     with pytest.raises(ValueError):
         NoiseModel(j_relative_sigma=-0.1)
-    with pytest.raises(ValueError):
-        NoiseModel(b_offset_sigma=-1.0)
     with pytest.raises(ValueError):
         NoiseModel(prep_flip_fidelity=1.2)
     with pytest.raises(ValueError):
@@ -95,23 +92,35 @@ def test_average_input_validation():
         noise_average(shapeshifter, model, n_samples=2)
 
 
-def test_corrupt_pattern_limits():
-    model_keep = NoiseModel(prep_flip_fidelity=1.0)
-    model_drop = NoiseModel(prep_flip_fidelity=0.0)
-    pattern = ExcitationPattern(7, (2, 4))
-    rng = np.random.default_rng(0)
-    assert corrupt_pattern(pattern, model_keep, rng).flipped == (2, 4)
-    assert corrupt_pattern(pattern, model_drop, rng).flipped == ()
+def shots_of(sz, n_shots, **noise):
+    """Shots of fixed site marginals: preparation never fails and the
+    dynamics return sz whatever the pattern."""
+    sz = np.asarray(sz, dtype=float)
+    model = NoiseModel(prep_flip_fidelity=1.0, **noise)
+    return shot_pipeline(ExcitationPattern(sz.size, (1,)), lambda pat: sz,
+                         model, n_shots)
 
 
-def test_corrupt_pattern_statistics():
-    model = NoiseModel(prep_flip_fidelity=0.85)
+def test_prep_errors_limits():
     pattern = ExcitationPattern(7, (2, 4))
-    rng = model.rng(1)
-    draws = [corrupt_pattern(pattern, model, rng) for _ in range(20000)]
-    kept2 = np.mean([2 in d.flipped for d in draws])
-    kept4 = np.mean([4 in d.flipped for d in draws])
-    both = np.mean([d.flipped == (2, 4) for d in draws])
+    keep = NoiseModel(prep_flip_fidelity=1.0, detection_error=0.0)
+    drop = NoiseModel(prep_flip_fidelity=0.0, detection_error=0.0)
+    run = ExcitationPattern.sz
+    assert np.array_equal(shot_pipeline(pattern, run, keep, 50),
+                          np.tile(pattern.occupations(), (50, 1)))
+    assert not shot_pipeline(pattern, run, drop, 50).any()
+
+
+def test_prep_errors_statistics():
+    model = NoiseModel(prep_flip_fidelity=0.85, detection_error=0.0)
+    pattern = ExcitationPattern(7, (2, 4))
+    # the dynamics return the kept pattern itself, so the bits show
+    # which flips succeeded
+    shots = shot_pipeline(pattern, ExcitationPattern.sz, model, 20000)
+    assert not shots[:, [0, 2, 4, 5, 6]].any()
+    kept2 = shots[:, 1].mean()
+    kept4 = shots[:, 3].mean()
+    both = (shots[:, 1] & shots[:, 3]).mean()
     tol = 4.0 * np.sqrt(0.85 * 0.15 / 20000)
     assert abs(kept2 - 0.85) < tol
     assert abs(kept4 - 0.85) < tol
@@ -119,50 +128,69 @@ def test_corrupt_pattern_statistics():
 
 
 def test_shots_deterministic_bits():
-    sz = np.array([1.0, -1.0, -1.0])
-    model = NoiseModel(detection_error=0.0, seed=9)
-    shots = sample_shots(sz, model, 200)
-    assert all(list(rec.bits) == [1, 0, 0] for rec in shots)
-    assert all(rec.n_excitations == 1 for rec in shots)
-    assert all(rec.accepted is None for rec in shots)
+    shots = shots_of([1.0, -1.0, -1.0], 200, detection_error=0.0, seed=9)
+    assert shots.dtype == np.uint8
+    assert np.array_equal(shots, np.tile([1, 0, 0], (200, 1)))
 
 
-def test_shots_reproducible_and_offset_dependent():
+def test_shots_reproducible_and_seed_dependent():
     sz = np.full(4, 0.2)
-    model = NoiseModel(seed=3)
-    a = sample_shots(sz, model, 50)
-    b = sample_shots(sz, model, 50)
-    c = sample_shots(sz, model, 50, _shot_offset=1)
-    assert np.array_equal([r.bits for r in a], [r.bits for r in b])
-    assert not np.array_equal([r.bits for r in a], [r.bits for r in c])
+    a = shots_of(sz, 50, seed=3)
+    b = shots_of(sz, 50, seed=3)
+    c = shots_of(sz, 50, seed=4)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_detection_error_rate():
-    model = NoiseModel(detection_error=0.05, seed=5)
-    shots = sample_shots(np.array([1.0]), model, 100000)
-    rate = np.mean([r.bits[0] for r in shots])
+    shots = shots_of([1.0], 100000, detection_error=0.05, seed=5)
+    rate = shots[:, 0].mean()
     assert abs(rate - 0.95) < 4.0 * np.sqrt(0.95 * 0.05 / 100000)
 
 
 def test_shot_input_validation():
-    model = NoiseModel()
+    for bad in (1.5, -1.5, 1.0 + 3e-9, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            shots_of([0.0, bad], 10)
     with pytest.raises(ValueError):
-        sample_shots(np.array([1.5]), model, 10)
-    with pytest.raises(ValueError):
-        sample_shots(np.array([0.0]), model, 0)
+        shots_of([0.0], 0)
+    # rounding within the 1e-9 slack reads out as certain
+    assert shots_of([1.0 + 1e-10, -1.0 - 1e-10], 10,
+                    detection_error=0.0).tolist() == [[1, 0]] * 10
+
+
+def test_shots_match_per_shot_scalar_oracle():
+    """The batched draws equal a loop of scalar draws, shot by shot and
+    site by site, on stream 1 (preparation), 2 (outcome) and 3
+    (detection)."""
+    model = NoiseModel(prep_flip_fidelity=0.8, detection_error=0.1, seed=17)
+    pattern = ExcitationPattern(5, (1, 3, 4))
+
+    def run(pat):
+        return 0.7 * pat.sz() + 0.2 * np.sin(np.arange(5.0) + sum(pat.flipped))
+
+    shots = shot_pipeline(pattern, run, model, 400)
+    prep, outcome, detect = model.rng(1), model.rng(2), model.rng(3)
+    kept = [tuple(s for s in pattern.flipped if prep.random() < 0.8)
+            for _ in range(400)]
+    oracle = np.zeros((400, 5), dtype=np.uint8)
+    for row, key in enumerate(kept):
+        sz = run(ExcitationPattern(5, key)) if key else np.full(5, -1.0)
+        for site in range(5):
+            oracle[row, site] = outcome.random() < (sz[site] + 1.0) / 2.0
+        for site in range(5):
+            if detect.random() < 0.1:
+                oracle[row, site] ^= 1
+    assert len(set(kept)) > 4
+    assert np.array_equal(shots, oracle)
 
 
 def test_postselect_partitions_and_errors():
-    shots = [
-        ShotRecord(bits=np.array([1, 0, 0], dtype=np.uint8), n_excitations=1),
-        ShotRecord(bits=np.array([0, 1, 1], dtype=np.uint8), n_excitations=2),
-        ShotRecord(bits=np.array([0, 0, 1], dtype=np.uint8), n_excitations=1),
-        ShotRecord(bits=np.array([0, 0, 0], dtype=np.uint8), n_excitations=0),
-    ]
+    shots = np.array([[1, 0, 0], [0, 1, 1], [0, 0, 1], [0, 0, 0]],
+                     dtype=np.uint8)
     res = postselect(shots, 1)
     assert res.n_accepted == 2
     assert res.acceptance_fraction == 0.5
-    assert [r.accepted for r in shots] == [True, False, True, False]
     assert res.p_up == pytest.approx([0.5, 0.0, 0.5])
     assert res.sz == pytest.approx(2.0 * res.p_up - 1.0)
     assert res.sz_err == pytest.approx(2.0 * res.p_err)
@@ -171,7 +199,16 @@ def test_postselect_partitions_and_errors():
         postselect(shots, 3)
     assert info.value.acceptance_fraction == 0.0
     with pytest.raises(ValueError):
-        postselect([], 1)
+        postselect(np.empty((0, 3), dtype=np.uint8), 1)
+
+
+def test_postselect_leaves_shots_unchanged():
+    shots = shots_of(np.full(6, -0.6), 500, seed=8)
+    before = shots.copy()
+    res = postselect(shots, 1)
+    assert 0 < res.n_accepted < 500
+    assert shots.dtype == np.uint8
+    assert np.array_equal(shots, before)
 
 
 def test_postselection_matches_conditional_law():
@@ -180,9 +217,7 @@ def test_postselection_matches_conditional_law():
     sys = build_spinwave(BASE_JM, B_FIELD)
     sz = evolve_spinwave(sys, PATTERN, np.array([8.0 / JMAX])).sz[0]
     p = (sz + 1.0) / 2.0
-    model = NoiseModel(detection_error=0.0, seed=21)
-    shots = sample_shots(sz, model, 40000)
-    res = postselect(shots, 1)
+    res = postselect(shots_of(sz, 40000, detection_error=0.0, seed=21), 1)
     truth = conditional_marginals(p, 1)
     err = np.maximum(res.p_err, 1e-4)
     assert np.all(np.abs(res.p_up - truth) < 4.0 * err)
@@ -197,7 +232,8 @@ def test_pipeline_deterministic():
 
     a = shot_pipeline(PATTERN, run, model, 300)
     b = shot_pipeline(PATTERN, run, model, 300)
-    assert np.array_equal([r.bits for r in a], [r.bits for r in b])
+    assert a.shape == (300, 5)
+    assert np.array_equal(a, b)
 
 
 def test_pipeline_caches_dynamics_per_pattern():
@@ -209,7 +245,7 @@ def test_pipeline_caches_dynamics_per_pattern():
         return PATTERN.sz().astype(float)
 
     shot_pipeline(PATTERN, run, model, 100)
-    # empty corruptions short-circuit, successful ones hit the cache once
+    # empty corruptions short-circuit, successful ones run once
     assert calls == [(2,)]
 
 
@@ -220,5 +256,5 @@ def test_pipeline_empty_pattern_short_circuit():
         raise AssertionError("dynamics must not run for the empty pattern")
 
     shots = shot_pipeline(PATTERN, run, model, 40)
-    assert all(rec.n_excitations == 0 for rec in shots)
-    assert all(not rec.bits.any() for rec in shots)
+    assert shots.shape == (40, 5)
+    assert not shots.any()
