@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,8 @@ from .iocsv import (write_c_summary_csv, write_csv, write_gge_csv,
                     write_shot_lines, write_trace_csv)
 from .lattice import equilibrium_positions
 from .observables import ExcitationPattern, QuenchTrace
-from .spinwave import (build_spinwave, evolve_spinwave, gge_state,
-                       pair_gap_spectrum)
+from .spinwave import (SpinWaveSystem, build_spinwave, evolve_spinwave,
+                       gge_state, pair_gap_spectrum)
 from .stochastic import noise_average, postselect, shot_pipeline
 
 
@@ -46,20 +47,36 @@ def _manifest_base(cfg: RunConfig, command: str) -> dict:
     }
 
 
-def _hamiltonian(cfg: RunConfig, jm, pattern: ExcitationPattern
-                 ) -> HamiltonianRep:
-    """Exact or XY Hamiltonian whose basis holds the pattern."""
-    if cfg.model == "exact":
-        return build_full_ising(jm, cfg.b_field)
-    return build_xy_sector(jm, cfg.b_field, pattern.n_excitations)
+class _Dynamics:
+    """The configured model of one coupling matrix, built on first use.
 
+    Patterns of one sector share one HamiltonianRep and so its cached
+    spectrum: the full model for exact (both parity sectors), one rep
+    per excitation number for xy.  spinwave uses one SpinWaveSystem.
+    """
 
-def _run_model(cfg: RunConfig, jm, pattern: ExcitationPattern,
-               times: np.ndarray) -> QuenchTrace:
-    if cfg.model == "spinwave":
-        return evolve_spinwave(build_spinwave(jm, cfg.b_field), pattern,
-                               times)
-    return evolve(_hamiltonian(cfg, jm, pattern), pattern, times)
+    def __init__(self, cfg: RunConfig, jm):
+        self.cfg = cfg
+        self.jm = jm
+        self._reps: dict[int | None, HamiltonianRep] = {}
+
+    @cached_property
+    def spinwave(self) -> SpinWaveSystem:
+        return build_spinwave(self.jm, self.cfg.b_field)
+
+    def rep(self, pattern: ExcitationPattern) -> HamiltonianRep:
+        """The exact or xy Hamiltonian whose basis holds the pattern."""
+        k = pattern.n_excitations if self.cfg.model == "xy" else None
+        if k not in self._reps:
+            self._reps[k] = (build_full_ising(self.jm, self.cfg.b_field)
+                             if k is None else
+                             build_xy_sector(self.jm, self.cfg.b_field, k))
+        return self._reps[k]
+
+    def evolve(self, patterns, times: np.ndarray) -> list[QuenchTrace]:
+        if self.cfg.model == "spinwave":
+            return [evolve_spinwave(self.spinwave, p, times) for p in patterns]
+        return [evolve(self.rep(p), p, times) for p in patterns]
 
 
 def cmd_couplings(cfg: RunConfig, outdir: Path) -> dict:
@@ -78,7 +95,7 @@ def cmd_couplings(cfg: RunConfig, outdir: Path) -> dict:
         write_indexed_csv(outdir / "mode_frequencies.csv", modes.frequencies)
         pot = effective_potential(jm)
         write_csv(outdir / "potential.csv", ("site", "U_rad_per_s"),
-                  ((s + 1, u) for s, u in enumerate(pot.u)))
+                  (np.arange(1, jm.n_ions + 1), pot.u))
         outputs += ["positions.csv", "mode_kappas.csv",
                     "mode_frequencies.csv", "potential.csv"]
         manifest["derived"].update(
@@ -97,49 +114,36 @@ def cmd_evolve(cfg: RunConfig, outdir: Path) -> dict:
     jm, _, _ = cfg.couplings()
     r = cfg.raw
     times = default_time_grid(jm.j_max, r["t_max_over_jmax"], r["n_times"])
-    n_noise = r["noise_samples"]
-    model = cfg.noise_model()
-    sw = build_spinwave(jm, cfg.b_field)
+    ns = r["noise_samples"] or None   # the n_samples column when noisy
+    free = _Dynamics(cfg, jm)
+    sw = free.spinwave
     manifest = _manifest_base(cfg, "evolve")
     manifest["derived"] = {
         "j_max_rad_per_s": jm.j_max,
         "alpha_fit": jm.alpha_fit,
         "t_max_seconds": float(times[-1]),
     }
+    if ns:
+        # each draw builds its own model, freed when the draw returns
+        traces = noise_average(
+            lambda s: _Dynamics(cfg, jm.scaled(s)).evolve(cfg.patterns, times),
+            cfg.noise_model(), ns, threads=r["threads"])
+    else:
+        traces = free.evolve(cfg.patterns, times)
     outputs = []
-    # Noise-free Hamiltonians, one per command for the full model and one
-    # per excitation number for XY; patterns of one sector share its
-    # spectrum through the rep.
-    reps: dict[int | None, HamiltonianRep] = {}
-    for pattern in cfg.patterns:
+    for pattern, trace in zip(cfg.patterns, traces):
         tag = _pattern_tag(pattern)
-        h = None
-        if cfg.model in ("exact", "xy"):
-            key = pattern.n_excitations if cfg.model == "xy" else None
-            if key not in reps:
-                reps[key] = _hamiltonian(cfg, jm, pattern)
-            h = reps[key]
-        if n_noise > 0:
-            trace = noise_average(
-                lambda s: _run_model(cfg, jm.scaled(s), pattern, times),
-                model, n_noise, threads=r["threads"],
-            )
-        elif h is not None:
-            trace = evolve(h, pattern, times)
-        else:
-            trace = evolve_spinwave(sw, pattern, times)
-        ns = n_noise if n_noise > 0 else None
         write_trace_csv(outdir / f"trace_{cfg.model}_{tag}.csv", trace, ns)
         write_c_summary_csv(outdir / f"c_{cfg.model}_{tag}.csv", trace, ns)
         write_gge_csv(outdir / f"gge_{tag}.csv",
                       gge_state(sw, pattern).sz_gge)
         outputs += [f"trace_{cfg.model}_{tag}.csv", f"c_{cfg.model}_{tag}.csv",
                     f"gge_{tag}.csv"]
+        h = free.rep(pattern) if cfg.model != "spinwave" else None
         if h is not None and h.dimension <= DENSE_CAP:
-            sz_de = diagonal_ensemble(h, pattern)
             write_csv(outdir / f"diag_ensemble_{tag}.csv",
-                      ("site", "sz_diag"),
-                      ((s + 1, v) for s, v in enumerate(sz_de)))
+                      ("site", "sz_diag"), (np.arange(1, cfg.n_ions + 1),
+                                            diagonal_ensemble(h, pattern)))
             outputs.append(f"diag_ensemble_{tag}.csv")
     manifest["outputs"] = outputs
     write_manifest(outdir / "manifest.json", manifest)
@@ -157,8 +161,8 @@ def cmd_gge(cfg: RunConfig, outdir: Path) -> dict:
         write_gge_csv(outdir / f"gge_{tag}.csv", state.sz_gge)
         write_csv(outdir / f"gge_modes_{tag}.csv",
                   ("mode", "occupation", "lambda"),
-                  ((k, state.d_occupations[k], state.lambdas[k])
-                   for k in range(len(state.d_occupations))))
+                  (np.arange(len(state.lambdas)), state.d_occupations,
+                   state.lambdas))
         outputs += [f"gge_{tag}.csv", f"gge_modes_{tag}.csv"]
     manifest["outputs"] = outputs
     write_manifest(outdir / "manifest.json", manifest)
@@ -202,7 +206,8 @@ def cmd_gaps(cfg: RunConfig, outdir: Path) -> dict:
         rows += [(alpha, g, w) for g, w in resolved]
         heavy = [g for g, w in resolved if w > 1e-3]
         summary[str(alpha)] = min(heavy) if heavy else None
-    write_csv(outdir / "gaps.csv", ("alpha", "gap_over_jmax", "weight"), rows)
+    write_csv(outdir / "gaps.csv", ("alpha", "gap_over_jmax", "weight"),
+              np.array(rows, dtype=float).reshape(-1, 3).T)
     manifest["derived"] = {"min_weighted_gap_over_jmax": summary,
                            "alpha_fit": fits}
     manifest["outputs"] = ["gaps.csv"]
@@ -241,18 +246,16 @@ def cmd_shots(cfg: RunConfig, outdir: Path) -> dict:
               else r["t_max_over_jmax"])
     t_shot = t_over / jm.j_max
     pattern = cfg.patterns[0]
-    model = cfg.noise_model()
-
-    def run_to_sz(pat: ExcitationPattern) -> np.ndarray:
-        return _run_model(cfg, jm, pat, np.array([t_shot])).sz[0]
-
-    shots = shot_pipeline(pattern, run_to_sz, model, r["n_shots"])
+    dyn = _Dynamics(cfg, jm)
+    shots = shot_pipeline(
+        pattern, lambda pat: dyn.evolve([pat], np.array([t_shot]))[0].sz[0],
+        cfg.noise_model(), r["n_shots"])
     result = postselect(shots, pattern.n_excitations)
     write_shot_lines(outdir / "shots.txt", shots)
     write_csv(outdir / "shot_estimates.csv",
               ("site", "p_up", "p_err", "sz", "sz_err"),
-              ((s + 1, result.p_up[s], result.p_err[s], result.sz[s],
-                result.sz_err[s]) for s in range(cfg.n_ions)))
+              (np.arange(1, cfg.n_ions + 1), result.p_up, result.p_err,
+               result.sz, result.sz_err))
     manifest = _manifest_base(cfg, "shots")
     manifest["derived"] = {
         "t_shot_seconds": t_shot,
@@ -284,7 +287,8 @@ def cmd_sweep_alpha(cfg: RunConfig, outdir: Path) -> dict:
         rows.append((mu, d, alpha, jm.j_max))
     write_csv(outdir / "alpha_scan.csv",
               ("mu_rad_per_s", "detuning_fraction", "alpha_fit",
-               "j_max_rad_per_s"), rows)
+               "j_max_rad_per_s"),
+              np.array(rows, dtype=float).reshape(-1, 4).T)
     manifest = _manifest_base(cfg, "sweep-alpha")
     manifest["outputs"] = ["alpha_scan.csv"]
     write_manifest(outdir / "manifest.json", manifest)
@@ -317,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", choices=MODELS, default=None,
                        help="dynamics model override")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for noise averages")
+                       help="noise-draw workers; a draw runs every pattern")
     return parser
 
 

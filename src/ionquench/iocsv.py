@@ -9,71 +9,59 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .observables import QuenchTrace
 
 
-def fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
-
-
-def write_csv(path: Path, columns: Sequence[str],
-              rows: Iterable[Sequence]) -> None:
+def write_csv(path: Path, header: Sequence[str],
+              columns: Sequence[np.ndarray]) -> None:
+    """One row per index of equally long int or float columns, written
+    as the repr of their tolist() values (the shortest round trip)."""
+    text = [map(repr, np.asarray(c).ravel().tolist()) for c in columns]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        fh.write("# " + ",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(x) for x in row) + "\n")
+        fh.write("# " + ",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*text, strict=True))
 
 
 def write_matrix_csv(path: Path, j: np.ndarray,
                      value_name: str = "J_rad_per_s") -> None:
-    n = j.shape[0]
-    rows = ((i + 1, k + 1, j[i, k]) for i in range(n) for k in range(n))
-    write_csv(path, ("i", "j", value_name), rows)
+    i, k = np.indices(j.shape) + 1
+    write_csv(path, ("i", "j", value_name), (i, k, j))
 
 
 def write_indexed_csv(path: Path, values: np.ndarray) -> None:
-    write_csv(path, ("index", "value"), enumerate(np.asarray(values).ravel()))
+    write_csv(path, ("index", "value"), (np.arange(np.size(values)), values))
 
 
 def write_trace_csv(path: Path, trace: QuenchTrace,
                     n_samples: int | None = None) -> None:
-    cols = ["t_seconds", "site", "sz"]
+    n_times, n_sites = trace.sz.shape
+    header = ["t_seconds", "site", "sz"]
+    cols = [np.repeat(trace.times, n_sites),
+            np.tile(np.arange(1, n_sites + 1), n_times), trace.sz]
     if n_samples is not None:
-        cols.append("n_samples")
-    def rows():
-        for r, t in enumerate(trace.times):
-            for s in range(trace.n_sites):
-                row = [t, s + 1, trace.sz[r, s]]
-                if n_samples is not None:
-                    row.append(n_samples)
-                yield row
-    write_csv(path, cols, rows())
+        header.append("n_samples")
+        cols.append(np.full(n_times * n_sites, n_samples))
+    write_csv(path, header, cols)
 
 
 def write_c_summary_csv(path: Path, trace: QuenchTrace,
                         n_samples: int | None = None) -> None:
-    cols = ["t_seconds", "C", "C_cumulative"]
+    header = ["t_seconds", "C", "C_cumulative"]
+    cols = [trace.times, trace.c_series, trace.c_cumulative]
     if n_samples is not None:
-        cols.append("n_samples")
-    def rows():
-        for r, t in enumerate(trace.times):
-            row = [t, trace.c_series[r], trace.c_cumulative[r]]
-            if n_samples is not None:
-                row.append(n_samples)
-            yield row
-    write_csv(path, cols, rows())
+        header.append("n_samples")
+        cols.append(np.full(trace.times.size, n_samples))
+    write_csv(path, header, cols)
 
 
 def write_gge_csv(path: Path, sz_gge: np.ndarray) -> None:
     write_csv(path, ("site", "sz_gge"),
-              ((s + 1, v) for s, v in enumerate(sz_gge)))
+              (np.arange(1, len(sz_gge) + 1), sz_gge))
 
 
 def write_shot_lines(path: Path, shots: np.ndarray) -> None:

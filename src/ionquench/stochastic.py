@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,14 +62,17 @@ def _draw_scale(rng: np.random.Generator, sigma: float) -> float:
             return float(s)
 
 
-def noise_average(base_run: Callable[[float], QuenchTrace], model: NoiseModel,
-                  n_samples: int, threads: int = 1) -> QuenchTrace:
-    """Trajectory average over global coupling-strength noise.
+def noise_average(base_run: Callable[[float], Sequence[QuenchTrace]],
+                  model: NoiseModel, n_samples: int,
+                  threads: int = 1) -> list[QuenchTrace]:
+    """Trajectory averages over global coupling-strength noise.
 
-    base_run(s) must rerun the dynamics with J -> s J.  Magnetizations
-    are averaged pointwise; the location observable and its running
-    mean are rebuilt from the averaged magnetizations (both are linear,
-    so this equals averaging them directly).
+    base_run(s) must rerun the dynamics with J -> s J and return one
+    trace per initial pattern, always in the same order; a worker
+    thread runs one draw at a time.  Magnetizations are averaged
+    pointwise; the location observable and its running mean are rebuilt
+    from the averaged magnetizations (both are linear, so this equals
+    averaging them directly).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -79,17 +82,20 @@ def noise_average(base_run: Callable[[float], QuenchTrace], model: NoiseModel,
     ]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            traces = list(pool.map(base_run, scales))
+            runs = list(pool.map(base_run, scales))
     else:
-        traces = [base_run(s) for s in scales]
-    times = traces[0].times
-    for tr in traces[1:]:
-        if tr.sz.shape != traces[0].sz.shape:
+        runs = [base_run(s) for s in scales]
+    averaged = []
+    # strict: a draw with a different number of traces raises ValueError
+    for traces in zip(*runs, strict=True):
+        if any(tr.sz.shape != traces[0].sz.shape for tr in traces):
             raise ValueError("noise samples returned mismatched traces")
-    mean_sz = np.mean([tr.sz for tr in traces], axis=0)
-    meta = dict(traces[0].meta)
-    meta.update(n_samples=n_samples, j_relative_sigma=model.j_relative_sigma)
-    return assemble_trace(times, mean_sz, **meta)
+        mean_sz = np.mean([tr.sz for tr in traces], axis=0)
+        meta = dict(traces[0].meta)
+        meta.update(n_samples=n_samples,
+                    j_relative_sigma=model.j_relative_sigma)
+        averaged.append(assemble_trace(traces[0].times, mean_sz, **meta))
+    return averaged
 
 
 def _readout(sz: np.ndarray, rows: np.ndarray,

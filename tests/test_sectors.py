@@ -7,12 +7,16 @@ the Kronecker-product oracle on all 2^N states.
 import numpy as np
 import pytest
 
+import ionquench.cli as cli
 from helpers import JMAX, dense_ising_oracle, dense_sz_dynamics, product_state
 from ionquench.cli import _full_spectrum_gaps, main
+from ionquench.config import load_config
 from ionquench.coupling import CouplingMatrix, power_law_couplings
 from ionquench.exact import (_lanczos_expm_step, build_full_ising,
-                             build_xy_sector, diagonal_ensemble, evolve)
+                             build_xy_sector, default_time_grid,
+                             diagonal_ensemble, evolve)
 from ionquench.observables import ExcitationPattern
+from ionquench.stochastic import noise_average
 
 SIZES = range(3, 9)
 
@@ -79,6 +83,34 @@ def test_sector_evolution_matches_full_oracle(n):
     psi0[local] = 1.0
     psi = _lanczos_expm_step(block.matrix, psi0, times[-1])
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_diagonal_ensemble_is_the_long_time_average(n):
+    """A Hann-windowed time average suppresses the beat at each gap g
+    roughly as (g T)^-3, and T = 5000 / J_max lies far beyond the inverse
+    smallest gap of every seeded case; the 0.1 / J_max step stays below
+    pi over the spectral width, so no beat aliases onto zero frequency."""
+    jm, b_field, pattern = random_case(n)
+    h = build_full_ising(jm, b_field)
+    times = np.linspace(0.0, 5000.0 / JMAX, 50001)
+    window = np.sin(np.pi * np.arange(times.size) / (times.size - 1)) ** 2
+    average = window @ evolve(h, pattern, times).sz / window.sum()
+    assert np.abs(average - diagonal_ensemble(h, pattern)).max() < 1e-4
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_mirrored_pattern_has_opposite_c(n):
+    """Power-law couplings are inversion symmetric, so the mirrored
+    pattern evolves into the mirrored magnetizations and C flips sign."""
+    _, b_field, pattern = random_case(n)
+    alpha = np.random.default_rng(n).uniform(0.0, 3.0)
+    h = build_full_ising(power_law_couplings(n, JMAX, alpha), b_field)
+    times = np.linspace(0.0, 5.0 / JMAX, 8)
+    for method in ("dense", "krylov"):
+        c = evolve(h, pattern, times, method=method).c_series
+        mirror = evolve(h, pattern.mirrored(), times, method=method).c_series
+        assert np.abs(c + mirror).max() < 1e-12
 
 
 @pytest.mark.parametrize("flipped", [(1,), (2, 5)])
@@ -153,3 +185,74 @@ def test_cmd_evolve_diagonalises_each_sector_once(tmp_path, eigh_sizes):
     # the GGE's spin-wave build diagonalises the n x n hopping matrix;
     # both traces and both diagonal ensembles share one sector spectrum
     assert sorted(eigh_sizes) == [n, 2**(n - 1)]
+
+
+def test_noise_draws_share_one_spectrum_per_sector(tmp_path, eigh_sizes):
+    n, samples = 6, 3
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n_ions = {n}\nmodel = exact\npatterns = 1; 6\n"
+                   f"n_times = 6\nt_max_over_jmax = 5\n"
+                   f"noise_samples = {samples}\n")
+    assert main(["evolve", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    # one sector spectrum per noise draw serves both patterns, and one
+    # noise-free spectrum serves both diagonal ensembles
+    assert sorted(eigh_sizes) == [n] + [2**(n - 1)] * (samples + 1)
+
+
+def test_exact_shots_diagonalise_each_sector_once(tmp_path, eigh_sizes,
+                                                  monkeypatch):
+    """Preparation errors keep subsets of sites 1, 3, 5 of both parities;
+    one full model and one spectrum per parity sector serve all of them."""
+    builds = []
+    real = cli.build_full_ising
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_full_ising", counting)
+    n = 6
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n_ions = {n}\nmodel = exact\npatterns = 1,3,5\n"
+                   "prep_fidelity = 0.5\nn_shots = 200\n"
+                   "shot_time_over_jmax = 5\n")
+    assert main(["shots", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(builds) == 1
+    assert eigh_sizes == [2**(n - 1)] * 2
+
+
+def read_column(path, column):
+    lines = path.read_text().splitlines()
+    header = lines[0].lstrip("# ").split(",")
+    k = header.index(column)
+    return np.array([float(line.split(",")[k]) for line in lines[1:]])
+
+
+def test_noise_averaged_traces_match_per_pattern_oracle(tmp_path):
+    """Sharing a draw's model across patterns changes no bit: the CSVs
+    equal noise averages that rebuild the Hamiltonian for every pattern."""
+    samples = 4
+    path = tmp_path / "run.cfg"
+    path.write_text(f"n_ions = 5\nmodel = exact\npatterns = 2; 1,4\n"
+                    f"n_times = 7\nt_max_over_jmax = 6\n"
+                    f"noise_samples = {samples}\nseed = 19\n")
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+    cfg = load_config(path)
+    jm, _, _ = cfg.couplings()
+    r = cfg.raw
+    times = default_time_grid(jm.j_max, r["t_max_over_jmax"], r["n_times"])
+    for pattern in cfg.patterns:
+        oracle = noise_average(
+            lambda s: [evolve(build_full_ising(jm.scaled(s), cfg.b_field),
+                              pattern, times)],
+            cfg.noise_model(), samples)[0]
+        tag = cli._pattern_tag(pattern)
+        trace = out / f"trace_exact_{tag}.csv"
+        assert np.array_equal(read_column(trace, "t_seconds"),
+                              np.repeat(times, 5))
+        assert np.array_equal(read_column(trace, "sz"), oracle.sz.ravel())
+        assert np.array_equal(read_column(out / f"c_exact_{tag}.csv", "C"),
+                              oracle.c_series)

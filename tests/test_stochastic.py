@@ -42,7 +42,7 @@ def test_rng_streams_are_independent_and_reproducible():
 
 def test_zero_sigma_average_is_the_bare_run():
     model = NoiseModel(j_relative_sigma=0.0, seed=4)
-    avg = noise_average(run_scaled, model, n_samples=3)
+    avg = noise_average(lambda s: [run_scaled(s)], model, n_samples=3)[0]
     base = run_scaled(1.0)
     # every sample reran at scale 1, so only the rounding of the
     # 3-sample mean separates the two
@@ -54,9 +54,12 @@ def test_zero_sigma_average_is_the_bare_run():
 
 def test_average_deterministic_and_thread_invariant():
     model = NoiseModel(seed=7)
-    one = noise_average(run_scaled, model, n_samples=8, threads=1)
-    again = noise_average(run_scaled, model, n_samples=8, threads=1)
-    four = noise_average(run_scaled, model, n_samples=8, threads=4)
+    one = noise_average(lambda s: [run_scaled(s)], model, n_samples=8,
+                        threads=1)[0]
+    again = noise_average(lambda s: [run_scaled(s)], model, n_samples=8,
+                          threads=1)[0]
+    four = noise_average(lambda s: [run_scaled(s)], model, n_samples=8,
+                         threads=4)[0]
     assert np.array_equal(one.sz, again.sz)
     assert np.array_equal(one.sz, four.sz)
 
@@ -66,7 +69,7 @@ def test_scale_draws_are_positive_even_at_huge_sigma():
 
     def record(scale):
         seen.append(scale)
-        return run_scaled(1.0)
+        return [run_scaled(1.0)]
 
     noise_average(record, NoiseModel(j_relative_sigma=5.0, seed=2),
                   n_samples=64)
@@ -78,7 +81,7 @@ def test_scale_draws_are_positive_even_at_huge_sigma():
 def test_average_input_validation():
     model = NoiseModel(seed=0)
     with pytest.raises(ValueError):
-        noise_average(run_scaled, model, n_samples=0)
+        noise_average(lambda s: [run_scaled(s)], model, n_samples=0)
 
     calls = [0]
 
@@ -86,10 +89,17 @@ def test_average_input_validation():
         calls[0] += 1
         times = TIMES if calls[0] == 1 else TIMES[:-1]
         sys = build_spinwave(BASE_JM.scaled(scale), B_FIELD)
-        return evolve_spinwave(sys, PATTERN, times)
+        return [evolve_spinwave(sys, PATTERN, times)]
 
     with pytest.raises(ValueError):
         noise_average(shapeshifter, model, n_samples=2)
+
+    # a later draw returns more or fewer traces than the first one
+    for counts in ([1, 2], [2, 1]):
+        n_traces = iter(counts)
+        with pytest.raises(ValueError):
+            noise_average(lambda s: [run_scaled(s)] * next(n_traces), model,
+                          n_samples=2)
 
 
 def shots_of(sz, n_shots, **noise):
