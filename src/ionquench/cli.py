@@ -130,6 +130,10 @@ def cmd_evolve(cfg: RunConfig, outdir: Path) -> dict:
             cfg.noise_model(), ns, threads=r["threads"])
     else:
         traces = free.evolve(cfg.patterns, times)
+    if cfg.model != "spinwave":
+        manifest["derived"]["method"] = {
+            _pattern_tag(p): t.meta["method"]
+            for p, t in zip(cfg.patterns, traces)}
     outputs = []
     for pattern, trace in zip(cfg.patterns, traces):
         tag = _pattern_tag(pattern)

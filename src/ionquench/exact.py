@@ -18,28 +18,31 @@ into its two prod_i sz_i parity sectors; an XY sector is a single block.
 block's eigendecomposition is computed once and shared by dense
 evolution, the diagonal ensemble and the gap spectrum.  Dense work
 happens only when the full dimension of the rep, not the sector's, is at
-most DENSE_CAP; larger problems are evolved inside the block by a
-deterministic Lanczos approximation of exp(-i H dt).
+most DENSE_CAP.  Larger problems are evolved inside the block by one
+real Chebyshev expansion of exp(-i H t) that serves every grid time at
+once (method "krylov"): its order, and so its number of sparse
+matrix-vector products, grows linearly in spectral width x max |t|.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.special import jv
 
 from .coupling import CouplingMatrix
 from .errors import SectorError, SimulationError, SizeError
 from .observables import ExcitationPattern, QuenchTrace, assemble_trace
 
 FULL_SPACE_CAP = 16      # spins; 2^16 states is the largest full build
-DENSE_CAP = 4096         # full dimension above which evolve switches to Lanczos
+DENSE_CAP = 4096         # full dimension above which evolve switches to Chebyshev
 _DEGENERACY_RTOL = 1e-11  # level tolerance, relative to the spectral spread
+_CHEBYSHEV_TAIL = 1e-16   # largest Bessel coefficient the expansion drops
+_CHEBYSHEV_CHUNK = 64     # Chebyshev vectors held between accumulations
 
 
 @dataclass(frozen=True)
@@ -214,55 +217,16 @@ def build_xy_sector(jm: CouplingMatrix, b_field: float, k: int) -> HamiltonianRe
                           k_excitations=k)
 
 
-def _lanczos_expm_step(hmat: sp.csr_matrix, v: np.ndarray, dt: float,
-                       tol: float = 1e-12, m_max: int = 48) -> np.ndarray:
-    """One deterministic Krylov approximation of exp(-i H dt) v.
+def _sz_series(block: Sector, times: np.ndarray, states) -> np.ndarray:
+    """<sigma^z_i> on the grid.
 
-    Splits the step in half whenever the standard residual estimate
-    beta_m |exp(-i T dt)|_{m,1} misses tol at the largest subspace.
+    states(tt) returns the block amplitudes psi(t), one row per time of
+    the chunk tt; a chunk holds at most 2^22 amplitudes.
     """
-    beta0 = np.linalg.norm(v)
-    if beta0 == 0.0:
-        return v.copy()
-    q = [v / beta0]
-    alphas: list[float] = []
-    betas: list[float] = []
-    for j in range(m_max):
-        w = hmat @ q[j]
-        if j > 0:
-            w = w - betas[j - 1] * q[j - 1]
-        a = float(np.real(np.vdot(q[j], w)))
-        w = w - a * q[j]
-        # full reorthogonalization keeps small subspaces honest
-        for qq in q:
-            w = w - np.vdot(qq, w) * qq
-        alphas.append(a)
-        b = float(np.linalg.norm(w))
-        m = j + 1
-        if b < 1e-14 or m == m_max or m >= 6:
-            evals, evecs = sla.eigh_tridiagonal(alphas, betas[:m - 1] if m > 1 else [])
-            small = evecs @ (np.exp(-1j * evals * dt) * evecs[0, :])
-            err = abs(b * small[-1])
-            if b < 1e-14 or err < tol:
-                return beta0 * (np.column_stack(q) @ small)
-            if m == m_max:
-                half = _lanczos_expm_step(hmat, v, dt / 2.0, tol, m_max)
-                return _lanczos_expm_step(hmat, half, dt / 2.0, tol, m_max)
-        betas.append(b)
-        q.append(w / b)
-    raise SimulationError("Lanczos step failed to converge")  # pragma: no cover
-
-
-def _dense_sz_series(block: Sector, idx0: int, times: np.ndarray
-                     ) -> np.ndarray:
-    evals, evecs = block.spectrum
-    amps = evecs[idx0, :]  # overlaps of the one-hot initial state
     sz = np.empty((times.size, block.zmat.shape[1]))
     chunk = max(1, int(2**22 // max(block.dimension, 1)))
     for start in range(0, times.size, chunk):
-        tt = times[start:start + chunk]
-        phases = np.exp(-1j * np.outer(tt, evals)) * amps[None, :]
-        psi = phases @ evecs.T
+        psi = states(times[start:start + chunk])
         norms = np.linalg.norm(psi, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-8):
             raise SimulationError("propagation lost unitarity")
@@ -270,24 +234,77 @@ def _dense_sz_series(block: Sector, idx0: int, times: np.ndarray
     return sz
 
 
+def _dense_sz_series(block: Sector, idx0: int, times: np.ndarray
+                     ) -> np.ndarray:
+    evals, evecs = block.spectrum
+    amps = evecs[idx0, :]  # overlaps of the one-hot initial state
+    return _sz_series(block, times, lambda tt: (
+        np.exp(-1j * np.outer(tt, evals)) * amps[None, :]) @ evecs.T)
+
+
+def _chebyshev_states(hmat: sp.csr_matrix, idx0: int, times: np.ndarray
+                      ) -> np.ndarray:
+    """Rows exp(-i H t) e_idx0 for every t, each up to a phase e^{-i c t}.
+
+    With c and R the centre and half-width of the Gershgorin bounds of H,
+    Ht = (H - c) / R has its spectrum in [-1, 1] and
+
+        exp(-i H t) = e^{-i c t} sum_k (2 - delta_k0) (-i)^k J_k(R t) T_k(Ht).
+
+    The Chebyshev vectors v_k = T_k(Ht) e_idx0 are real, come from the
+    three-term recurrence and serve every time at once; only the
+    coefficients depend on t.  J_k(R t) falls faster than exponentially
+    once k exceeds |R t|, so the order follows from max |R t| and costs
+    one sparse product per order.  The phase e^{-i c t} is left out
+    because only |psi|^2 is read.
+    """
+    dim = hmat.shape[0]
+    diag = hmat.diagonal()
+    radius = np.asarray(abs(hmat).sum(axis=1)).ravel() - np.abs(diag)
+    lo, hi = float((diag - radius).min()), float((diag + radius).max())
+    centre, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+    psi = np.zeros((times.size, dim), dtype=complex)
+    if half == 0.0:  # H = c: a pure phase
+        psi[:, idx0] = 1.0
+        return psi
+    z = half * times
+    z_max = float(np.abs(z).max())
+    # (z/2)^k / k! bounds |J_k(z)|, so this range reaches far into the tail
+    ks = np.arange(int(1.5 * z_max) + 64)
+    order = int(np.flatnonzero(np.abs(jv(ks, z_max)) >= _CHEBYSHEV_TAIL)
+                .max()) + 1
+    # The Fourier coefficients of e^{-i z cos(theta)} are (-i)^k J_k(z);
+    # 2 * order samples keep the aliased terms below _CHEBYSHEV_TAIL.
+    n_theta = 2 * order
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    coef = np.fft.fft(np.exp(-1j * np.outer(z, np.cos(theta))),
+                      axis=1)[:, :order] / n_theta
+    coef[:, 1:] *= 2.0
+    rows = np.empty((min(order, _CHEBYSHEV_CHUNK), dim))
+    for k in range(order):
+        row = rows[k % _CHEBYSHEV_CHUNK]
+        if k == 0:
+            row[:] = 0.0
+            row[idx0] = 1.0
+        else:
+            prev = rows[(k - 1) % _CHEBYSHEV_CHUNK]
+            step = (hmat @ prev - centre * prev) / half
+            row[:] = step if k == 1 else (
+                2.0 * step - rows[(k - 2) % _CHEBYSHEV_CHUNK])
+        if (k + 1) % _CHEBYSHEV_CHUNK == 0 or k + 1 == order:
+            first = k - k % _CHEBYSHEV_CHUNK
+            c = coef[:, first:k + 1]
+            psi.real += c.real @ rows[:c.shape[1]]
+            psi.imag += c.imag @ rows[:c.shape[1]]
+    return psi
+
+
 def _krylov_sz_series(block: Sector, idx0: int, times: np.ndarray
                       ) -> np.ndarray:
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be sorted ascending")
-    psi = np.zeros(block.dimension, dtype=complex)
-    psi[idx0] = 1.0
-    sz = np.empty((times.size, block.zmat.shape[1]))
-    t_now = 0.0
-    for row, t in enumerate(times):
-        dt = t - t_now
-        if dt > 0:
-            psi = _lanczos_expm_step(block.matrix, psi, dt)
-            t_now = t
-        norm = np.linalg.norm(psi)
-        if abs(norm - 1.0) > 1e-8:
-            raise SimulationError("propagation lost unitarity")
-        sz[row] = (np.abs(psi) ** 2) @ block.zmat
-    return sz
+    return _sz_series(block, times,
+                      lambda tt: _chebyshev_states(block.matrix, idx0, tt))
 
 
 def evolve(h: HamiltonianRep, pattern: ExcitationPattern, times: np.ndarray,

@@ -174,6 +174,27 @@ class TestArtifacts:
         assert (out / "diag_ensemble_p1.csv").exists()
         assert (out / "trace_exact_p1.csv").exists()
 
+    @pytest.mark.parametrize("model, n_ions, t_max, extra, method", [
+        ("exact", 4, 10, "noise_samples = 2\n", "dense"),
+        ("xy", 4, 10, "", "dense"),
+        ("exact", 13, 1, "", "krylov"),
+        ("spinwave", 4, 10, "", None),
+    ])
+    def test_evolve_manifest_records_method(self, tmp_path, model, n_ions,
+                                            t_max, extra, method):
+        text = (BASE.replace("model = spinwave", f"model = {model}")
+                .replace("n_ions = 4", f"n_ions = {n_ions}")
+                .replace("t_max_over_jmax = 10", f"t_max_over_jmax = {t_max}")
+                + "patterns = 1; 2,3\n" + extra)
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", write_config(tmp_path, text),
+                     "--out", str(out)]) == 0
+        derived = json.loads((out / "manifest.json").read_text())["derived"]
+        if method is None:
+            assert "method" not in derived
+        else:
+            assert derived["method"] == {"p1": method, "p2-3": method}
+
     def test_model_override_renames_traces(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
         out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import combinations
 
 import numpy as np
@@ -79,6 +80,32 @@ def test_krylov_agrees_with_dense():
     assert dense.meta["method"] == "dense"
     assert kry.meta["method"] == "krylov"
     assert np.abs(dense.sz - kry.sz).max() < 1e-8
+
+
+@pytest.mark.parametrize("times, budget_s", [
+    (np.array([-3.0, -1.0, 0.0, 0.0, 2.0, 2.0, 7.0]) / JMAX, 2.0),
+    (np.linspace(0.0, 25.0 / JMAX, 60), 5.0),
+], ids=["negative-and-repeated", "long-horizon"])
+def test_krylov_agrees_with_dense_on_any_sorted_grid(times, budget_s):
+    """The Chebyshev order follows max |R t|, so times below zero are
+    covered, and a long horizon costs one sparse product per order."""
+    jm = power_law_couplings(10, JMAX, 0.55)
+    h = build_full_ising(jm, B_FIELD)
+    pattern = ExcitationPattern(10, (4,))
+    dense = evolve(h, pattern, times, method="dense")
+    start = time.perf_counter()
+    kry = evolve(h, pattern, times, method="krylov")
+    assert time.perf_counter() - start < budget_s
+    assert np.abs(dense.sz - kry.sz).max() < 1e-8
+
+
+def test_krylov_zero_width_block_is_a_pure_phase():
+    zero = np.zeros((5, 5))
+    h = build_full_ising(CouplingMatrix(j=zero, j_script=zero.copy(),
+                                        j_max=0.0), 0.0)
+    pattern = ExcitationPattern(5, (2, 5))
+    trace = evolve(h, pattern, np.linspace(0.0, 3.0, 4), method="krylov")
+    assert np.array_equal(trace.sz, np.tile(pattern.sz(), (4, 1)))
 
 
 def test_auto_method_respects_dense_cap():
