@@ -19,7 +19,7 @@ from .errors import (ConfigError, ConvergenceError, EmptySelectionError,
                      StabilityError)
 from .exact import (HamiltonianRep, build_full_ising, build_xy_sector,
                     default_time_grid, diagonal_ensemble, evolve,
-                    excitation_drift)
+                    excitation_drift, level_gaps)
 from .lattice import (Geometry, PhononModes, TrapConfig, attach_frequencies,
                       equilibrium_positions, exact_modes, k_matrix,
                       perturbative_modes)

@@ -22,9 +22,8 @@ from . import __version__
 from .config import MODELS, RunConfig, load_config
 from .coupling import effective_potential
 from .errors import ConfigError, SimulationError
-from .exact import (DENSE_CAP, HamiltonianRep, _levels, build_full_ising,
-                    build_xy_sector, default_time_grid, diagonal_ensemble,
-                    evolve)
+from .exact import (HamiltonianRep, build_full_ising, build_xy_sector,
+                    default_time_grid, diagonal_ensemble, evolve, level_gaps)
 from .iocsv import (write_c_summary_csv, write_csv, write_gge_csv,
                     write_indexed_csv, write_manifest, write_matrix_csv,
                     write_shot_lines, write_trace_csv)
@@ -144,7 +143,7 @@ def cmd_evolve(cfg: RunConfig, outdir: Path) -> dict:
         outputs += [f"trace_{cfg.model}_{tag}.csv", f"c_{cfg.model}_{tag}.csv",
                     f"gge_{tag}.csv"]
         h = free.rep(pattern) if cfg.model != "spinwave" else None
-        if h is not None and h.dimension <= DENSE_CAP:
+        if h is not None and h.dense:
             write_csv(outdir / f"diag_ensemble_{tag}.csv",
                       ("site", "sz_diag"), (np.arange(1, cfg.n_ions + 1),
                                             diagonal_ensemble(h, pattern)))
@@ -201,11 +200,9 @@ def cmd_gaps(cfg: RunConfig, outdir: Path) -> dict:
             grid.append((alpha, jm))
             fits[str(alpha)] = alpha
     for alpha, jm in grid:
-        if cfg.model == "exact":
-            pairs = _full_spectrum_gaps(jm, cfg.b_field, pattern)
-        else:
-            sw = build_spinwave(jm, cfg.b_field)
-            pairs = pair_gap_spectrum(sw, pattern)
+        dyn = _Dynamics(cfg, jm)
+        pairs = (level_gaps(dyn.rep(pattern), pattern) if cfg.model == "exact"
+                 else pair_gap_spectrum(dyn.spinwave, pattern))
         resolved = [(g / jm.j_max, w) for g, w in pairs]
         rows += [(alpha, g, w) for g, w in resolved]
         heavy = [g for g, w in resolved if w > 1e-3]
@@ -217,30 +214,6 @@ def cmd_gaps(cfg: RunConfig, outdir: Path) -> dict:
     manifest["outputs"] = ["gaps.csv"]
     write_manifest(outdir / "manifest.json", manifest)
     return manifest
-
-
-def _full_spectrum_gaps(jm, b_field: float, pattern: ExcitationPattern,
-                        weight_floor: float = 1e-12):
-    """Pair gaps over the full Ising spectrum, weighted by overlap.
-
-    Only the parity sector of the pattern carries weight, so only its
-    levels pair up.  A level weighs |P_E psi|^2, which does not depend
-    on the basis eigh picks inside a degenerate level.
-    """
-    h = build_full_ising(jm, b_field)
-    if h.dimension > DENSE_CAP:
-        raise SimulationError("full-spectrum gaps need dimension <= "
-                              f"{DENSE_CAP}")
-    block, idx0 = h.sector(pattern)
-    evals, evecs = block.spectrum
-    bounds = _levels(evals)
-    p = np.add.reduceat(evecs[idx0, :] ** 2, bounds[:-1])
-    energies = np.add.reduceat(evals, bounds[:-1]) / np.diff(bounds)
-    m, n = np.triu_indices(len(p), k=1)
-    w = p[m] * p[n]
-    keep = w > weight_floor
-    gaps = np.abs(energies[m] - energies[n])[keep]
-    return list(zip(gaps.tolist(), w[keep].tolist()))
 
 
 def cmd_shots(cfg: RunConfig, outdir: Path) -> dict:
@@ -273,22 +246,12 @@ def cmd_shots(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def cmd_sweep_alpha(cfg: RunConfig, outdir: Path) -> dict:
-    from .coupling import fit_alpha, ion_couplings
-    from .lattice import exact_modes
+    from .coupling import detuning_scan
     r = cfg.raw
-    base = cfg.trap_config()
-    modes = exact_modes(base)
-    rows = []
-    for d in np.geomspace(r["scan_detuning_min"], r["scan_detuning_max"],
-                          r["scan_points"]):
-        mu = base.omega_x * float(np.sqrt(1.0 + d))
-        trial = base.with_mu(mu)
-        try:
-            jm = ion_couplings(trial, modes)
-            alpha = fit_alpha(jm)
-        except (ValueError, SimulationError):
-            continue
-        rows.append((mu, d, alpha, jm.j_max))
+    scan = detuning_scan(cfg.trap_config(), (r["scan_detuning_min"],
+                                             r["scan_detuning_max"]),
+                         r["scan_points"])
+    rows = [(trial.mu, d, alpha, jm.j_max) for d, trial, jm, alpha in scan]
     write_csv(outdir / "alpha_scan.csv",
               ("mu_rad_per_s", "detuning_fraction", "alpha_fit",
                "j_max_rad_per_s"),

@@ -243,13 +243,13 @@ class RunConfig:
             pass  # negative couplings: no power-law fit exists
         return jm, cfg, modes
 
-    def noise_model(self, seed: int | None = None) -> NoiseModel:
+    def noise_model(self) -> NoiseModel:
         r = self.raw
         return NoiseModel(
             j_relative_sigma=r["j_noise_sigma"],
             prep_flip_fidelity=r["prep_fidelity"],
             detection_error=r["detection_error"],
-            seed=r["seed"] if seed is None else seed,
+            seed=r["seed"],
         )
 
 

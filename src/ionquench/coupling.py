@@ -204,6 +204,26 @@ def continuum_dispersion(cfg: TrapConfig,
                                scaled_zeta_term=scaled_zeta_term)
 
 
+def detuning_scan(cfg: TrapConfig, detuning_range: tuple[float, float],
+                  n_grid: int):
+    """Yield (d, trial, jm, alpha) at each valid point of a detuning scan.
+
+    The drive runs at mu = omega_x * sqrt(1 + d) with d log-spaced over
+    detuning_range; trial is cfg at that mu, jm its couplings and alpha
+    their fitted exponent.  Points on a mode or without a power-law fit
+    are skipped.
+    """
+    modes = exact_modes(cfg)
+    for d in np.geomspace(detuning_range[0], detuning_range[1], n_grid):
+        trial = cfg.with_mu(cfg.omega_x * math.sqrt(1.0 + d))
+        try:
+            jm = ion_couplings(trial, modes)
+            alpha = fit_alpha(jm)
+        except (ValueError, ResonanceError):
+            continue
+        yield d, trial, jm, alpha
+
+
 def tune_mu_for_alpha(cfg: TrapConfig, target_alpha: float,
                       n_grid: int = 120,
                       detuning_range: tuple[float, float] = (1e-4, 1.0)
@@ -211,21 +231,14 @@ def tune_mu_for_alpha(cfg: TrapConfig, target_alpha: float,
     """Grid-scan the drive detuning until the fitted exponent matches.
 
     Scans mu = omega_x * sqrt(1 + d) with d log-spaced over
-    detuning_range; driving above the center-of-mass mode keeps every
-    coupling positive so the fit is defined.  Returns the config tuned
-    to the closest grid point.
+    detuning_range (see detuning_scan); driving above the center-of-mass
+    mode keeps every coupling positive so the fit is defined.  Returns
+    the config tuned to the closest grid point, the first on a tie.
     """
     if not 0.0 < target_alpha < 3.0:
         raise ValueError("target_alpha must lie in (0, 3)")
-    modes = exact_modes(cfg)
     best, best_err = None, np.inf
-    for d in np.geomspace(detuning_range[0], detuning_range[1], n_grid):
-        mu = cfg.omega_x * math.sqrt(1.0 + d)
-        trial = cfg.with_mu(mu)
-        try:
-            alpha = fit_alpha(ion_couplings(trial, modes))
-        except (ValueError, ResonanceError):
-            continue
+    for _, trial, _, alpha in detuning_scan(cfg, detuning_range, n_grid):
         err = abs(alpha - target_alpha)
         if err < best_err:
             best, best_err = trial, err

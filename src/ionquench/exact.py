@@ -16,12 +16,15 @@ The sx_i sx_j couplings flip spins in pairs, so the full model splits
 into its two prod_i sz_i parity sectors; an XY sector is a single block.
 ``HamiltonianRep.sector`` hands out the block of a pattern, and the
 block's eigendecomposition is computed once and shared by dense
-evolution, the diagonal ensemble and the gap spectrum.  Dense work
-happens only when the full dimension of the rep, not the sector's, is at
-most DENSE_CAP.  Larger problems are evolved inside the block by one
-real Chebyshev expansion of exp(-i H t) that serves every grid time at
-once (method "krylov"): its order, and so its number of sparse
-matrix-vector products, grows linearly in spectral width x max |t|.
+evolution, the diagonal ensemble and ``level_gaps`` (the exact
+counterpart of ``spinwave.pair_gap_spectrum``).  One predicate,
+``HamiltonianRep.dense``, allows that spectrum: the full dimension of the
+rep, not the sector's, is at most DENSE_CAP.  Above the cap the diagonal
+ensemble and the level gaps raise SizeError, and evolution runs inside
+the block by one real Chebyshev expansion of exp(-i H t) that serves
+every grid time at once (method "krylov"): its order, and so its number
+of sparse matrix-vector products, grows linearly in spectral width x
+max |t|.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ from .errors import SectorError, SimulationError, SizeError
 from .observables import ExcitationPattern, QuenchTrace, assemble_trace
 
 FULL_SPACE_CAP = 16      # spins; 2^16 states is the largest full build
-DENSE_CAP = 4096         # full dimension above which evolve switches to Chebyshev
+DENSE_CAP = 4096         # largest full dimension with dense spectra
 _DEGENERACY_RTOL = 1e-11  # level tolerance, relative to the spectral spread
+_GAP_WEIGHT_FLOOR = 1e-12  # level pairs at or below this weight are dropped
 _CHEBYSHEV_TAIL = 1e-16   # largest Bessel coefficient the expansion drops
 _CHEBYSHEV_CHUNK = 64     # Chebyshev vectors held between accumulations
 
@@ -102,6 +106,11 @@ class HamiltonianRep:
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def dense(self) -> bool:
+        """Whether the rep is small enough for dense spectra (DENSE_CAP)."""
+        return self.dimension <= DENSE_CAP
+
     def state_index(self, pattern: ExcitationPattern) -> int:
         """Basis index of a product state, validating the sector."""
         if pattern.n_ions != self.n_ions:
@@ -147,13 +156,12 @@ def _occupation_table(states: np.ndarray, n: int) -> np.ndarray:
     return ((states[:, None] >> np.arange(n)[None, :]) & 1).astype(np.uint8)
 
 
-def build_full_ising(jm: CouplingMatrix, b_field: float,
-                     cap: int = FULL_SPACE_CAP) -> HamiltonianRep:
+def build_full_ising(jm: CouplingMatrix, b_field: float) -> HamiltonianRep:
     """Full 2^N Hamiltonian; only the off-diagonal couplings enter."""
     n = jm.n_ions
-    if n > cap:
+    if n > FULL_SPACE_CAP:
         raise SizeError(
-            f"{n} spins exceed the full-space cap of {cap}; "
+            f"{n} spins exceed the full-space cap of {FULL_SPACE_CAP}; "
             "use an XY sector instead"
         )
     dim = 1 << n
@@ -234,9 +242,19 @@ def _sz_series(block: Sector, times: np.ndarray, states) -> np.ndarray:
     return sz
 
 
-def _dense_sz_series(block: Sector, idx0: int, times: np.ndarray
-                     ) -> np.ndarray:
-    evals, evecs = block.spectrum
+def _dense_spectrum(h: HamiltonianRep, pattern: ExcitationPattern
+                    ) -> tuple[Sector, int, np.ndarray, np.ndarray]:
+    """The pattern's block, its index there and the block's spectrum."""
+    if not h.dense:
+        raise SizeError(f"dimension {h.dimension} is above DENSE_CAP, "
+                        "too large for a dense spectrum")
+    block, idx0 = h.sector(pattern)
+    return (block, idx0) + block.spectrum
+
+
+def _dense_sz_series(h: HamiltonianRep, pattern: ExcitationPattern,
+                     times: np.ndarray) -> np.ndarray:
+    block, idx0, evals, evecs = _dense_spectrum(h, pattern)
     amps = evecs[idx0, :]  # overlaps of the one-hot initial state
     return _sz_series(block, times, lambda tt: (
         np.exp(-1j * np.outer(tt, evals)) * amps[None, :]) @ evecs.T)
@@ -308,68 +326,76 @@ def _krylov_sz_series(block: Sector, idx0: int, times: np.ndarray
 
 
 def evolve(h: HamiltonianRep, pattern: ExcitationPattern, times: np.ndarray,
-           method: str = "auto", dense_cap: int = DENSE_CAP) -> QuenchTrace:
+           method: str = "auto") -> QuenchTrace:
     """Quench from a product state, sampling <sigma^z_i> on a time grid.
 
-    The state is propagated inside its sector; the dense/Krylov choice
-    compares the full dimension of h with dense_cap.
+    The state is propagated inside its sector; "auto" picks dense when
+    h.dense holds and Krylov otherwise.
     """
-    block, idx0 = h.sector(pattern)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if method == "auto":
-        method = "dense" if h.dimension <= dense_cap else "krylov"
+        method = "dense" if h.dense else "krylov"
     if method == "dense":
-        if h.dimension > dense_cap:
-            raise SizeError(
-                f"dimension {h.dimension} exceeds dense cap {dense_cap}"
-            )
-        sz = _dense_sz_series(block, idx0, times)
+        sz = _dense_sz_series(h, pattern, times)
     elif method == "krylov":
-        sz = _krylov_sz_series(block, idx0, times)
+        sz = _krylov_sz_series(*h.sector(pattern), times)
     else:
         raise ValueError(f"unknown method {method!r}")
     return assemble_trace(times, sz, model=h.kind, pattern=pattern.flipped,
                           b_field=h.b_field, method=method)
 
 
-def _levels(evals: np.ndarray,
-            degeneracy_rtol: float = _DEGENERACY_RTOL) -> np.ndarray:
+def _levels(evals: np.ndarray) -> np.ndarray:
     """Boundaries of the energy levels of an ascending spectrum.
 
-    Neighbouring eigenvalues closer than degeneracy_rtol times the
+    Neighbouring eigenvalues closer than _DEGENERACY_RTOL times the
     spectral spread belong to one level; level j holds the eigenvalues
     evals[bounds[j]:bounds[j + 1]].
     """
     spread = max(evals[-1] - evals[0], abs(evals[-1]), 1e-300)
-    cuts = np.flatnonzero(np.diff(evals) > degeneracy_rtol * spread) + 1
+    cuts = np.flatnonzero(np.diff(evals) > _DEGENERACY_RTOL * spread) + 1
     return np.concatenate(([0], cuts, [evals.size]))
 
 
-def diagonal_ensemble(h: HamiltonianRep, pattern: ExcitationPattern,
-                      dense_cap: int = DENSE_CAP,
-                      degeneracy_rtol: float = _DEGENERACY_RTOL
+def diagonal_ensemble(h: HamiltonianRep, pattern: ExcitationPattern
                       ) -> np.ndarray:
     """Infinite-time average of <sigma^z_i>.
 
-    Eigenvalues closer than degeneracy_rtol times the spectral spread
-    are treated as one block and the initial state is projected into it
-    whole, so exactly degenerate pairs keep their coherences.  Only the
-    sector of the initial state enters; dense_cap bounds the full
-    dimension of h.
+    Each energy level (see _levels) is one block and the initial state
+    is projected into it whole, so exactly degenerate pairs keep their
+    coherences.  Only the sector of the initial state enters; raises
+    SizeError unless h.dense.
     """
-    if h.dimension > dense_cap:
-        raise SizeError(
-            f"dimension {h.dimension} exceeds dense cap {dense_cap}"
-        )
-    block, idx0 = h.sector(pattern)
-    evals, evecs = block.spectrum
+    block, idx0, evals, evecs = _dense_spectrum(h, pattern)
     amps = evecs[idx0, :]
-    bounds = _levels(evals, degeneracy_rtol)
+    bounds = _levels(evals)
     prob = np.zeros(block.dimension)
     for start, stop in zip(bounds[:-1], bounds[1:]):
         proj = evecs[:, start:stop] @ amps[start:stop]
         prob += np.abs(proj) ** 2
     return prob @ block.zmat
+
+
+def level_gaps(h: HamiltonianRep, pattern: ExcitationPattern
+               ) -> list[tuple[float, float]]:
+    """Pair gaps between the energy levels a quench populates.
+
+    The exact counterpart of spinwave.pair_gap_spectrum.  Only the
+    sector of the pattern carries weight, so only its levels pair up.
+    A level weighs |P_E psi|^2, which does not depend on the basis eigh
+    picks inside a degenerate level, and a pair weighs the product of
+    its two levels; pairs at or below _GAP_WEIGHT_FLOOR are dropped.
+    Raises SizeError unless h.dense.
+    """
+    _, idx0, evals, evecs = _dense_spectrum(h, pattern)
+    bounds = _levels(evals)
+    p = np.add.reduceat(evecs[idx0, :] ** 2, bounds[:-1])
+    energies = np.add.reduceat(evals, bounds[:-1]) / np.diff(bounds)
+    m, n = np.triu_indices(len(p), k=1)
+    w = p[m] * p[n]
+    keep = w > _GAP_WEIGHT_FLOOR
+    gaps = np.abs(energies[m] - energies[n])[keep]
+    return list(zip(gaps.tolist(), w[keep].tolist()))
 
 
 def energy_expectation(h: HamiltonianRep, psi: np.ndarray) -> float:

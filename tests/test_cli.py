@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,18 @@ def write_config(tmp_path, text, name="run.cfg"):
 
 def read_outputs(outdir):
     return {p.name: p.read_bytes() for p in outdir.iterdir()}
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# the command the README names for each shipped config
+SHIPPED = {
+    "memory_longrange.cfg": "evolve",
+    "relaxation_shortrange.cfg": "evolve",
+    "chain22.cfg": "evolve",
+    "gap_scan.cfg": "gaps",
+    "double_well_n100.cfg": "couplings",
+    "shots_demo.cfg": "shots",
+}
 
 
 class TestConfigParsing:
@@ -320,3 +333,19 @@ class TestReproducibility:
         a, b, c = (read_outputs(o) for o in outs)
         assert a == b
         assert a["shots.txt"] != c["shots.txt"]
+
+
+class TestShippedConfigs:
+    def test_every_config_has_a_command(self):
+        assert {p.name for p in CONFIGS.glob("*.cfg")} == set(SHIPPED)
+
+    @pytest.mark.parametrize("name,command", sorted(SHIPPED.items()))
+    def test_shipped_config_runs(self, tmp_path, name, command):
+        out = tmp_path / "out"
+        assert main([command, "--config", str(CONFIGS / name),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["outputs"]
+        for output in manifest["outputs"]:
+            assert (out / output).is_file(), output

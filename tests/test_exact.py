@@ -108,16 +108,17 @@ def test_krylov_zero_width_block_is_a_pure_phase():
     assert np.array_equal(trace.sz, np.tile(pattern.sz(), (4, 1)))
 
 
-def test_auto_method_respects_dense_cap():
+def test_auto_method_respects_dense_cap(monkeypatch):
     jm = power_law_couplings(7, JMAX, 1.0)
     h = build_full_ising(jm, B_FIELD)
     pattern = ExcitationPattern(7, (3,))
     times = np.linspace(0.0, 2.0 / JMAX, 4)
     assert evolve(h, pattern, times).meta["method"] == "dense"
-    small = evolve(h, pattern, times, dense_cap=64)
+    monkeypatch.setattr("ionquench.exact.DENSE_CAP", 64)
+    small = evolve(h, pattern, times)
     assert small.meta["method"] == "krylov"
     with pytest.raises(SizeError):
-        evolve(h, pattern, times, method="dense", dense_cap=64)
+        evolve(h, pattern, times, method="dense")
 
 
 def test_krylov_needs_sorted_times():
@@ -179,11 +180,12 @@ def test_diagonal_ensemble_keeps_degenerate_coherences():
     assert np.abs(avg - de).max() < 5e-4
 
 
-def test_diagonal_ensemble_guards():
+def test_diagonal_ensemble_guards(monkeypatch):
     jm = power_law_couplings(5, JMAX, 1.0)
     h = build_full_ising(jm, B_FIELD)
+    monkeypatch.setattr("ionquench.exact.DENSE_CAP", 8)
     with pytest.raises(SizeError):
-        diagonal_ensemble(h, ExcitationPattern(5, (1,)), dense_cap=8)
+        diagonal_ensemble(h, ExcitationPattern(5, (1,)))
 
 
 def test_energy_expectation_of_basis_state():

@@ -4,17 +4,20 @@ Property tests draw seeded random symmetric couplings; the reference is
 the Kronecker-product oracle on all 2^N states.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 import ionquench.cli as cli
 from helpers import JMAX, dense_ising_oracle, dense_sz_dynamics, product_state
-from ionquench.cli import _full_spectrum_gaps, main
+from ionquench.cli import main
 from ionquench.config import load_config
 from ionquench.coupling import CouplingMatrix, power_law_couplings
+from ionquench.errors import SizeError
 from ionquench.exact import (_chebyshev_states, build_full_ising,
                              build_xy_sector, default_time_grid,
-                             diagonal_ensemble, evolve)
+                             diagonal_ensemble, evolve, level_gaps)
 from ionquench.observables import ExcitationPattern
 from ionquench.stochastic import noise_average
 
@@ -132,7 +135,8 @@ def test_gap_weights_are_level_weights_of_the_full_oracle(flipped):
                                  w[keep])))
 
     pattern = ExcitationPattern(n, flipped)
-    pairs = np.array(sorted(_full_spectrum_gaps(jm, b_field, pattern)))
+    pairs = np.array(sorted(level_gaps(build_full_ising(jm, b_field),
+                                       pattern)))
     assert pairs.shape == oracle.shape
     assert np.abs(pairs[:, 0] - oracle[:, 0]).max() < 1e-10 * JMAX
     assert np.abs(pairs[:, 1] - oracle[:, 1]).max() < 1e-12
@@ -254,3 +258,30 @@ def test_noise_averaged_traces_match_per_pattern_oracle(tmp_path):
         assert np.array_equal(read_column(trace, "sz"), oracle.sz.ravel())
         assert np.array_equal(read_column(out / f"c_exact_{tag}.csv", "C"),
                               oracle.c_series)
+
+
+def test_one_dense_cap_governs_every_consumer(tmp_path, monkeypatch):
+    """DENSE_CAP is read at call time, so one patch moves the dense/Krylov
+    choice, the diagonal ensemble, the level gaps and both CLI commands."""
+    monkeypatch.setattr("ionquench.exact.DENSE_CAP", 16)
+    n = 5
+    h = build_full_ising(power_law_couplings(n, JMAX, 0.55), 10.0 * JMAX)
+    pattern = ExcitationPattern(n, (1,))
+    assert not h.dense
+    times = np.linspace(0.0, 2.0 / JMAX, 4)
+    assert evolve(h, pattern, times).meta["method"] == "krylov"
+    with pytest.raises(SizeError):
+        diagonal_ensemble(h, pattern)
+    with pytest.raises(SizeError):
+        level_gaps(h, pattern)
+
+    path = tmp_path / "run.cfg"
+    path.write_text(f"n_ions = {n}\nmodel = exact\npatterns = 1; 2,3\n"
+                    "n_times = 4\nt_max_over_jmax = 2\n")
+    out = tmp_path / "evolve"
+    assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+    assert not list(out.glob("diag_ensemble_*.csv"))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["derived"]["method"] == {"p1": "krylov", "p2-3": "krylov"}
+    assert main(["gaps", "--config", str(path),
+                 "--out", str(tmp_path / "gaps")]) == 3
