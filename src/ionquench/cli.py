@@ -182,10 +182,10 @@ def cmd_gaps(cfg: RunConfig, outdir: Path) -> dict:
     grid = []
     if r["coupling_source"] == "trap":
         from .coupling import (ion_couplings, scale_rabi_for_jmax,
-                               tune_mu_for_alpha, with_fitted_alpha)
+                               with_fitted_alpha)
         base = cfg.trap_config()
         for alpha in cfg.alpha_grid:
-            tuned = tune_mu_for_alpha(base, alpha)
+            tuned = cfg.tune_mu(base, alpha)
             if r["j_max_khz"] > 0:
                 tuned = scale_rabi_for_jmax(tuned,
                                             2e3 * np.pi * r["j_max_khz"])

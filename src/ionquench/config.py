@@ -216,14 +216,18 @@ class RunConfig:
             geometry=Geometry(r["geometry"]),
         )
         if mu is None:
-            cfg = tune_mu_for_alpha(
-                cfg, r["target_alpha"],
-                n_grid=r["scan_points"],
-                detuning_range=(r["scan_detuning_min"], r["scan_detuning_max"]),
-            )
+            cfg = self.tune_mu(cfg, r["target_alpha"])
         if r["j_max_khz"] > 0:
             cfg = scale_rabi_for_jmax(cfg, TWO_PI * 1e3 * r["j_max_khz"])
         return cfg
+
+    def tune_mu(self, trap: TrapConfig, alpha: float) -> TrapConfig:
+        """tune_mu_for_alpha over the configured detuning scan."""
+        r = self.raw
+        return tune_mu_for_alpha(
+            trap, alpha, n_grid=r["scan_points"],
+            detuning_range=(r["scan_detuning_min"], r["scan_detuning_max"]),
+        )
 
     def couplings(self) -> tuple[CouplingMatrix, TrapConfig | None,
                                  PhononModes | None]:

@@ -17,7 +17,14 @@ into its two prod_i sz_i parity sectors; an XY sector is a single block.
 ``HamiltonianRep.sector`` hands out the block of a pattern, and the
 block's eigendecomposition is computed once and shared by dense
 evolution, the diagonal ensemble and ``level_gaps`` (the exact
-counterpart of ``spinwave.pair_gap_spectrum``).  One predicate,
+counterpart of ``spinwave.pair_gap_spectrum``).  When J is inversion
+symmetric (|J - J[::-1, ::-1]| max at most _MIRROR_RTOL times |J| max,
+checked once per build; B is uniform, so H then commutes with the chain
+inversion R: i -> N + 1 - i), that decomposition splits each block into
+its mirror-even and mirror-odd halves in the basis (|s> +- |Rs>)/sqrt(2),
+diagonalises each with its own eigh and merges the two spectra in
+ascending order, so levels are grouped across both halves.  Otherwise the
+block gets one eigh; J is never symmetrised.  One predicate,
 ``HamiltonianRep.dense``, allows that spectrum: the full dimension of the
 rep, not the sector's, is at most DENSE_CAP.  Above the cap the diagonal
 ensemble and the level gaps raise SizeError, and evolution runs inside
@@ -44,6 +51,7 @@ from .observables import ExcitationPattern, QuenchTrace, assemble_trace
 FULL_SPACE_CAP = 16      # spins; 2^16 states is the largest full build
 DENSE_CAP = 4096         # largest full dimension with dense spectra
 _DEGENERACY_RTOL = 1e-11  # level tolerance, relative to the spectral spread
+_MIRROR_RTOL = 1e-12      # inversion asymmetry of J, relative to |J| max
 _GAP_WEIGHT_FLOOR = 1e-12  # level pairs at or below this weight are dropped
 _CHEBYSHEV_TAIL = 1e-16   # largest Bessel coefficient the expansion drops
 _CHEBYSHEV_CHUNK = 64     # Chebyshev vectors held between accumulations
@@ -55,16 +63,21 @@ class Sector:
 
     indices are the rep's basis indices of the block in ascending
     order, matrix is the block of the rep's matrix and zmat the
-    matching (dim, n_ions) table of sigma^z eigenvalues (+-1).
+    matching (dim, n_ions) table of sigma^z eigenvalues (+-1).  mirror
+    maps each block index to that of its chain-inverted state, or is
+    None when H does not commute with the inversion.
     """
 
     indices: np.ndarray
     matrix: sp.csr_matrix
     zmat: np.ndarray
+    mirror: np.ndarray | None = None
 
     def __post_init__(self):
         self.indices.setflags(write=False)
         self.zmat.setflags(write=False)
+        if self.mirror is not None:
+            self.mirror.setflags(write=False)
 
     @property
     def dimension(self) -> int:
@@ -73,10 +86,61 @@ class Sector:
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and eigenvectors of the block."""
-        evals, evecs = np.linalg.eigh(self.matrix.toarray())
+        if self.mirror is None:
+            evals, evecs = np.linalg.eigh(self.matrix.toarray())
+        else:
+            evals, evecs = _mirror_eigh(self.matrix, self.mirror)
         evals.setflags(write=False)
         evecs.setflags(write=False)
         return evals, evecs
+
+
+def _mirror_eigh(matrix: sp.csr_matrix, mirror: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a mirror-symmetric block through its two mirror halves.
+
+    With f the states that are their own mirror and (l, h = R l) the
+    mirror pairs, the even half in the basis (|f>, (|l> + |h>)/sqrt(2))
+    and the odd half in (|l> - |h>)/sqrt(2) are
+
+        H+ = [[H_ff, sqrt2 H_fl], [sqrt2 H_lf, H_ll + H_lh]],
+        H- = H_ll - H_lh.
+
+    Their eigenvectors map back to the block basis by index arithmetic,
+    and a stable sort merges the two spectra.  Each dense array is freed
+    once used, so the peak stays near that of one unsplit eigh.
+    """
+    own = np.arange(mirror.size)
+    f = np.flatnonzero(mirror == own)
+    lo = np.flatnonzero(mirror > own)
+    hi = mirror[lo]
+    nf, n_even = f.size, f.size + lo.size
+    hmat = matrix.toarray()
+    h_ll = hmat[np.ix_(lo, lo)]
+    h_lh = hmat[np.ix_(lo, hi)]
+    even = np.empty((n_even, n_even))
+    even[:nf, :nf] = hmat[np.ix_(f, f)]
+    even[:nf, nf:] = np.sqrt(2.0) * hmat[np.ix_(f, lo)]
+    even[nf:, :nf] = even[:nf, nf:].T
+    even[nf:, nf:] = h_ll + h_lh
+    del hmat
+    h_ll -= h_lh  # the odd half
+    del h_lh
+    e_even, v_even = np.linalg.eigh(even)
+    e_odd, v_odd = np.linalg.eigh(h_ll)
+    del even, h_ll
+    v_even[nf:] /= np.sqrt(2.0)
+    v_odd /= np.sqrt(2.0)
+    evecs = np.zeros((mirror.size, mirror.size))
+    evecs[f, :n_even] = v_even[:nf]
+    evecs[lo, :n_even] = v_even[nf:]
+    evecs[hi, :n_even] = v_even[nf:]
+    evecs[lo, n_even:] = v_odd
+    evecs[hi, n_even:] = -v_odd
+    del v_even, v_odd
+    evals = np.concatenate((e_even, e_odd))
+    order = np.argsort(evals, kind="stable")
+    return evals[order], evecs[:, order]
 
 
 @dataclass(frozen=True)
@@ -85,7 +149,8 @@ class HamiltonianRep:
 
     basis_states holds one bitmask per basis vector (bit i-1 set when
     site i is up); occupations is the matching (dim, n_ions) 0/1 array.
-    k_excitations is None for the full model.
+    k_excitations is None for the full model.  mirror_symmetric says
+    whether H commutes with the chain inversion (see _mirror_symmetric).
     """
 
     kind: str
@@ -95,6 +160,7 @@ class HamiltonianRep:
     basis_states: np.ndarray
     occupations: np.ndarray
     k_excitations: int | None = None
+    mirror_symmetric: bool = False
     _sectors: dict[int, Sector] = field(default_factory=dict, init=False,
                                         repr=False, compare=False)
 
@@ -134,7 +200,7 @@ class HamiltonianRep:
 
         Blocks are built on first use and kept with the rep: the
         prod sz parity sector for the full model, the whole rep for an
-        XY sector.
+        XY sector.  The inversion maps each block onto itself.
         """
         idx = self.state_index(pattern)
         key = pattern.n_excitations % 2 if self.k_excitations is None else 0
@@ -147,9 +213,21 @@ class HamiltonianRep:
             else:
                 indices = np.arange(self.dimension)
                 matrix = self.matrix
-            zmat = 2.0 * self.occupations[indices].astype(float) - 1.0
-            block = self._sectors[key] = Sector(indices, matrix, zmat)
+            occ = self.occupations[indices]
+            zmat = 2.0 * occ.astype(float) - 1.0
+            mirror = None
+            if self.mirror_symmetric:
+                masks = occ[:, ::-1] @ (1 << np.arange(self.n_ions))
+                mirror = np.searchsorted(self.basis_states[indices], masks)
+            block = self._sectors[key] = Sector(indices, matrix, zmat, mirror)
         return block, int(np.searchsorted(block.indices, idx))
+
+
+def _mirror_symmetric(jm: CouplingMatrix) -> bool:
+    """Whether J is inversion symmetric within _MIRROR_RTOL."""
+    j = jm.j_script
+    return bool(np.abs(j - j[::-1, ::-1]).max()
+                <= _MIRROR_RTOL * np.abs(j).max())
 
 
 def _occupation_table(states: np.ndarray, n: int) -> np.ndarray:
@@ -185,7 +263,8 @@ def build_full_ising(jm: CouplingMatrix, b_field: float) -> HamiltonianRep:
         shape=(dim, dim),
     ).tocsr()
     return HamiltonianRep(kind="full_ising", n_ions=n, b_field=b_field,
-                          matrix=h, basis_states=states, occupations=occ)
+                          matrix=h, basis_states=states, occupations=occ,
+                          mirror_symmetric=_mirror_symmetric(jm))
 
 
 def build_xy_sector(jm: CouplingMatrix, b_field: float, k: int) -> HamiltonianRep:
@@ -222,7 +301,8 @@ def build_xy_sector(jm: CouplingMatrix, b_field: float, k: int) -> HamiltonianRe
     occ = _occupation_table(masks, n)
     return HamiltonianRep(kind="xy_sector", n_ions=n, b_field=b_field,
                           matrix=h, basis_states=masks, occupations=occ,
-                          k_excitations=k)
+                          k_excitations=k,
+                          mirror_symmetric=_mirror_symmetric(jm))
 
 
 def _sz_series(block: Sector, times: np.ndarray, states) -> np.ndarray:

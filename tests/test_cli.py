@@ -310,6 +310,25 @@ class TestArtifacts:
         # farther detuning means steeper decay
         assert rows[-1][2] > rows[0][2]
 
+    def test_gaps_scans_the_configured_detuning_grid(self, tmp_path,
+                                                     monkeypatch):
+        import ionquench.coupling as coupling
+        scans = []
+        real = coupling.detuning_scan
+
+        def recording(cfg, detuning_range, n_grid):
+            scans.append((detuning_range, n_grid))
+            return real(cfg, detuning_range, n_grid)
+
+        monkeypatch.setattr(coupling, "detuning_scan", recording)
+        text = ("n_ions = 5\ncoupling_source = trap\nmu_khz = 4900\n"
+                "model = spinwave\nalpha_grid = 0.55,1.33\n"
+                "scan_points = 15\nscan_detuning_min = 0.001\n")
+        cfg = write_config(tmp_path, text)
+        assert main(["gaps", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert scans == [((0.001, 1.0), 15)] * 2
+
 
 class TestReproducibility:
     def test_evolve_reruns_byte_identical(self, tmp_path):

@@ -1,7 +1,8 @@
 """Parity sectors of the full Ising model and the spectrum cached per sector.
 
 Property tests draw seeded random symmetric couplings; the reference is
-the Kronecker-product oracle on all 2^N states.
+the Kronecker-product oracle on all 2^N states, or one unsplit eigh of
+the block where the spectrum is split into its two mirror halves.
 """
 
 import json
@@ -17,7 +18,8 @@ from ionquench.coupling import CouplingMatrix, power_law_couplings
 from ionquench.errors import SizeError
 from ionquench.exact import (_chebyshev_states, build_full_ising,
                              build_xy_sector, default_time_grid,
-                             diagonal_ensemble, evolve, level_gaps)
+                             diagonal_ensemble, energy_expectation, evolve,
+                             level_gaps)
 from ionquench.observables import ExcitationPattern
 from ionquench.stochastic import noise_average
 
@@ -36,8 +38,28 @@ def random_case(n):
     return jm, b_field, ExcitationPattern(n, sites)
 
 
+def build(model, jm, b_field, pattern):
+    if model == "full":
+        return build_full_ising(jm, b_field)
+    return build_xy_sector(jm, b_field, pattern.n_excitations)
+
+
 def parity(states):
     return np.array([bin(int(s)).count("1") % 2 for s in states])
+
+
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """Matrix size of every np.linalg.eigh call made during the test."""
+    sizes = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return sizes
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -153,18 +175,122 @@ def test_xy_sector_is_one_block():
     assert again is block
 
 
-@pytest.fixture
-def eigh_sizes(monkeypatch):
-    """Matrix size of every np.linalg.eigh call made during the test."""
-    sizes = []
-    real = np.linalg.eigh
+@pytest.mark.parametrize("model", ["full", "xy"])
+@pytest.mark.parametrize("n", SIZES)
+def test_quench_conserves_energy(model, n):
+    """<H> of the dense and the Chebyshev states stays at its t = 0 value
+    within 1e-8 of the block's spectral radius (the t = 0 value itself is
+    0 for a half-filled pattern).  The phase the Chebyshev states drop is
+    global, so <H> does not see it."""
+    jm, b_field, pattern = random_case(n)
+    h = build(model, jm, b_field, pattern)
+    block, local = h.sector(pattern)
+    evals, evecs = block.spectrum
+    times = np.linspace(0.0, 20.0 / JMAX, 9)
+    psi = np.zeros((2, times.size, h.dimension), dtype=complex)
+    psi[0][:, block.indices] = (np.exp(-1j * np.outer(times, evals))
+                                * evecs[local]) @ evecs.T
+    psi[1][:, block.indices] = _chebyshev_states(block.matrix, local, times)
+    e0 = energy_expectation(h, product_state(pattern.flipped, n)
+                            [h.basis_states])
+    scale = np.abs(evals).max()
+    for states in psi:
+        drift = [energy_expectation(h, p) - e0 for p in states]
+        assert np.abs(drift).max() < 1e-8 * scale
 
-    def counting(a, *args, **kwargs):
-        sizes.append(a.shape[-1])
-        return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    return sizes
+def mirror_case(n, uniform=False):
+    """random_case with J made exactly inversion symmetric; uniform
+    couplings instead make the spectrum exactly degenerate."""
+    jm, b_field, pattern = random_case(n)
+    j = power_law_couplings(n, JMAX, 0.0).j if uniform else jm.j
+    jm = CouplingMatrix.from_full((j + j[::-1, ::-1]) / 2.0)
+    return jm, b_field, pattern
+
+
+def unsplit_reference(block, local):
+    """Spectrum, level energies, level weights and diagonal ensemble from
+    one eigh of the whole block; levels group at 1e-9 of the spread."""
+    evals, evecs = np.linalg.eigh(block.matrix.toarray())
+    spread = max(evals[-1] - evals[0], abs(evals[-1]), 1e-300)
+    levels = np.split(np.arange(evals.size),
+                      np.flatnonzero(np.diff(evals) > 1e-9 * spread) + 1)
+    amps = evecs[local]
+    prob = sum(np.abs(evecs[:, lev] @ amps[lev]) ** 2 for lev in levels)
+    energy = np.array([evals[lev].mean() for lev in levels])
+    weight = np.array([(amps[lev] ** 2).sum() for lev in levels])
+    return evals, levels, energy, weight, prob @ block.zmat
+
+
+def assert_matches_unsplit(h, pattern):
+    block, local = h.sector(pattern)
+    evals, levels, energy, weight, ensemble = unsplit_reference(block, local)
+    spread = max(evals[-1] - evals[0], abs(evals[-1]))
+    assert np.abs(block.spectrum[0] - evals).max() <= 1e-10 * spread
+    assert np.abs(diagonal_ensemble(h, pattern) - ensemble).max() < 1e-8
+    m, k = np.triu_indices(len(levels), k=1)
+    w = weight[m] * weight[k]
+    keep = w > 1e-12
+    pairs = np.array(level_gaps(h, pattern)).reshape(-1, 2)
+    assert pairs.shape == (keep.sum(), 2)
+    assert np.abs(pairs[:, 0]
+                  - np.abs(energy[m] - energy[k])[keep]).max(initial=0.0) \
+        <= 1e-10 * spread
+    assert np.abs(pairs[:, 1] - w[keep]).max(initial=0.0) < 1e-10
+    return levels
+
+
+@pytest.mark.parametrize("model", ["full", "xy"])
+@pytest.mark.parametrize("n", range(4, 9))
+def test_mirror_split_matches_unsplit_eigh(model, n):
+    jm, b_field, pattern = mirror_case(n)
+    h = build(model, jm, b_field, pattern)
+    block, _ = h.sector(pattern)
+    assert block.mirror is not None
+    assert np.array_equal(block.mirror[block.mirror],
+                          np.arange(block.dimension))
+    assert_matches_unsplit(h, pattern)
+
+
+@pytest.mark.parametrize("model", ["full", "xy"])
+@pytest.mark.parametrize("n", [5, 6])
+def test_degenerate_levels_straddle_the_mirror_halves(model, n):
+    """With uniform couplings some exactly degenerate levels hold states of
+    both mirror parities; the merged spectrum keeps each level whole."""
+    jm, b_field, _ = mirror_case(n, uniform=True)
+    pattern = ExcitationPattern(n, (1, 2))
+    h = build(model, jm, b_field, pattern)
+    block, _ = h.sector(pattern)
+    levels = assert_matches_unsplit(h, pattern)
+    evecs = block.spectrum[1]
+    mirror_parity = np.rint((evecs[block.mirror] * evecs).sum(axis=0))
+    assert np.array_equal(np.abs(mirror_parity), np.ones(block.dimension))
+    assert any(np.unique(mirror_parity[lev]).size == 2 for lev in levels)
+
+
+@pytest.mark.parametrize("model", ["full", "xy"])
+@pytest.mark.parametrize("n", [5, 6])
+def test_asymmetric_couplings_fall_back_to_one_eigh(model, n, eigh_sizes):
+    """J 1e-9 relative off inversion symmetry fails the mirror check: the
+    block (a whole parity sector of the full model) gets one unsplit
+    eigh, bit for bit."""
+    jm, b_field, pattern = mirror_case(n)
+    j = jm.j.copy()
+    j[0, 1] = j[1, 0] = j[0, 1] + 1e-9 * np.abs(j).max()
+    h = build(model, CouplingMatrix.from_full(j), b_field, pattern)
+    block, _ = h.sector(pattern)
+    assert block.mirror is None
+    spectrum = block.spectrum
+    assert eigh_sizes == [block.dimension]
+    evals, evecs = np.linalg.eigh(block.matrix.toarray())
+    assert np.array_equal(spectrum[0], evals)
+    assert np.array_equal(spectrum[1], evecs)
+
+
+# At N = 6 no odd-parity state is its own mirror, so the odd block of 32
+# splits into mirror halves of 16 + 16; the even block holds the 8
+# self-mirror states and splits into 8 + 12 = 20 even and 12 odd.
+ODD_HALVES, EVEN_HALVES = [16, 16], [20, 12]
 
 
 def test_one_eigh_serves_pattern_and_mirror(eigh_sizes):
@@ -174,7 +300,7 @@ def test_one_eigh_serves_pattern_and_mirror(eigh_sizes):
     for pattern in (ExcitationPattern(n, (2,)), ExcitationPattern(n, (5,))):
         evolve(h, pattern, times)
         diagonal_ensemble(h, pattern)
-    assert eigh_sizes == [2**(n - 1)]
+    assert eigh_sizes == ODD_HALVES
 
 
 def test_cmd_evolve_diagonalises_each_sector_once(tmp_path, eigh_sizes):
@@ -186,7 +312,7 @@ def test_cmd_evolve_diagonalises_each_sector_once(tmp_path, eigh_sizes):
                  "--out", str(tmp_path / "out")]) == 0
     # the GGE's spin-wave build diagonalises the n x n hopping matrix;
     # both traces and both diagonal ensembles share one sector spectrum
-    assert sorted(eigh_sizes) == [n, 2**(n - 1)]
+    assert sorted(eigh_sizes) == sorted([n] + ODD_HALVES)
 
 
 def test_noise_draws_share_one_spectrum_per_sector(tmp_path, eigh_sizes):
@@ -199,7 +325,7 @@ def test_noise_draws_share_one_spectrum_per_sector(tmp_path, eigh_sizes):
                  "--out", str(tmp_path / "out")]) == 0
     # one sector spectrum per noise draw serves both patterns, and one
     # noise-free spectrum serves both diagonal ensembles
-    assert sorted(eigh_sizes) == [n] + [2**(n - 1)] * (samples + 1)
+    assert sorted(eigh_sizes) == sorted([n] + ODD_HALVES * (samples + 1))
 
 
 def test_exact_shots_diagonalise_each_sector_once(tmp_path, eigh_sizes,
@@ -222,7 +348,7 @@ def test_exact_shots_diagonalise_each_sector_once(tmp_path, eigh_sizes,
     assert main(["shots", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 0
     assert len(builds) == 1
-    assert eigh_sizes == [2**(n - 1)] * 2
+    assert sorted(eigh_sizes) == sorted(ODD_HALVES + EVEN_HALVES)
 
 
 def read_column(path, column):
