@@ -181,15 +181,10 @@ def cmd_gaps(cfg: RunConfig, outdir: Path) -> dict:
     fits = {}
     grid = []
     if r["coupling_source"] == "trap":
-        from .coupling import (ion_couplings, scale_rabi_for_jmax,
-                               with_fitted_alpha)
-        base = cfg.trap_config()
+        from .coupling import ion_couplings, with_fitted_alpha
+        base = cfg.trap_geometry()
         for alpha in cfg.alpha_grid:
-            tuned = cfg.tune_mu(base, alpha)
-            if r["j_max_khz"] > 0:
-                tuned = scale_rabi_for_jmax(tuned,
-                                            2e3 * np.pi * r["j_max_khz"])
-            jm = with_fitted_alpha(ion_couplings(tuned))
+            jm = with_fitted_alpha(ion_couplings(cfg.tune_trap(base, alpha)))
             grid.append((alpha, jm))
             fits[str(alpha)] = jm.alpha_fit
     else:

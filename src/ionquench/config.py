@@ -190,6 +190,15 @@ class RunConfig:
         return self.raw["model"]
 
     def trap_config(self) -> TrapConfig:
+        """The configured trap: mu tuned to target_alpha unless mu_khz
+        is set, the Rabi frequency scaled to j_max_khz when it is set."""
+        r = self.raw
+        alpha = r["target_alpha"] if r["mu_khz"] <= 0 else None
+        return self.tune_trap(self.trap_geometry(), alpha)
+
+    def trap_geometry(self) -> TrapConfig:
+        """The configured trap before mu tuning and Rabi scaling; mu is a
+        placeholder just above omega_x when target_alpha is to set it."""
         r = self.raw
         if r["coupling_source"] != "trap":
             raise ConfigError("coupling_source: trap parameters requested "
@@ -203,7 +212,7 @@ class RunConfig:
         if mu is None and r["target_alpha"] <= 0:
             raise ConfigError("mu_khz: trap source needs mu_khz > 0 or "
                               "target_alpha > 0")
-        cfg = TrapConfig(
+        return TrapConfig(
             n_ions=r["n_ions"],
             omega_x=TWO_PI * 1e3 * r["omega_x_khz"],
             omega_z=omega_z,
@@ -215,19 +224,20 @@ class RunConfig:
             spacing=spacing,
             geometry=Geometry(r["geometry"]),
         )
-        if mu is None:
-            cfg = self.tune_mu(cfg, r["target_alpha"])
-        if r["j_max_khz"] > 0:
-            cfg = scale_rabi_for_jmax(cfg, TWO_PI * 1e3 * r["j_max_khz"])
-        return cfg
 
-    def tune_mu(self, trap: TrapConfig, alpha: float) -> TrapConfig:
-        """tune_mu_for_alpha over the configured detuning scan."""
+    def tune_trap(self, trap: TrapConfig, alpha: float | None) -> TrapConfig:
+        """trap with mu tuned to alpha over the configured detuning scan
+        (mu kept when alpha is None), then Rabi-scaled to j_max_khz."""
         r = self.raw
-        return tune_mu_for_alpha(
-            trap, alpha, n_grid=r["scan_points"],
-            detuning_range=(r["scan_detuning_min"], r["scan_detuning_max"]),
-        )
+        if alpha is not None:
+            trap = tune_mu_for_alpha(
+                trap, alpha, n_grid=r["scan_points"],
+                detuning_range=(r["scan_detuning_min"],
+                                r["scan_detuning_max"]),
+            )
+        if r["j_max_khz"] > 0:
+            trap = scale_rabi_for_jmax(trap, TWO_PI * 1e3 * r["j_max_khz"])
+        return trap
 
     def couplings(self) -> tuple[CouplingMatrix, TrapConfig | None,
                                  PhononModes | None]:

@@ -16,15 +16,20 @@ import numpy as np
 from .observables import QuenchTrace
 
 
+def _write_lines(path: Path, header: Sequence[str], lines) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
+        fh.write("# " + ",".join(header) + "\n")
+        fh.writelines(lines)
+
+
 def write_csv(path: Path, header: Sequence[str],
               columns: Sequence[np.ndarray]) -> None:
     """One row per index of equally long int or float columns, written
     as the repr of their tolist() values (the shortest round trip)."""
     text = [map(repr, np.asarray(c).ravel().tolist()) for c in columns]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("# " + ",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*text, strict=True))
+    _write_lines(path, header,
+                 (",".join(row) + "\n" for row in zip(*text, strict=True)))
 
 
 def write_matrix_csv(path: Path, j: np.ndarray,
@@ -39,14 +44,20 @@ def write_indexed_csv(path: Path, values: np.ndarray) -> None:
 
 def write_trace_csv(path: Path, trace: QuenchTrace,
                     n_samples: int | None = None) -> None:
-    n_times, n_sites = trace.sz.shape
+    """One row per (time, site), time-major, in the bytes write_csv gives
+    the repeated times, tiled sites and sz; each time, each ``,site,``
+    prefix and the constant n_samples suffix are formatted once."""
     header = ["t_seconds", "site", "sz"]
-    cols = [np.repeat(trace.times, n_sites),
-            np.tile(np.arange(1, n_sites + 1), n_times), trace.sz]
+    tail = "\n"
     if n_samples is not None:
         header.append("n_samples")
-        cols.append(np.full(n_times * n_sites, n_samples))
-    write_csv(path, header, cols)
+        tail = f",{np.asarray(n_samples).tolist()!r}\n"
+    sites = [f",{i}," for i in range(1, trace.n_sites + 1)]
+    _write_lines(path, header,
+                 ("".join([t + s + v + tail
+                           for s, v in zip(sites, map(repr, row))])
+                  for t, row in zip(map(repr, trace.times.tolist()),
+                                    trace.sz.tolist(), strict=True)))
 
 
 def write_c_summary_csv(path: Path, trace: QuenchTrace,

@@ -329,6 +329,37 @@ class TestArtifacts:
                      "--out", str(tmp_path / "out")]) == 0
         assert scans == [((0.001, 1.0), 15)] * 2
 
+    def test_gaps_tunes_mu_once_per_exponent(self, tmp_path, monkeypatch):
+        import ionquench.coupling as coupling
+        scans = []
+        real = coupling.detuning_scan
+
+        def recording(cfg, detuning_range, n_grid):
+            scans.append((detuning_range, n_grid))
+            return real(cfg, detuning_range, n_grid)
+
+        monkeypatch.setattr(coupling, "detuning_scan", recording)
+        text = ("n_ions = 5\ncoupling_source = trap\ntarget_alpha = 0.55\n"
+                "model = spinwave\nalpha_grid = 0.55,1.33\n"
+                "scan_points = 15\nscan_detuning_min = 0.001\n")
+        cfg = write_config(tmp_path, text)
+        assert main(["gaps", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert scans == [((0.001, 1.0), 15)] * 2
+
+    def test_gaps_records_reached_exponent_per_grid_value(self, tmp_path):
+        text = ("n_ions = 5\ncoupling_source = trap\nmu_khz = 4900\n"
+                "model = spinwave\nalpha_grid = 0.55,0.9,1.33\n"
+                "scan_points = 15\nscan_detuning_min = 0.001\n")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["gaps", "--config", cfg, "--out", str(out)]) == 0
+        fits = json.loads((out / "manifest.json").read_text()
+                          )["derived"]["alpha_fit"]
+        assert list(fits) == ["0.55", "0.9", "1.33"]
+        assert all(isinstance(fit, float) and fit > 0
+                   for fit in fits.values())
+
 
 class TestReproducibility:
     def test_evolve_reruns_byte_identical(self, tmp_path):

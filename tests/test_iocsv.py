@@ -1,0 +1,29 @@
+import numpy as np
+import pytest
+
+from ionquench.iocsv import write_csv, write_trace_csv
+from ionquench.observables import assemble_trace
+
+
+@pytest.mark.parametrize("n_samples", [None, 128])
+def test_trace_writer_matches_column_composition(tmp_path, n_samples):
+    times = np.array([0.0, 1e-05, 0.1 + 0.2, 1.0 / 3.0, 12345.678])
+    rng = np.random.default_rng(3)
+    sz = rng.uniform(-1.0, 1.0, (times.size, 4))
+    sz[0] = [-1.0, -0.0, 0.0, 1.0]
+    sz[1] = [5e-324, -1e-300, 0.5, -2.220446049250313e-16]
+    trace = assemble_trace(times, sz)
+    n_times, n_sites = sz.shape
+
+    header = ["t_seconds", "site", "sz"]
+    cols = [np.repeat(times, n_sites),
+            np.tile(np.arange(1, n_sites + 1), n_times), sz]
+    if n_samples is not None:
+        header.append("n_samples")
+        cols.append(np.full(n_times * n_sites, n_samples))
+    write_csv(tmp_path / "columns.csv", header, cols)
+    write_trace_csv(tmp_path / "trace.csv", trace, n_samples)
+
+    expected = (tmp_path / "columns.csv").read_bytes()
+    assert (tmp_path / "trace.csv").read_bytes() == expected
+    assert b"\n0.0,2,-0.0" in expected and b"\r" not in expected
