@@ -20,9 +20,8 @@ from .errors import (ConfigError, ConvergenceError, EmptySelectionError,
 from .exact import (HamiltonianRep, build_full_ising, build_xy_sector,
                     default_time_grid, diagonal_ensemble, evolve,
                     excitation_drift, level_gaps)
-from .lattice import (Geometry, PhononModes, TrapConfig, attach_frequencies,
-                      equilibrium_positions, exact_modes, k_matrix,
-                      perturbative_modes)
+from .lattice import (Geometry, PhononModes, TrapConfig, equilibrium_positions,
+                      exact_modes, k_matrix, perturbative_modes)
 from .observables import ExcitationPattern, QuenchTrace, assemble_trace, observable_c
 from .spinwave import (GgeState, HeisenbergPropagator, SpinWaveSystem,
                        build_spinwave, evolve_spinwave, gge_lambdas,

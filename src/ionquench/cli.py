@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import MODELS, RunConfig, load_config
-from .coupling import effective_potential
+from .coupling import detuning_scan, effective_potential
 from .errors import ConfigError, SimulationError
 from .exact import (HamiltonianRep, build_full_ising, build_xy_sector,
                     default_time_grid, diagonal_ensemble, evolve, level_gaps)
@@ -155,7 +155,7 @@ def cmd_evolve(cfg: RunConfig, outdir: Path) -> dict:
 
 def cmd_gge(cfg: RunConfig, outdir: Path) -> dict:
     jm, _, _ = cfg.couplings()
-    sw = build_spinwave(jm, cfg.b_field)
+    sw = _Dynamics(cfg, jm).spinwave
     manifest = _manifest_base(cfg, "gge")
     outputs = []
     for pattern in cfg.patterns:
@@ -173,28 +173,14 @@ def cmd_gge(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def cmd_gaps(cfg: RunConfig, outdir: Path) -> dict:
-    r = cfg.raw
     pattern = cfg.patterns[0]
     manifest = _manifest_base(cfg, "gaps")
     rows = []
     summary = {}
     fits = {}
-    grid = []
-    if r["coupling_source"] == "trap":
-        from .coupling import ion_couplings, with_fitted_alpha
-        base = cfg.trap_geometry()
-        for alpha in cfg.alpha_grid:
-            jm = with_fitted_alpha(ion_couplings(cfg.tune_trap(base, alpha)))
-            grid.append((alpha, jm))
-            fits[str(alpha)] = jm.alpha_fit
-    else:
-        from .coupling import power_law_couplings
-        for alpha in cfg.alpha_grid:
-            jm = power_law_couplings(cfg.n_ions,
-                                     2e3 * np.pi * r["j_max_khz"], alpha)
-            grid.append((alpha, jm))
-            fits[str(alpha)] = alpha
-    for alpha, jm in grid:
+    for alpha in cfg.alpha_grid:
+        jm = cfg.couplings(alpha)[0]
+        fits[str(alpha)] = jm.alpha_fit
         dyn = _Dynamics(cfg, jm)
         pairs = (level_gaps(dyn.rep(pattern), pattern) if cfg.model == "exact"
                  else pair_gap_spectrum(dyn.spinwave, pattern))
@@ -241,10 +227,13 @@ def cmd_shots(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def cmd_sweep_alpha(cfg: RunConfig, outdir: Path) -> dict:
-    from .coupling import detuning_scan
     r = cfg.raw
-    scan = detuning_scan(cfg.trap_config(), (r["scan_detuning_min"],
-                                             r["scan_detuning_max"]),
+    if r["coupling_source"] != "trap":
+        raise ConfigError("coupling_source: trap parameters requested "
+                          "but source is power_law")
+    # the trap comes tuned and Rabi-scaled, so rows read J_max at that Rabi
+    scan = detuning_scan(cfg.couplings()[1], (r["scan_detuning_min"],
+                                              r["scan_detuning_max"]),
                          r["scan_points"])
     rows = [(trial.mu, d, alpha, jm.j_max) for d, trial, jm, alpha in scan]
     write_csv(outdir / "alpha_scan.csv",

@@ -174,6 +174,10 @@ class RunConfig:
             raise ConfigError("alpha_grid: cannot parse float list") from None
         if not self.alpha_grid or any(a < 0 for a in self.alpha_grid):
             raise ConfigError("alpha_grid: needs non-negative values")
+        if (r["coupling_source"] == "trap"
+                and not all(0 < a < 3 for a in self.alpha_grid)):
+            raise ConfigError("alpha_grid: trap tuning targets must lie "
+                              "in (0, 3)")
 
     # -- derived quantities -------------------------------------------------
 
@@ -189,34 +193,40 @@ class RunConfig:
     def model(self) -> str:
         return self.raw["model"]
 
-    def trap_config(self) -> TrapConfig:
-        """The configured trap: mu tuned to target_alpha unless mu_khz
-        is set, the Rabi frequency scaled to j_max_khz when it is set."""
-        r = self.raw
-        alpha = r["target_alpha"] if r["mu_khz"] <= 0 else None
-        return self.tune_trap(self.trap_geometry(), alpha)
+    def couplings(self, alpha: float | None = None
+                  ) -> tuple[CouplingMatrix, TrapConfig | None,
+                             PhononModes | None]:
+        """Coupling matrix plus the trap and its modes when they exist.
 
-    def trap_geometry(self) -> TrapConfig:
-        """The configured trap before mu tuning and Rabi scaling; mu is a
-        placeholder just above omega_x when target_alpha is to set it."""
+        alpha replaces the configured exponent: power-law couplings take
+        it as alpha, a trap tunes mu to it over the configured detuning
+        scan.  Without it a trap tunes to target_alpha unless mu_khz is
+        set.  The Rabi frequency is then scaled to j_max_khz if set.
+        """
         r = self.raw
-        if r["coupling_source"] != "trap":
-            raise ConfigError("coupling_source: trap parameters requested "
-                              "but source is power_law")
+        if r["coupling_source"] == "power_law":
+            jm = power_law_couplings(
+                r["n_ions"], TWO_PI * 1e3 * r["j_max_khz"],
+                r["alpha"] if alpha is None else alpha,
+            )
+            return jm, None, None
+        if alpha is None and r["mu_khz"] <= 0:
+            alpha = r["target_alpha"]
+        if alpha is not None and r["n_ions"] < 3:
+            raise ConfigError("n_ions: tuning mu to an exponent needs at "
+                              "least 3 ions for the power-law fit")
         mass = r["mass_amu"] * atomic_mass
         charge = r["charge_e"] * elementary_charge
         spacing = r["spacing_um"] * 1e-6
-        omega_z = (TWO_PI * 1e3 * r["omega_z_khz"] if r["omega_z_khz"] > 0
-                   else axial_scale_from_spacing(mass, charge, spacing))
-        mu = TWO_PI * 1e3 * r["mu_khz"] if r["mu_khz"] > 0 else None
-        if mu is None and r["target_alpha"] <= 0:
-            raise ConfigError("mu_khz: trap source needs mu_khz > 0 or "
-                              "target_alpha > 0")
-        return TrapConfig(
+        omega_x = TWO_PI * 1e3 * r["omega_x_khz"]
+        trap = TrapConfig(
             n_ions=r["n_ions"],
-            omega_x=TWO_PI * 1e3 * r["omega_x_khz"],
-            omega_z=omega_z,
-            mu=mu if mu is not None else 1.0001 * TWO_PI * 1e3 * r["omega_x_khz"],
+            omega_x=omega_x,
+            omega_z=(TWO_PI * 1e3 * r["omega_z_khz"] if r["omega_z_khz"] > 0
+                     else axial_scale_from_spacing(mass, charge, spacing)),
+            # a placeholder just above omega_x when the scan sets mu
+            mu=(TWO_PI * 1e3 * r["mu_khz"] if r["mu_khz"] > 0
+                else 1.0001 * omega_x),
             rabi=TWO_PI * 1e3 * r["rabi_khz"],
             delta_k=r["delta_k_per_m"],
             mass=mass,
@@ -224,38 +234,23 @@ class RunConfig:
             spacing=spacing,
             geometry=Geometry(r["geometry"]),
         )
-
-    def tune_trap(self, trap: TrapConfig, alpha: float | None) -> TrapConfig:
-        """trap with mu tuned to alpha over the configured detuning scan
-        (mu kept when alpha is None), then Rabi-scaled to j_max_khz."""
-        r = self.raw
         if alpha is not None:
             trap = tune_mu_for_alpha(
                 trap, alpha, n_grid=r["scan_points"],
                 detuning_range=(r["scan_detuning_min"],
                                 r["scan_detuning_max"]),
             )
+        # the Rabi rescale keeps mu, so one mode solve serves both
+        modes = exact_modes(trap)
         if r["j_max_khz"] > 0:
-            trap = scale_rabi_for_jmax(trap, TWO_PI * 1e3 * r["j_max_khz"])
-        return trap
-
-    def couplings(self) -> tuple[CouplingMatrix, TrapConfig | None,
-                                 PhononModes | None]:
-        """Coupling matrix plus the trap objects when they exist."""
-        r = self.raw
-        if r["coupling_source"] == "power_law":
-            jm = power_law_couplings(
-                r["n_ions"], TWO_PI * 1e3 * r["j_max_khz"], r["alpha"]
-            )
-            return jm, None, None
-        cfg = self.trap_config()
-        modes = exact_modes(cfg)
-        jm = ion_couplings(cfg, modes)
+            trap = scale_rabi_for_jmax(trap, TWO_PI * 1e3 * r["j_max_khz"],
+                                       modes)
+        jm = ion_couplings(trap, modes)
         try:
             jm = with_fitted_alpha(jm)
         except ValueError:
             pass  # negative couplings: no power-law fit exists
-        return jm, cfg, modes
+        return jm, trap, modes
 
     def noise_model(self) -> NoiseModel:
         r = self.raw

@@ -20,8 +20,7 @@ from scipy.constants import hbar
 from scipy.special import zeta
 
 from .errors import ResonanceError
-from .lattice import (PhononModes, TrapConfig, RESONANCE_RTOL, attach_frequencies,
-                      exact_modes)
+from .lattice import PhononModes, TrapConfig, RESONANCE_RTOL, exact_modes
 
 
 @dataclass(frozen=True)
@@ -91,9 +90,9 @@ def ion_couplings(cfg: TrapConfig, modes: PhononModes | None = None
     """Phonon-mediated couplings for a trapped chain, diagonal included."""
     if modes is None:
         modes = exact_modes(cfg)
-    if modes.frequencies is None:
-        modes = attach_frequencies(modes, cfg)
     freqs = modes.frequencies
+    if freqs is None:
+        raise ValueError("modes carry no frequencies; pass exact_modes(cfg)")
     if np.any(np.abs(cfg.mu - freqs) <= RESONANCE_RTOL * freqs):
         raise ResonanceError("mu lies on a transverse mode; detune the drive")
     v = modes.mode_matrix

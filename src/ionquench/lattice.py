@@ -101,9 +101,9 @@ class TrapConfig:
 class PhononModes:
     """Transverse mode set: columns of mode_matrix are eigenvectors of K.
 
-    kappas are the matching eigenvalues; frequencies (rad/s) are present
-    once a trap has been attached and obey omega_m^2 = omega_x^2 -
-    omega_z^2 kappa_m.
+    kappas are the matching eigenvalues; frequencies (rad/s) come with
+    exact_modes, which solves the modes of a trap, and obey omega_m^2 =
+    omega_x^2 - omega_z^2 kappa_m.
     """
 
     mode_matrix: np.ndarray
@@ -239,13 +239,3 @@ def exact_modes(cfg: TrapConfig) -> PhononModes:
     if np.any(np.abs(cfg.mu - freqs) <= RESONANCE_RTOL * freqs):
         raise ResonanceError("mu lies on a transverse mode; detune the drive")
     return PhononModes(mode_matrix=vecs, kappas=kappas, frequencies=freqs)
-
-
-def attach_frequencies(modes: PhononModes, cfg: TrapConfig) -> PhononModes:
-    """Pair closed-form modes with a trap to get physical frequencies."""
-    omega_sq = cfg.omega_x**2 - cfg.omega_z**2 * modes.kappas
-    if np.any(omega_sq <= 0):
-        raise StabilityError("mode frequency squared is not positive")
-    return PhononModes(mode_matrix=np.array(modes.mode_matrix),
-                       kappas=np.array(modes.kappas),
-                       frequencies=np.sqrt(omega_sq))

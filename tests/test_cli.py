@@ -3,11 +3,13 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ionquench import __version__
 from ionquench.cli import main
 from ionquench.config import load_config
+from ionquench.coupling import power_law_couplings
 from ionquench.errors import ConfigError
 
 BASE = """
@@ -80,6 +82,10 @@ class TestConfigParsing:
         ("n_ions = 4\ncoupling_source = trap\ntarget_alpha = 5\n",
          "target_alpha"),
         ("n_ions = 4\nalpha_grid = a,b\n", "alpha_grid"),
+        ("n_ions = 4\ncoupling_source = trap\nmu_khz = 4900\n"
+         "alpha_grid = 0,1.33\n", "alpha_grid: trap tuning targets"),
+        ("n_ions = 4\ncoupling_source = trap\nmu_khz = 4900\n"
+         "alpha_grid = 3.5\n", "alpha_grid: trap tuning targets"),
         ("n_ions = 1\n", "n_ions"),
     ])
     def test_rejects_bad_config(self, tmp_path, text, fragment):
@@ -138,6 +144,23 @@ class TestExitCodes:
         cfg = write_config(tmp_path, text)
         assert main(["evolve", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 3
+
+    @pytest.mark.parametrize("command, line", [
+        ("couplings", "target_alpha = 0.8"),
+        ("gaps", "mu_khz = 4900"),
+    ])
+    def test_tuning_two_ions_is_2(self, tmp_path, capsys, command, line):
+        text = f"n_ions = 2\ncoupling_source = trap\n{line}\nmodel = xy\n"
+        cfg = write_config(tmp_path, text)
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "n_ions: tuning mu" in capsys.readouterr().err
+
+    def test_sweep_alpha_on_power_law_is_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE)
+        assert main(["sweep-alpha", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "config error: coupling_source:" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -359,6 +382,58 @@ class TestArtifacts:
         assert list(fits) == ["0.55", "0.9", "1.33"]
         assert all(isinstance(fit, float) and fit > 0
                    for fit in fits.values())
+
+
+TRAP = ("n_ions = 5\ncoupling_source = trap\nscan_points = 15\n"
+        "scan_detuning_min = 0.001\n")
+
+
+class TestCouplingPipeline:
+    @pytest.mark.parametrize("j_max", ["0", "0.6"])
+    @pytest.mark.parametrize("alpha", [0.55, 1.33])
+    def test_trap_exponent_tunes_like_target_alpha(self, tmp_path, j_max,
+                                                   alpha):
+        extra = f"j_max_khz = {j_max}\n"
+        given = load_config(write_config(
+            tmp_path, TRAP + extra + "mu_khz = 4900\n", "given.cfg"))
+        target = load_config(write_config(
+            tmp_path, TRAP + extra + f"target_alpha = {alpha}\n",
+            "target.cfg"))
+        assert np.array_equal(given.couplings(alpha)[0].j,
+                              target.couplings()[0].j)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.55, 3.0])
+    def test_power_law_exponent_replaces_alpha(self, tmp_path, alpha):
+        cfg = load_config(write_config(tmp_path, "n_ions = 6\nalpha = 0.9\n"))
+        expect = power_law_couplings(6, 2 * math.pi * 1e3 * 0.6, alpha)
+        assert np.array_equal(cfg.couplings(alpha)[0].j, expect.j)
+
+    @pytest.fixture
+    def mode_solves(self, monkeypatch):
+        import ionquench.config
+        import ionquench.coupling
+        import ionquench.lattice
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg)
+            return ionquench.lattice.exact_modes(cfg)
+
+        for module in (ionquench.config, ionquench.coupling):
+            monkeypatch.setattr(module, "exact_modes", counting)
+        return calls
+
+    def test_tuned_couplings_solve_modes_twice(self, tmp_path, mode_solves):
+        """One solve inside the detuning scan, one for the tuned trap."""
+        text = TRAP + "target_alpha = 0.55\n"
+        load_config(write_config(tmp_path, text)).couplings()
+        assert len(mode_solves) == 2
+
+    def test_gaps_solve_modes_twice_per_exponent(self, tmp_path, mode_solves):
+        text = TRAP + "target_alpha = 0.55\nmodel = spinwave\n"
+        assert main(["gaps", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(mode_solves) == 4
 
 
 class TestReproducibility:

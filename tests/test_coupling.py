@@ -12,7 +12,7 @@ from ionquench.coupling import (CouplingMatrix, continuum_dispersion,
                                 scale_rabi_for_jmax, tune_mu_for_alpha,
                                 with_fitted_alpha)
 from ionquench.errors import ResonanceError
-from ionquench.lattice import exact_modes
+from ionquench.lattice import exact_modes, perturbative_modes
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,6 +68,11 @@ def test_two_ion_coupling_closed_form():
         1.0 / (cfg.mu**2 - wx2) - 1.0 / (cfg.mu**2 - wx2 + 2.0 * cfg.omega_z**2)
     )
     assert jm.j[0, 1] == pytest.approx(expect, rel=1e-12)
+
+
+def test_couplings_need_modes_with_frequencies():
+    with pytest.raises(ValueError, match="frequencies"):
+        ion_couplings(make_trap_config(5), perturbative_modes(5))
 
 
 def test_mode_lambdas_are_coupling_eigenvalues():
