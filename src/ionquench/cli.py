@@ -232,8 +232,9 @@ def cmd_sweep_alpha(cfg: RunConfig, outdir: Path) -> dict:
         raise ConfigError("coupling_source: trap parameters requested "
                           "but source is power_law")
     # the trap comes tuned and Rabi-scaled, so rows read J_max at that Rabi
-    scan = detuning_scan(cfg.couplings()[1], (r["scan_detuning_min"],
-                                              r["scan_detuning_max"]),
+    _, trap, modes = cfg.couplings()
+    scan = detuning_scan(trap, modes, (r["scan_detuning_min"],
+                                       r["scan_detuning_max"]),
                          r["scan_points"])
     rows = [(trial.mu, d, alpha, jm.j_max) for d, trial, jm, alpha in scan]
     write_csv(outdir / "alpha_scan.csv",

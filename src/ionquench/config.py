@@ -135,6 +135,11 @@ class RunConfig:
                         "mass_amu", "charge_e", "delta_k_per_m"):
                 if r[key] <= 0:
                     raise ConfigError(f"{key}: must be positive for trap source")
+            for key, zero in (("omega_z_khz", "derives it from spacing_um"),
+                              ("mu_khz", "tunes mu to target_alpha"),
+                              ("j_max_khz", "keeps rabi_khz unscaled")):
+                if r[key] < 0:
+                    raise ConfigError(f"{key}: must be non-negative; 0 {zero}")
             if r["mu_khz"] <= 0 and r["target_alpha"] <= 0:
                 raise ConfigError(
                     "mu_khz: give a positive detuning or set target_alpha"
@@ -201,7 +206,8 @@ class RunConfig:
         alpha replaces the configured exponent: power-law couplings take
         it as alpha, a trap tunes mu to it over the configured detuning
         scan.  Without it a trap tunes to target_alpha unless mu_khz is
-        set.  The Rabi frequency is then scaled to j_max_khz if set.
+        set.  The Rabi frequency is then scaled to j_max_khz if set.  One
+        solve of the chain's modes serves the scan, rescale and build.
         """
         r = self.raw
         if r["coupling_source"] == "power_law":
@@ -234,17 +240,16 @@ class RunConfig:
             spacing=spacing,
             geometry=Geometry(r["geometry"]),
         )
+        modes = exact_modes(trap)
         if alpha is not None:
             trap = tune_mu_for_alpha(
-                trap, alpha, n_grid=r["scan_points"],
+                trap, modes, alpha, n_grid=r["scan_points"],
                 detuning_range=(r["scan_detuning_min"],
                                 r["scan_detuning_max"]),
             )
-        # the Rabi rescale keeps mu, so one mode solve serves both
-        modes = exact_modes(trap)
         if r["j_max_khz"] > 0:
-            trap = scale_rabi_for_jmax(trap, TWO_PI * 1e3 * r["j_max_khz"],
-                                       modes)
+            trap = scale_rabi_for_jmax(trap, modes,
+                                       TWO_PI * 1e3 * r["j_max_khz"])
         jm = ion_couplings(trap, modes)
         try:
             jm = with_fitted_alpha(jm)

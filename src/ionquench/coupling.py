@@ -20,7 +20,9 @@ from scipy.constants import hbar
 from scipy.special import zeta
 
 from .errors import ResonanceError
-from .lattice import PhononModes, TrapConfig, RESONANCE_RTOL, exact_modes
+from .lattice import PhononModes, TrapConfig
+
+RESONANCE_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -85,11 +87,10 @@ def power_law_couplings(n: int, j_max: float, alpha: float) -> CouplingMatrix:
     return CouplingMatrix.from_full(j, alpha_fit=alpha)
 
 
-def ion_couplings(cfg: TrapConfig, modes: PhononModes | None = None
-                  ) -> CouplingMatrix:
-    """Phonon-mediated couplings for a trapped chain, diagonal included."""
-    if modes is None:
-        modes = exact_modes(cfg)
+def ion_couplings(cfg: TrapConfig, modes: PhononModes) -> CouplingMatrix:
+    """Couplings of the chain's exact_modes at the drive of cfg, diagonal
+    included.  Raises ResonanceError if |mu - omega_m| <= 1e-6 omega_m.
+    """
     freqs = modes.frequencies
     if freqs is None:
         raise ValueError("modes carry no frequencies; pass exact_modes(cfg)")
@@ -203,16 +204,15 @@ def continuum_dispersion(cfg: TrapConfig,
                                scaled_zeta_term=scaled_zeta_term)
 
 
-def detuning_scan(cfg: TrapConfig, detuning_range: tuple[float, float],
-                  n_grid: int):
+def detuning_scan(cfg: TrapConfig, modes: PhononModes,
+                  detuning_range: tuple[float, float], n_grid: int):
     """Yield (d, trial, jm, alpha) at each valid point of a detuning scan.
 
     The drive runs at mu = omega_x * sqrt(1 + d) with d log-spaced over
-    detuning_range; trial is cfg at that mu, jm its couplings and alpha
-    their fitted exponent.  Points on a mode or without a power-law fit
-    are skipped.
+    detuning_range, so the mu of cfg is never read; trial is cfg at that
+    mu, jm its couplings on modes and alpha their fitted exponent.
+    Points on a mode or without a power-law fit are skipped.
     """
-    modes = exact_modes(cfg)
     for d in np.geomspace(detuning_range[0], detuning_range[1], n_grid):
         trial = cfg.with_mu(cfg.omega_x * math.sqrt(1.0 + d))
         try:
@@ -223,21 +223,22 @@ def detuning_scan(cfg: TrapConfig, detuning_range: tuple[float, float],
         yield d, trial, jm, alpha
 
 
-def tune_mu_for_alpha(cfg: TrapConfig, target_alpha: float,
-                      n_grid: int = 120,
+def tune_mu_for_alpha(cfg: TrapConfig, modes: PhononModes,
+                      target_alpha: float, n_grid: int = 120,
                       detuning_range: tuple[float, float] = (1e-4, 1.0)
                       ) -> TrapConfig:
     """Grid-scan the drive detuning until the fitted exponent matches.
 
-    Scans mu = omega_x * sqrt(1 + d) with d log-spaced over
-    detuning_range (see detuning_scan); driving above the center-of-mass
-    mode keeps every coupling positive so the fit is defined.  Returns
-    the config tuned to the closest grid point, the first on a tie.
+    Scans mu = omega_x * sqrt(1 + d) on the chain's modes, d log-spaced
+    over detuning_range (see detuning_scan); driving above the
+    center-of-mass mode keeps every coupling positive so the fit is
+    defined.  Returns cfg tuned to the closest grid point, first on a tie.
     """
     if not 0.0 < target_alpha < 3.0:
         raise ValueError("target_alpha must lie in (0, 3)")
     best, best_err = None, np.inf
-    for _, trial, _, alpha in detuning_scan(cfg, detuning_range, n_grid):
+    for _, trial, _, alpha in detuning_scan(cfg, modes, detuning_range,
+                                            n_grid):
         err = abs(alpha - target_alpha)
         if err < best_err:
             best, best_err = trial, err
@@ -246,8 +247,8 @@ def tune_mu_for_alpha(cfg: TrapConfig, target_alpha: float,
     return best
 
 
-def scale_rabi_for_jmax(cfg: TrapConfig, target_jmax: float,
-                        modes: PhononModes | None = None) -> TrapConfig:
+def scale_rabi_for_jmax(cfg: TrapConfig, modes: PhononModes,
+                        target_jmax: float) -> TrapConfig:
     """Rescale the Rabi frequency so the strongest coupling hits a target."""
     if target_jmax <= 0:
         raise ValueError("target_jmax must be positive")

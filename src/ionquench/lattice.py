@@ -20,14 +20,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.constants import atomic_mass, elementary_charge, epsilon_0
 
-from .errors import ConvergenceError, ResonanceError, StabilityError
+from .errors import ConvergenceError, StabilityError
 
 # 171Yb+ mass and counter-propagating 355 nm Raman beams, the usual
 # hardware for this kind of chain.
 YB171_MASS = 170.936 * atomic_mass
 RAMAN_DELTA_K = math.sqrt(2.0) * 2.0 * math.pi / 355e-9
-
-RESONANCE_RTOL = 1e-6
 
 
 class Geometry(enum.Enum):
@@ -102,8 +100,8 @@ class PhononModes:
     """Transverse mode set: columns of mode_matrix are eigenvectors of K.
 
     kappas are the matching eigenvalues; frequencies (rad/s) come with
-    exact_modes, which solves the modes of a trap, and obey omega_m^2 =
-    omega_x^2 - omega_z^2 kappa_m.
+    exact_modes, which solves the modes of a chain whatever its drive,
+    and obey omega_m^2 = omega_x^2 - omega_z^2 kappa_m.
     """
 
     mode_matrix: np.ndarray
@@ -213,9 +211,9 @@ def exact_modes(cfg: TrapConfig) -> PhononModes:
     """Numerically exact transverse modes from the chain positions.
 
     Eigenvalues come back ascending in kappa, i.e. descending in mode
-    frequency with the center-of-mass mode first.  Raises
-    StabilityError when the lowest mode softens to zero and
-    ResonanceError when mu falls on a mode within a relative 1e-6.
+    frequency with the center-of-mass mode first.  The drive (mu, rabi)
+    is not read, so one solve serves every drive of the chain.  Raises
+    StabilityError when the lowest mode softens to zero.
     """
     z = equilibrium_positions(cfg)
     if cfg.geometry is Geometry.UNIFORM:
@@ -236,6 +234,4 @@ def exact_modes(cfg: TrapConfig) -> PhononModes:
             "reduce omega_z or stiffen omega_x"
         )
     freqs = np.sqrt(omega_sq)
-    if np.any(np.abs(cfg.mu - freqs) <= RESONANCE_RTOL * freqs):
-        raise ResonanceError("mu lies on a transverse mode; detune the drive")
     return PhononModes(mode_matrix=vecs, kappas=kappas, frequencies=freqs)

@@ -4,7 +4,7 @@ import pytest
 
 from ionquench.coupling import (ion_couplings, scale_rabi_for_jmax,
                                 tune_mu_for_alpha, with_fitted_alpha)
-from ionquench.lattice import TrapConfig
+from ionquench.lattice import TrapConfig, exact_modes
 
 TWO_PI = 2.0 * math.pi
 
@@ -18,9 +18,11 @@ def make_trap_config(n_ions: int = 7) -> TrapConfig:
 
 def make_trap_couplings(target_alpha: float, n_ions: int = 7,
                         j_max: float = TWO_PI * 600.0):
-    cfg = tune_mu_for_alpha(make_trap_config(n_ions), target_alpha)
-    cfg = scale_rabi_for_jmax(cfg, j_max)
-    return with_fitted_alpha(ion_couplings(cfg)), cfg
+    cfg = make_trap_config(n_ions)
+    modes = exact_modes(cfg)
+    cfg = tune_mu_for_alpha(cfg, modes, target_alpha)
+    cfg = scale_rabi_for_jmax(cfg, modes, j_max)
+    return with_fitted_alpha(ion_couplings(cfg, modes)), cfg
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from ionquench.coupling import effective_potential, power_law_couplings
 from ionquench.exact import (build_full_ising, build_xy_sector,
                              default_time_grid, diagonal_ensemble, evolve,
                              excitation_drift)
-from ionquench.lattice import TrapConfig
+from ionquench.lattice import TrapConfig, exact_modes
 from ionquench.observables import ExcitationPattern, observable_c
 from ionquench.spinwave import (build_spinwave, evolve_spinwave, gge_state,
                                 propagator)
@@ -202,7 +202,7 @@ def test_hundred_ion_couplings_form_double_well():
                               mu=TWO_PI * 4.8e6 * (1.0 + 1e-5),
                               rabi=TWO_PI * 50e3)
     from ionquench.coupling import ion_couplings
-    jm = ion_couplings(trap)
+    jm = ion_couplings(trap, exact_modes(trap))
     pot = effective_potential(jm)
     n = 100
 

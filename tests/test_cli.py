@@ -79,6 +79,12 @@ class TestConfigParsing:
         ("n_ions = 4\ncoupling_source = trap\nomega_x_khz = -1\n",
          "omega_x_khz"),
         ("n_ions = 4\ncoupling_source = trap\n", "mu_khz"),
+        ("n_ions = 4\ncoupling_source = trap\nmu_khz = 4900\n"
+         "omega_z_khz = -5\n", "omega_z_khz: must be non-negative; 0 derives"),
+        ("n_ions = 4\ncoupling_source = trap\ntarget_alpha = 0.8\n"
+         "mu_khz = -5\n", "mu_khz: must be non-negative; 0 tunes"),
+        ("n_ions = 4\ncoupling_source = trap\nmu_khz = 4900\n"
+         "j_max_khz = -1\n", "j_max_khz: must be non-negative; 0 keeps"),
         ("n_ions = 4\ncoupling_source = trap\ntarget_alpha = 5\n",
          "target_alpha"),
         ("n_ions = 4\nalpha_grid = a,b\n", "alpha_grid"),
@@ -132,6 +138,18 @@ class TestExitCodes:
         cfg = write_config(tmp_path, text)
         assert main(["couplings", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 3
+
+    def test_gaps_ignores_a_resonant_mu_it_replaces(self, tmp_path):
+        """gaps tunes mu per exponent, so the configured mu is never used."""
+        gaps = []
+        for mu in ("4800", "4900"):
+            text = (f"n_ions = 4\ncoupling_source = trap\nmu_khz = {mu}\n"
+                    "omega_x_khz = 4800\nmodel = spinwave\nscan_points = 15\n")
+            out = tmp_path / mu
+            assert main(["gaps", "--config", write_config(tmp_path, text),
+                         "--out", str(out)]) == 0
+            gaps.append((out / "gaps.csv").read_bytes())
+        assert gaps[0] == gaps[1]
 
     def test_multi_excitation_gap_request_is_3(self, tmp_path):
         text = BASE + "patterns = 2,4\n"
@@ -339,9 +357,9 @@ class TestArtifacts:
         scans = []
         real = coupling.detuning_scan
 
-        def recording(cfg, detuning_range, n_grid):
+        def recording(cfg, modes, detuning_range, n_grid):
             scans.append((detuning_range, n_grid))
-            return real(cfg, detuning_range, n_grid)
+            return real(cfg, modes, detuning_range, n_grid)
 
         monkeypatch.setattr(coupling, "detuning_scan", recording)
         text = ("n_ions = 5\ncoupling_source = trap\nmu_khz = 4900\n"
@@ -357,9 +375,9 @@ class TestArtifacts:
         scans = []
         real = coupling.detuning_scan
 
-        def recording(cfg, detuning_range, n_grid):
+        def recording(cfg, modes, detuning_range, n_grid):
             scans.append((detuning_range, n_grid))
-            return real(cfg, detuning_range, n_grid)
+            return real(cfg, modes, detuning_range, n_grid)
 
         monkeypatch.setattr(coupling, "detuning_scan", recording)
         text = ("n_ions = 5\ncoupling_source = trap\ntarget_alpha = 0.55\n"
@@ -411,7 +429,6 @@ class TestCouplingPipeline:
     @pytest.fixture
     def mode_solves(self, monkeypatch):
         import ionquench.config
-        import ionquench.coupling
         import ionquench.lattice
         calls = []
 
@@ -419,21 +436,31 @@ class TestCouplingPipeline:
             calls.append(cfg)
             return ionquench.lattice.exact_modes(cfg)
 
-        for module in (ionquench.config, ionquench.coupling):
-            monkeypatch.setattr(module, "exact_modes", counting)
+        monkeypatch.setattr(ionquench.config, "exact_modes", counting)
         return calls
 
-    def test_tuned_couplings_solve_modes_twice(self, tmp_path, mode_solves):
-        """One solve inside the detuning scan, one for the tuned trap."""
+    def test_coupling_layer_takes_modes_from_its_caller(self):
+        import ionquench.coupling
+        assert "exact_modes" not in vars(ionquench.coupling)
+
+    def test_tuned_couplings_solve_modes_once(self, tmp_path, mode_solves):
+        """One solve serves the detuning scan and the tuned trap."""
         text = TRAP + "target_alpha = 0.55\n"
         load_config(write_config(tmp_path, text)).couplings()
-        assert len(mode_solves) == 2
+        assert len(mode_solves) == 1
 
-    def test_gaps_solve_modes_twice_per_exponent(self, tmp_path, mode_solves):
+    def test_gaps_solve_modes_once_per_exponent(self, tmp_path, mode_solves):
         text = TRAP + "target_alpha = 0.55\nmodel = spinwave\n"
         assert main(["gaps", "--config", write_config(tmp_path, text),
                      "--out", str(tmp_path / "out")]) == 0
-        assert len(mode_solves) == 4
+        assert len(mode_solves) == 2
+
+    def test_sweep_alpha_scans_the_modes_of_the_build(self, tmp_path,
+                                                      mode_solves):
+        text = TRAP + "target_alpha = 0.55\n"
+        assert main(["sweep-alpha", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(mode_solves) == 1
 
 
 class TestReproducibility:

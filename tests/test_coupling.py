@@ -62,7 +62,7 @@ def test_two_ion_coupling_closed_form():
     (hbar dk^2 Omega^2 / 4M) [1/(mu^2-w_x^2) - 1/(mu^2-w_x^2+2 w_z^2)].
     """
     cfg = make_trap_config(2)
-    jm = ion_couplings(cfg)
+    jm = ion_couplings(cfg, exact_modes(cfg))
     wx2 = cfg.omega_x**2
     expect = (hbar * cfg.delta_k**2 * cfg.rabi**2 / (4.0 * cfg.mass)) * (
         1.0 / (cfg.mu**2 - wx2) - 1.0 / (cfg.mu**2 - wx2 + 2.0 * cfg.omega_z**2)
@@ -86,7 +86,8 @@ def test_mode_lambdas_are_coupling_eigenvalues():
 
 def test_ion_couplings_positive_above_band():
     # driving above every mode keeps all couplings ferro-signed
-    jm = ion_couplings(make_trap_config(7))
+    cfg = make_trap_config(7)
+    jm = ion_couplings(cfg, exact_modes(cfg))
     iu, ju = np.triu_indices(7, k=1)
     assert np.all(jm.j_script[iu, ju] > 0)
     assert np.allclose(jm.j, jm.j.T)
@@ -94,9 +95,9 @@ def test_ion_couplings_positive_above_band():
 
 def test_resonant_mu_rejected():
     cfg = make_trap_config(4)
-    freqs = exact_modes(cfg).frequencies
+    modes = exact_modes(cfg)
     with pytest.raises(ResonanceError):
-        ion_couplings(cfg.with_mu(float(freqs[1])))
+        ion_couplings(cfg.with_mu(float(modes.frequencies[1])), modes)
 
 
 def test_tune_mu_hits_requested_exponent():
@@ -105,12 +106,16 @@ def test_tune_mu_hits_requested_exponent():
         assert cfg.mu > cfg.omega_x
         assert abs(jm.alpha_fit - target) < 0.05
     with pytest.raises(ValueError):
-        tune_mu_for_alpha(make_trap_config(5), 3.5)
+        cfg = make_trap_config(5)
+        tune_mu_for_alpha(cfg, exact_modes(cfg), 3.5)
 
 
 def test_scale_rabi_hits_target_jmax():
-    cfg = scale_rabi_for_jmax(make_trap_config(5), TWO_PI * 600.0)
-    assert ion_couplings(cfg).j_max == pytest.approx(TWO_PI * 600.0, rel=1e-12)
+    cfg = make_trap_config(5)
+    modes = exact_modes(cfg)
+    cfg = scale_rabi_for_jmax(cfg, modes, TWO_PI * 600.0)
+    assert ion_couplings(cfg, modes).j_max == pytest.approx(TWO_PI * 600.0,
+                                                            rel=1e-12)
 
 
 def test_effective_potential_double_well():

@@ -5,6 +5,7 @@ import pytest
 from scipy.constants import elementary_charge, epsilon_0
 
 from conftest import make_trap_config
+from ionquench.coupling import ion_couplings
 from ionquench.errors import ResonanceError, StabilityError
 from ionquench.lattice import (Geometry, TrapConfig, YB171_MASS,
                                axial_scale_from_spacing,
@@ -85,10 +86,16 @@ def test_exact_modes_inversion_parity():
 
 
 def test_resonant_drive_rejected():
+    """The modes belong to the chain; the coupling build rejects the drive."""
     cfg = make_trap_config(5)
-    freqs = exact_modes(cfg).frequencies
+    nominal = exact_modes(cfg)
+    resonant = cfg.with_mu(float(nominal.frequencies[2]))
+    modes = exact_modes(resonant)
+    for name in ("mode_matrix", "kappas", "frequencies"):
+        assert (getattr(modes, name).tobytes()
+                == getattr(nominal, name).tobytes())
     with pytest.raises(ResonanceError):
-        exact_modes(cfg.with_mu(float(freqs[2])))
+        ion_couplings(resonant, modes)
 
 
 def test_soft_chain_rejected():
