@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from scipy.constants import atomic_mass, elementary_charge
-
+from .constants import atomic_mass, elementary_charge
 from .coupling import (CouplingMatrix, ion_couplings, power_law_couplings,
                        scale_rabi_for_jmax, tune_mu_for_alpha, with_fitted_alpha)
 from .errors import ConfigError

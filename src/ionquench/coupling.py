@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import hbar
-from scipy.special import zeta
 
+from .constants import ZETA_3, hbar
 from .errors import ResonanceError
 from .lattice import PhononModes, TrapConfig
 
@@ -87,19 +86,31 @@ def power_law_couplings(n: int, j_max: float, alpha: float) -> CouplingMatrix:
     return CouplingMatrix.from_full(j, alpha_fit=alpha)
 
 
-def ion_couplings(cfg: TrapConfig, modes: PhononModes) -> CouplingMatrix:
-    """Couplings of the chain's exact_modes at the drive of cfg, diagonal
-    included.  Raises ResonanceError if |mu - omega_m| <= 1e-6 omega_m.
+def _mode_weights(cfg: TrapConfig, modes: PhononModes) -> np.ndarray:
+    """The weights 1 / (mu^2 - omega_m^2) of the drive on each mode.
+
+    The one resonance check: raises ResonanceError if
+    |mu - omega_m| <= RESONANCE_RTOL omega_m for some mode.
     """
     freqs = modes.frequencies
     if freqs is None:
         raise ValueError("modes carry no frequencies; pass exact_modes(cfg)")
     if np.any(np.abs(cfg.mu - freqs) <= RESONANCE_RTOL * freqs):
         raise ResonanceError("mu lies on a transverse mode; detune the drive")
+    return 1.0 / (cfg.mu**2 - freqs**2)
+
+
+def _prefactor(cfg: TrapConfig) -> float:
+    return hbar * cfg.delta_k**2 * cfg.rabi**2 / (2.0 * cfg.mass)
+
+
+def ion_couplings(cfg: TrapConfig, modes: PhononModes) -> CouplingMatrix:
+    """Couplings of the chain's exact_modes at the drive of cfg, diagonal
+    included.  Raises ResonanceError if |mu - omega_m| <= 1e-6 omega_m.
+    """
+    weights = _mode_weights(cfg, modes)
     v = modes.mode_matrix
-    weights = 1.0 / (cfg.mu**2 - freqs**2)
-    prefactor = hbar * cfg.delta_k**2 * cfg.rabi**2 / (2.0 * cfg.mass)
-    j = prefactor * (v * weights) @ v.T
+    j = _prefactor(cfg) * (v * weights) @ v.T
     j = 0.5 * (j + j.T)  # exact symmetry despite rounding
     return CouplingMatrix.from_full(j)
 
@@ -107,13 +118,11 @@ def ion_couplings(cfg: TrapConfig, modes: PhononModes) -> CouplingMatrix:
 def eigen_spectrum_lambda(cfg: TrapConfig, modes: PhononModes) -> np.ndarray:
     """Eigenvalues of the full J matrix, one per phonon mode.
 
-    lambda_m = hbar dk^2 Omega^2 / (2 M (mu^2 - omega_x^2 + omega_z^2 kappa_m));
-    the matching eigenvectors are the mode profiles themselves.
+    lambda_m = hbar dk^2 Omega^2 / (2 M (mu^2 - omega_m^2)), from the
+    weights and the resonance check of ion_couplings; the matching
+    eigenvectors are the mode profiles themselves.
     """
-    denom = cfg.mu**2 - cfg.omega_x**2 + cfg.omega_z**2 * modes.kappas
-    if np.any(np.abs(denom) <= RESONANCE_RTOL * cfg.mu**2):
-        raise ResonanceError("mu lies on a transverse mode; detune the drive")
-    return hbar * cfg.delta_k**2 * cfg.rabi**2 / (2.0 * cfg.mass * denom)
+    return _prefactor(cfg) * _mode_weights(cfg, modes)
 
 
 def fit_alpha(jm: CouplingMatrix) -> float:
@@ -194,7 +203,7 @@ class ContinuumDispersion:
 
 def continuum_dispersion(cfg: TrapConfig,
                          scaled_zeta_term: bool = False) -> ContinuumDispersion:
-    z3 = 4.0 * zeta(3.0)
+    z3 = 4.0 * ZETA_3
     if scaled_zeta_term:
         z3 = z3 * cfg.omega_z**2
     band = cfg.mu**2 - cfg.omega_x**2 + z3

@@ -14,12 +14,16 @@ restricted to a fixed number of up spins.
 A product-state quench never leaves the block of its initial state.
 The sx_i sx_j couplings flip spins in pairs, so the full model splits
 into its two prod_i sz_i parity sectors; an XY sector is a single block.
-``HamiltonianRep.sector`` hands out the block of a pattern, and the
-block's eigendecomposition is computed once and shared by dense
-evolution, the diagonal ensemble and ``level_gaps`` (the exact
-counterpart of ``spinwave.pair_gap_spectrum``).  When J is inversion
-symmetric (|J - J[::-1, ::-1]| max at most _MIRROR_RTOL times |J| max,
-checked once per build; B is uniform, so H then commutes with the chain
+``HamiltonianRep.sector`` hands out the block of a pattern, built on
+first use; no 2^N matrix is ever formed.  A parity block is kept in its
+Walsh-Hadamard form (see _IsingBlock): the coupling part is diagonal in
+the Hadamard basis, the field part in the spin basis.  An XY block is
+kept as its list of nonzero entries.  The block's eigendecomposition
+is computed once and shared by dense evolution, the diagonal ensemble
+and ``level_gaps`` (the exact counterpart of
+``spinwave.pair_gap_spectrum``).  When J is inversion symmetric
+(|J - J[::-1, ::-1]| max at most _MIRROR_RTOL times |J| max, checked
+once per build; B is uniform, so H then commutes with the chain
 inversion R: i -> N + 1 - i), that decomposition splits each block into
 its mirror-even and mirror-odd halves in the basis (|s> +- |Rs>)/sqrt(2),
 diagonalises each with its own eigh and merges the two spectra in
@@ -30,8 +34,9 @@ rep, not the sector's, is at most DENSE_CAP.  Above the cap the diagonal
 ensemble and the level gaps raise SizeError, and evolution runs inside
 the block by one real Chebyshev expansion of exp(-i H t) that serves
 every grid time at once (method "krylov"): its order, and so its number
-of sparse matrix-vector products, grows linearly in spectral width x
-max |t|.
+of block products, grows linearly in spectral width x max |t|.  A
+parity block's product is four small dense Hadamard products; an XY
+block's is a sparse product, the only use of scipy in the package.
 """
 
 from __future__ import annotations
@@ -41,8 +46,6 @@ from functools import cached_property
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import jv
 
 from .coupling import CouplingMatrix
 from .errors import SectorError, SimulationError, SizeError
@@ -57,19 +60,121 @@ _CHEBYSHEV_TAIL = 1e-16   # largest Bessel coefficient the expansion drops
 _CHEBYSHEV_CHUNK = 64     # Chebyshev vectors held between accumulations
 
 
+def _hadamard(bits: int) -> np.ndarray:
+    """The 2^bits Walsh-Hadamard matrix, entries (-1)^popcount(x & b)."""
+    w = np.ones((1, 1))
+    for _ in range(bits):
+        w = np.kron(w, [[1.0, 1.0], [1.0, -1.0]])
+    return w
+
+
+class _IsingBlock:
+    """One prod sz parity block of the full model in Hadamard form.
+
+    In the block's ascending basis the state s has index b = s >> 1,
+    since bit 0 follows from the parity.  The coupling sx_i sx_j (sites
+    i < j, 0-based) then flips the fixed mask of b's N - 1 bits made of
+    bits i - 1 (when i > 0) and j - 1, and every such flip is diagonal in
+    the Walsh-Hadamard basis W.  So
+
+        H = diag(dz) + W diag(dx) W / 2^(N-1),
+
+    with dz = B (2 popcount(s) - N) and dx(x) = sum_{i<j} J_ij x_i x_j
+    over x in {+-1}^(N-1), x_0 = 1, so a pair (0, j) contributes J_0j x_j.
+    W acts as two dense factors on the (2^a, 2^c) reshaped vector.
+    """
+
+    def __init__(self, j_script: np.ndarray, b_field: float, occ: np.ndarray):
+        self.dim = occ.shape[0]
+        self.dz = b_field * (2.0 * occ.sum(axis=1) - j_script.shape[0])
+        self._upper = np.triu(j_script, 1)
+        i, j = np.nonzero(self._upper)
+        self.values = self._upper[i, j]
+        self.masks = ((1 << i) | (1 << j)) >> 1  # bit 0 of s drops out
+
+    @cached_property
+    def dx(self) -> np.ndarray:
+        """The coupling energies, one per Hadamard basis vector x."""
+        n = self._upper.shape[0]
+        x = np.arange(self.dim)
+        signs = np.ones((self.dim, n))
+        signs[:, 1:] = 1.0 - 2.0 * ((x[:, None] >> np.arange(n - 1)) & 1)
+        return ((signs @ self._upper) * signs).sum(axis=1)
+
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """W's two factors and dx / 2^(N-1) shaped (2^a, 2^c) between them."""
+        bits = self.dim.bit_length() - 1
+        a = bits // 2
+        return (_hadamard(a), (self.dx / self.dim).reshape(1 << a, -1),
+                _hadamard(bits - a))
+
+    def toarray(self) -> np.ndarray:
+        """The dense block; entries are added into zeros, so a field of
+        -0.0 reads 0.0."""
+        b = np.arange(self.dim)
+        out = np.zeros((self.dim, self.dim))
+        out[b, b] += self.dz
+        out[b[:, None], b[:, None] ^ self.masks] += self.values
+        return out
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        wa, dxw, wb = self._factors
+        u = wa @ v.reshape(dxw.shape) @ wb
+        u *= dxw
+        return self.dz * v + (wa @ u @ wb).ravel()
+
+    def bounds(self) -> tuple[float, float]:
+        """Spectral bounds by Weyl's inequality on the two diagonal forms."""
+        return (float(self.dz.min() + self.dx.min()),
+                float(self.dz.max() + self.dx.max()))
+
+
+class _TripletBlock:
+    """A block given by its nonzero entries, each (row, col) at most once."""
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
+                 dim: int):
+        self.rows, self.cols, self.data, self.dim = rows, cols, data, dim
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros((self.dim, self.dim))
+        out[self.rows, self.cols] += self.data
+        return out
+
+    @cached_property
+    def _csr(self):
+        import scipy.sparse  # only Krylov on an XY block needs it
+
+        return scipy.sparse.csr_matrix((self.data, (self.rows, self.cols)),
+                                       shape=(self.dim, self.dim))
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        return self._csr @ v
+
+    def bounds(self) -> tuple[float, float]:
+        """Gershgorin bounds of the rows."""
+        on = self.rows == self.cols
+        diag = np.zeros(self.dim)
+        diag[self.rows[on]] = self.data[on]
+        radius = np.bincount(self.rows[~on], np.abs(self.data[~on]),
+                             minlength=self.dim)
+        return float((diag - radius).min()), float((diag + radius).max())
+
+
 @dataclass(frozen=True)
 class Sector:
     """One block of a HamiltonianRep that dynamics never leave.
 
     indices are the rep's basis indices of the block in ascending
-    order, matrix is the block of the rep's matrix and zmat the
-    matching (dim, n_ions) table of sigma^z eigenvalues (+-1).  mirror
-    maps each block index to that of its chain-inverted state, or is
-    None when H does not commute with the inversion.
+    order, op the block's operator (toarray, matvec, bounds) and zmat
+    the matching (dim, n_ions) table of sigma^z eigenvalues (+-1).
+    mirror maps each block index to that of its chain-inverted state, or
+    is None when H does not commute with the inversion.
     """
 
     indices: np.ndarray
-    matrix: sp.csr_matrix
+    op: _IsingBlock | _TripletBlock
     zmat: np.ndarray
     mirror: np.ndarray | None = None
 
@@ -81,21 +186,21 @@ class Sector:
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return self.indices.size
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and eigenvectors of the block."""
         if self.mirror is None:
-            evals, evecs = np.linalg.eigh(self.matrix.toarray())
+            evals, evecs = np.linalg.eigh(self.op.toarray())
         else:
-            evals, evecs = _mirror_eigh(self.matrix, self.mirror)
+            evals, evecs = _mirror_eigh(self.op, self.mirror)
         evals.setflags(write=False)
         evecs.setflags(write=False)
         return evals, evecs
 
 
-def _mirror_eigh(matrix: sp.csr_matrix, mirror: np.ndarray
+def _mirror_eigh(op: _IsingBlock | _TripletBlock, mirror: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """eigh of a mirror-symmetric block through its two mirror halves.
 
@@ -115,7 +220,7 @@ def _mirror_eigh(matrix: sp.csr_matrix, mirror: np.ndarray
     lo = np.flatnonzero(mirror > own)
     hi = mirror[lo]
     nf, n_even = f.size, f.size + lo.size
-    hmat = matrix.toarray()
+    hmat = op.toarray()
     h_ll = hmat[np.ix_(lo, lo)]
     h_lh = hmat[np.ix_(lo, hi)]
     even = np.empty((n_even, n_even))
@@ -145,8 +250,9 @@ def _mirror_eigh(matrix: sp.csr_matrix, mirror: np.ndarray
 
 @dataclass(frozen=True)
 class HamiltonianRep:
-    """Sparse Hamiltonian with its basis bookkeeping.
+    """A Hamiltonian with its basis bookkeeping; blocks come on demand.
 
+    j_script holds the couplings J_ij (zero diagonal) and b_field B.
     basis_states holds one bitmask per basis vector (bit i-1 set when
     site i is up); occupations is the matching (dim, n_ions) 0/1 array.
     k_excitations is None for the full model.  mirror_symmetric says
@@ -156,7 +262,7 @@ class HamiltonianRep:
     kind: str
     n_ions: int
     b_field: float
-    matrix: sp.csr_matrix
+    j_script: np.ndarray
     basis_states: np.ndarray
     occupations: np.ndarray
     k_excitations: int | None = None
@@ -170,12 +276,18 @@ class HamiltonianRep:
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return self.basis_states.size
 
     @property
     def dense(self) -> bool:
         """Whether the rep is small enough for dense spectra (DENSE_CAP)."""
         return self.dimension <= DENSE_CAP
+
+    @property
+    def block_keys(self) -> tuple[int, ...]:
+        """Keys of the blocks: the two parities of the full model, one
+        key for an XY sector."""
+        return (0, 1) if self.k_excitations is None else (0,)
 
     def state_index(self, pattern: ExcitationPattern) -> int:
         """Basis index of a product state, validating the sector."""
@@ -196,31 +308,36 @@ class HamiltonianRep:
         return idx
 
     def sector(self, pattern: ExcitationPattern) -> tuple[Sector, int]:
-        """The block holding a product state and the state's index in it.
-
-        Blocks are built on first use and kept with the rep: the
-        prod sz parity sector for the full model, the whole rep for an
-        XY sector.  The inversion maps each block onto itself.
-        """
+        """The block holding a product state and the state's index in it."""
         idx = self.state_index(pattern)
         key = pattern.n_excitations % 2 if self.k_excitations is None else 0
+        block = self.block(key)
+        return block, int(np.searchsorted(block.indices, idx))
+
+    def block(self, key: int) -> Sector:
+        """Block key of block_keys, built on first use and kept with the
+        rep: the prod sz parity sector for the full model, the whole rep
+        for an XY sector.  The inversion maps each block onto itself.
+        """
         block = self._sectors.get(key)
         if block is None:
             if self.k_excitations is None:
                 parity = self.occupations.sum(axis=1) % 2
                 indices = np.flatnonzero(parity == key)
-                matrix = self.matrix[indices][:, indices]
+                occ = self.occupations[indices]
+                op = _IsingBlock(self.j_script, self.b_field, occ)
             else:
                 indices = np.arange(self.dimension)
-                matrix = self.matrix
-            occ = self.occupations[indices]
+                occ = self.occupations
+                op = _xy_block(self.j_script, self.b_field,
+                               self.basis_states, self.k_excitations)
             zmat = 2.0 * occ.astype(float) - 1.0
             mirror = None
             if self.mirror_symmetric:
                 masks = occ[:, ::-1] @ (1 << np.arange(self.n_ions))
                 mirror = np.searchsorted(self.basis_states[indices], masks)
-            block = self._sectors[key] = Sector(indices, matrix, zmat, mirror)
-        return block, int(np.searchsorted(block.indices, idx))
+            block = self._sectors[key] = Sector(indices, op, zmat, mirror)
+        return block
 
 
 def _mirror_symmetric(jm: CouplingMatrix) -> bool:
@@ -235,35 +352,17 @@ def _occupation_table(states: np.ndarray, n: int) -> np.ndarray:
 
 
 def build_full_ising(jm: CouplingMatrix, b_field: float) -> HamiltonianRep:
-    """Full 2^N Hamiltonian; only the off-diagonal couplings enter."""
+    """Full 2^N model; only the off-diagonal couplings enter."""
     n = jm.n_ions
     if n > FULL_SPACE_CAP:
         raise SizeError(
             f"{n} spins exceed the full-space cap of {FULL_SPACE_CAP}; "
             "use an XY sector instead"
         )
-    dim = 1 << n
-    states = np.arange(dim, dtype=np.int64)
-    occ = _occupation_table(states, n)
-    diag = b_field * (2.0 * occ.sum(axis=1) - n)
-    rows = [states]
-    cols = [states]
-    data = [diag]
-    for i in range(n):
-        for j in range(i + 1, n):
-            jij = jm.j_script[i, j]
-            if jij == 0.0:
-                continue
-            mask = (1 << i) | (1 << j)
-            rows.append(states)
-            cols.append(states ^ mask)
-            data.append(np.full(dim, jij))
-    h = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    ).tocsr()
+    states = np.arange(1 << n, dtype=np.int64)
     return HamiltonianRep(kind="full_ising", n_ions=n, b_field=b_field,
-                          matrix=h, basis_states=states, occupations=occ,
+                          j_script=jm.j_script, basis_states=states,
+                          occupations=_occupation_table(states, n),
                           mirror_symmetric=_mirror_symmetric(jm))
 
 
@@ -277,32 +376,29 @@ def build_xy_sector(jm: CouplingMatrix, b_field: float, k: int) -> HamiltonianRe
         dtype=np.int64,
     )
     masks.sort()
-    index = {int(m): a for a, m in enumerate(masks)}
-    dim = len(masks)
-    rows, cols, data = [], [], []
-    for a, m in enumerate(masks):
-        m = int(m)
-        ups = [i for i in range(n) if m >> i & 1]
-        downs = [i for i in range(n) if not m >> i & 1]
-        for i in ups:
-            for j in downs:
-                jij = jm.j_script[i, j]
-                if jij == 0.0:
-                    continue
-                b = index[m ^ (1 << i) ^ (1 << j)]
-                rows.append(a)
-                cols.append(b)
-                data.append(jij)
-    diag = np.full(dim, b_field * (2.0 * k - n))
-    rows.extend(range(dim))
-    cols.extend(range(dim))
-    data.extend(diag)
-    h = sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
-    occ = _occupation_table(masks, n)
     return HamiltonianRep(kind="xy_sector", n_ions=n, b_field=b_field,
-                          matrix=h, basis_states=masks, occupations=occ,
+                          j_script=jm.j_script, basis_states=masks,
+                          occupations=_occupation_table(masks, n),
                           k_excitations=k,
                           mirror_symmetric=_mirror_symmetric(jm))
+
+
+def _xy_block(j_script: np.ndarray, b_field: float, masks: np.ndarray,
+              k: int) -> _TripletBlock:
+    """The XY sector over the ascending bitmasks masks as triplets: the
+    field on the diagonal and J_ij wherever site i is up and j down."""
+    n, dim = j_script.shape[0], masks.size
+    diag = np.arange(dim)
+    rows, cols = [diag], [diag]
+    data = [np.full(dim, b_field * (2.0 * k - n))]
+    for i, j in zip(*np.nonzero(j_script)):
+        up_down = ((masks >> i) & 1) & ~((masks >> j) & 1)
+        a = np.flatnonzero(up_down)
+        rows.append(a)
+        cols.append(np.searchsorted(masks, masks[a] ^ ((1 << i) | (1 << j))))
+        data.append(np.full(a.size, j_script[i, j]))
+    return _TripletBlock(np.concatenate(rows), np.concatenate(cols),
+                         np.concatenate(data), dim)
 
 
 def _sz_series(block: Sector, times: np.ndarray, states) -> np.ndarray:
@@ -340,12 +436,40 @@ def _dense_sz_series(h: HamiltonianRep, pattern: ExcitationPattern,
         np.exp(-1j * np.outer(tt, evals)) * amps[None, :]) @ evecs.T)
 
 
-def _chebyshev_states(hmat: sp.csr_matrix, idx0: int, times: np.ndarray
-                      ) -> np.ndarray:
+def _bessel_j(n: int, z: float) -> np.ndarray:
+    """J_0(z), ..., J_{n-1}(z) for z > 0 by Miller's backward recurrence.
+
+    f_{k-1} = (2k / z) f_k - f_{k+1} runs down from f_n = 1, f_{n+1} = 0
+    (rescaled whenever it nears overflow), and f is normalised to
+    J_0 + 2 sum_k J_2k = 1.  The error at order k is about
+    (J_n(z) / J_k(z))^2, so n must lie well past the orders needed.
+    """
+    f = [0.0] * (n + 2)
+    f[n] = 1.0
+    for k in range(n, 0, -1):
+        f[k - 1] = (2.0 * k / z) * f[k] - f[k + 1]
+        if abs(f[k - 1]) > 1e250:
+            f = [v * 1e-250 for v in f]
+    out = np.array(f[:n])
+    return out / (out[0] + 2.0 * out[2::2].sum())
+
+
+def _chebyshev_order(z: float) -> int:
+    """Terms the expansion keeps at z = max |R t|: one past the last
+    order k with |J_k(z)| >= _CHEBYSHEV_TAIL."""
+    if z == 0.0:
+        return 1
+    # (z/2)^k / k! bounds |J_k(z)|, so this range reaches far into the tail
+    bessel = _bessel_j(int(1.5 * z) + 64, z)
+    return int(np.flatnonzero(np.abs(bessel) >= _CHEBYSHEV_TAIL).max()) + 1
+
+
+def _chebyshev_states(op: _IsingBlock | _TripletBlock, idx0: int,
+                      times: np.ndarray) -> np.ndarray:
     """Rows exp(-i H t) e_idx0 for every t, each up to a phase e^{-i c t}.
 
-    With c and R the centre and half-width of the Gershgorin bounds of H,
-    Ht = (H - c) / R has its spectrum in [-1, 1] and
+    With c and R the centre and half-width of the spectral bounds of the
+    block operator op, Ht = (H - c) / R has its spectrum in [-1, 1] and
 
         exp(-i H t) = e^{-i c t} sum_k (2 - delta_k0) (-i)^k J_k(R t) T_k(Ht).
 
@@ -353,24 +477,17 @@ def _chebyshev_states(hmat: sp.csr_matrix, idx0: int, times: np.ndarray
     three-term recurrence and serve every time at once; only the
     coefficients depend on t.  J_k(R t) falls faster than exponentially
     once k exceeds |R t|, so the order follows from max |R t| and costs
-    one sparse product per order.  The phase e^{-i c t} is left out
+    one block product per order.  The phase e^{-i c t} is left out
     because only |psi|^2 is read.
     """
-    dim = hmat.shape[0]
-    diag = hmat.diagonal()
-    radius = np.asarray(abs(hmat).sum(axis=1)).ravel() - np.abs(diag)
-    lo, hi = float((diag - radius).min()), float((diag + radius).max())
+    lo, hi = op.bounds()
     centre, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-    psi = np.zeros((times.size, dim), dtype=complex)
+    psi = np.zeros((times.size, op.dim), dtype=complex)
     if half == 0.0:  # H = c: a pure phase
         psi[:, idx0] = 1.0
         return psi
     z = half * times
-    z_max = float(np.abs(z).max())
-    # (z/2)^k / k! bounds |J_k(z)|, so this range reaches far into the tail
-    ks = np.arange(int(1.5 * z_max) + 64)
-    order = int(np.flatnonzero(np.abs(jv(ks, z_max)) >= _CHEBYSHEV_TAIL)
-                .max()) + 1
+    order = _chebyshev_order(float(np.abs(z).max()))
     # The Fourier coefficients of e^{-i z cos(theta)} are (-i)^k J_k(z);
     # 2 * order samples keep the aliased terms below _CHEBYSHEV_TAIL.
     n_theta = 2 * order
@@ -378,7 +495,7 @@ def _chebyshev_states(hmat: sp.csr_matrix, idx0: int, times: np.ndarray
     coef = np.fft.fft(np.exp(-1j * np.outer(z, np.cos(theta))),
                       axis=1)[:, :order] / n_theta
     coef[:, 1:] *= 2.0
-    rows = np.empty((min(order, _CHEBYSHEV_CHUNK), dim))
+    rows = np.empty((min(order, _CHEBYSHEV_CHUNK), op.dim))
     for k in range(order):
         row = rows[k % _CHEBYSHEV_CHUNK]
         if k == 0:
@@ -386,7 +503,7 @@ def _chebyshev_states(hmat: sp.csr_matrix, idx0: int, times: np.ndarray
             row[idx0] = 1.0
         else:
             prev = rows[(k - 1) % _CHEBYSHEV_CHUNK]
-            step = (hmat @ prev - centre * prev) / half
+            step = (op.matvec(prev) - centre * prev) / half
             row[:] = step if k == 1 else (
                 2.0 * step - rows[(k - 2) % _CHEBYSHEV_CHUNK])
         if (k + 1) % _CHEBYSHEV_CHUNK == 0 or k + 1 == order:
@@ -402,7 +519,7 @@ def _krylov_sz_series(block: Sector, idx0: int, times: np.ndarray
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be sorted ascending")
     return _sz_series(block, times,
-                      lambda tt: _chebyshev_states(block.matrix, idx0, tt))
+                      lambda tt: _chebyshev_states(block.op, idx0, tt))
 
 
 def evolve(h: HamiltonianRep, pattern: ExcitationPattern, times: np.ndarray,
@@ -479,7 +596,13 @@ def level_gaps(h: HamiltonianRep, pattern: ExcitationPattern
 
 
 def energy_expectation(h: HamiltonianRep, psi: np.ndarray) -> float:
-    return float(np.real(np.vdot(psi, h.matrix @ psi)))
+    """<psi|H|psi> of a state on the rep's basis, one block at a time."""
+    total = 0.0
+    for key in h.block_keys:
+        block = h.block(key)
+        part = psi[block.indices]
+        total += np.vdot(part, block.op.matvec(part))
+    return float(np.real(total))
 
 
 def excitation_drift(trace: QuenchTrace) -> float:

@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import atomic_mass, elementary_charge, epsilon_0
 
+from .constants import atomic_mass, elementary_charge, epsilon_0
 from .errors import ConvergenceError, StabilityError
 
 # 171Yb+ mass and counter-propagating 355 nm Raman beams, the usual

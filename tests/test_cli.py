@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -501,3 +504,51 @@ class TestShippedConfigs:
         assert manifest["outputs"]
         for output in manifest["outputs"]:
             assert (out / output).is_file(), output
+
+
+# Runs evolve on each (config, out) argument pair in one interpreter and
+# exits 1 when any scipy module got loaded on the way.
+NO_SCIPY = """
+import sys
+import ionquench.cli as cli
+args = sys.argv[1:]
+for cfg, out in zip(args[::2], args[1::2]):
+    assert cli.main(["evolve", "--config", cfg, "--out", out]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(loaded)
+sys.exit(1 if loaded else 0)
+"""
+
+
+def test_exact_runs_load_no_scipy(tmp_path):
+    """The import, a dense noisy exact run (N = 7 on trap couplings) and a
+    Krylov run (N = 13) in a fresh interpreter load no scipy module."""
+    dense = write_config(tmp_path, """
+n_ions = 7
+coupling_source = trap
+target_alpha = 0.55
+j_max_khz = 0.6
+model = exact
+patterns = 1; 2,4
+n_times = 12
+noise_samples = 4
+j_noise_sigma = 0.12
+seed = 3
+""", "dense.cfg")
+    krylov = write_config(tmp_path, """
+n_ions = 13
+alpha = 0.55
+model = exact
+patterns = 1
+n_times = 6
+t_max_over_jmax = 1
+""", "krylov.cfg")
+    outs = [tmp_path / "dense", tmp_path / "krylov"]
+    env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, dense, str(outs[0]), krylov,
+         str(outs[1])], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    methods = [json.loads((out / "manifest.json").read_text())
+               ["derived"]["method"] for out in outs]
+    assert methods == [{"p1": "dense", "p2-4": "dense"}, {"p1": "krylov"}]

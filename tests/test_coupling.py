@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.constants
 from scipy.constants import hbar
 from scipy.special import zeta
+
+import ionquench.constants
 
 from conftest import make_trap_config, make_trap_couplings
 from ionquench.coupling import (CouplingMatrix, continuum_dispersion,
@@ -91,6 +94,25 @@ def test_ion_couplings_positive_above_band():
     iu, ju = np.triu_indices(7, k=1)
     assert np.all(jm.j_script[iu, ju] > 0)
     assert np.allclose(jm.j, jm.j.T)
+
+
+def test_constants_are_the_scipy_values():
+    for name in ("hbar", "atomic_mass", "elementary_charge", "epsilon_0"):
+        assert (getattr(ionquench.constants, name)
+                == getattr(scipy.constants, name))
+    assert ionquench.constants.ZETA_3 == zeta(3.0)
+
+
+def test_lambdas_share_the_resonance_check_of_the_couplings():
+    """mu = omega_2 (1 + 7e-7) lies within RESONANCE_RTOL of the mode;
+    both functions apply the one check |mu - omega_m| <= 1e-6 omega_m."""
+    cfg = make_trap_config(5)
+    modes = exact_modes(cfg)
+    near = cfg.with_mu(float(modes.frequencies[1]) * (1.0 + 7e-7))
+    with pytest.raises(ResonanceError):
+        ion_couplings(near, modes)
+    with pytest.raises(ResonanceError):
+        eigen_spectrum_lambda(near, modes)
 
 
 def test_resonant_mu_rejected():

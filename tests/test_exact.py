@@ -4,12 +4,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from helpers import (B_FIELD, JMAX, dense_ising_oracle, dense_sz_dynamics,
                      dense_xy_oracle, product_state)
 from ionquench.coupling import CouplingMatrix, power_law_couplings
 from ionquench.errors import SectorError, SizeError
-from ionquench.exact import (build_full_ising, build_xy_sector,
+from ionquench.exact import (_CHEBYSHEV_TAIL, _chebyshev_order,
+                             build_full_ising, build_xy_sector,
                              default_time_grid, diagonal_ensemble,
                              energy_expectation, evolve, excitation_drift)
 from ionquench.observables import ExcitationPattern
@@ -29,7 +31,14 @@ def test_full_matrix_matches_kron_oracle(n):
     h = build_full_ising(jm, B_FIELD)
     ref = dense_ising_oracle(jm.j_script, B_FIELD)
     assert np.array_equal(np.sort(h.basis_states), h.basis_states)
-    assert np.abs(h.matrix.toarray() - ref).max() == 0.0
+    blocks = [h.block(key) for key in h.block_keys]
+    even, odd = (block.indices for block in blocks)
+    assert np.array_equal(np.sort(np.concatenate((even, odd))),
+                          np.arange(h.dimension))
+    assert np.all(ref[np.ix_(even, odd)] == 0.0)
+    for block in blocks:
+        idx = block.indices
+        assert np.abs(block.op.toarray() - ref[np.ix_(idx, idx)]).max() == 0.0
 
 
 def test_xy_sector_matches_restricted_oracle():
@@ -39,7 +48,9 @@ def test_xy_sector_matches_restricted_oracle():
     ref = dense_xy_oracle(jm.j_script, B_FIELD)
     masks = h.basis_states
     assert h.dimension == math.comb(n, k)
-    assert np.abs(h.matrix.toarray() - ref[np.ix_(masks, masks)]).max() < 1e-9
+    assert h.block_keys == (0,)
+    block = h.block(0).op.toarray()
+    assert np.abs(block - ref[np.ix_(masks, masks)]).max() < 1e-9
     expect = sorted(sum(1 << i for i in c) for c in combinations(range(n), k))
     assert list(masks) == expect
 
@@ -49,7 +60,7 @@ def test_single_excitation_sector_is_hopping_matrix():
     jm = power_law_couplings(n, JMAX, 0.55)
     h = build_xy_sector(jm, B_FIELD, 1)
     expect = jm.j_script + B_FIELD * (2.0 - n) * np.eye(n)
-    assert np.abs(h.matrix.toarray() - expect).max() == 0.0
+    assert np.abs(h.block(0).op.toarray() - expect).max() == 0.0
 
 
 @pytest.mark.parametrize("sites", [(1,), (1, 3)])
@@ -97,6 +108,16 @@ def test_krylov_agrees_with_dense_on_any_sorted_grid(times, budget_s):
     kry = evolve(h, pattern, times, method="krylov")
     assert time.perf_counter() - start < budget_s
     assert np.abs(dense.sz - kry.sz).max() < 1e-8
+
+
+def test_chebyshev_order_matches_the_scipy_bessel_rule():
+    """The numpy Bessel recurrence keeps the orders scipy's jv kept: one
+    past the last k up to 1.5 z + 63 with |J_k(z)| >= _CHEBYSHEV_TAIL."""
+    for z in np.geomspace(0.1, 1e4, 200):
+        ks = np.arange(int(1.5 * z) + 64)
+        expect = np.flatnonzero(np.abs(jv(ks, z)) >= _CHEBYSHEV_TAIL).max()
+        assert _chebyshev_order(float(z)) == expect + 1
+    assert _chebyshev_order(0.0) == 1
 
 
 def test_krylov_zero_width_block_is_a_pure_phase():
@@ -169,7 +190,7 @@ def test_diagonal_ensemble_keeps_degenerate_coherences():
     de = diagonal_ensemble(h, pattern)
     assert de[1] == pytest.approx(de[2], abs=1e-12)
 
-    evals, evecs = np.linalg.eigh(h.matrix.toarray())
+    evals, evecs = np.linalg.eigh(dense_ising_oracle(h.j_script, B_FIELD))
     amps = evecs[h.state_index(pattern), :]
     zmat = 2.0 * h.occupations.astype(float) - 1.0
     naive = (np.abs(amps) ** 2) @ ((np.abs(evecs.T) ** 2) @ zmat)

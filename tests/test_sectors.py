@@ -16,10 +16,10 @@ from ionquench.cli import main
 from ionquench.config import load_config
 from ionquench.coupling import CouplingMatrix, power_law_couplings
 from ionquench.errors import SizeError
-from ionquench.exact import (_chebyshev_states, build_full_ising,
-                             build_xy_sector, default_time_grid,
-                             diagonal_ensemble, energy_expectation, evolve,
-                             level_gaps)
+from ionquench.exact import (_IsingBlock, _chebyshev_states,
+                             build_full_ising, build_xy_sector,
+                             default_time_grid, diagonal_ensemble,
+                             energy_expectation, evolve, level_gaps)
 from ionquench.observables import ExcitationPattern
 from ionquench.stochastic import noise_average
 
@@ -62,15 +62,31 @@ def eigh_sizes(monkeypatch):
     return sizes
 
 
+def assert_block_matches_oracle(block, ref):
+    """Every entry of the block against the 2^N oracle restricted to it:
+    couplings exactly, the field to the rounding of the oracle's sum."""
+    dense = block.op.toarray()
+    expect = ref[np.ix_(block.indices, block.indices)]
+    off = ~np.eye(block.dimension, dtype=bool)
+    assert np.abs(dense - expect)[off].max(initial=0.0) == 0.0
+    assert (np.abs(np.diag(dense) - np.diag(expect)).max()
+            <= 1e-14 * np.abs(expect).max())
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_full_model_is_hermitian_and_parity_block_diagonal(n):
     jm, b_field, _ = random_case(n)
     h = build_full_ising(jm, b_field)
     assert h.dimension == 2**n
-    assert (h.matrix != h.matrix.conj().T).nnz == 0
-    par = parity(h.basis_states)
-    full = h.matrix.toarray()
-    assert np.all(full[np.ix_(par == 0, par == 1)] == 0.0)
+    ref = dense_ising_oracle(jm.j_script, b_field)
+    even, odd = (h.block(key) for key in h.block_keys)
+    assert np.all(parity(h.basis_states[even.indices]) == 0)
+    assert np.all(parity(h.basis_states[odd.indices]) == 1)
+    assert np.all(ref[np.ix_(even.indices, odd.indices)] == 0.0)
+    for block in (even, odd):
+        dense = block.op.toarray()
+        assert np.array_equal(dense, dense.T)
+        assert_block_matches_oracle(block, ref)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -82,10 +98,49 @@ def test_sector_holds_the_pattern_parity(n):
     assert np.all(parity(h.basis_states[block.indices])
                   == pattern.n_excitations % 2)
     assert block.indices[local] == h.state_index(pattern)
-    full = h.matrix.toarray()
-    assert np.array_equal(block.matrix.toarray(),
-                          full[np.ix_(block.indices, block.indices)])
+    assert block is h.block(pattern.n_excitations % 2)
+    assert_block_matches_oracle(block, dense_ising_oracle(jm.j_script,
+                                                          b_field))
     assert np.array_equal(block.zmat[local], pattern.sz())
+
+
+@pytest.mark.parametrize("case", ["random", "mirror"])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_block_product_and_bounds_match_the_oracle(n, case):
+    """Both parities, N - 1 odd and even, J with and without inversion
+    symmetry: the Hadamard-form product equals the oracle block's to
+    1e-12 relative, and the oracle block's spectrum lies inside the Weyl
+    bounds, which are never wider than Gershgorin's dz +- sum |J_ij|."""
+    jm, b_field, _ = (random_case if case == "random" else mirror_case)(n)
+    h = build_full_ising(jm, b_field)
+    ref = dense_ising_oracle(jm.j_script, b_field)
+    radius = np.abs(np.triu(jm.j_script, 1)).sum()
+    rng = np.random.default_rng(n)
+    for key in h.block_keys:
+        block = h.block(key)
+        expect = ref[np.ix_(block.indices, block.indices)]
+        v = rng.normal(size=block.dimension)
+        assert (np.abs(block.op.matvec(v) - expect @ v).max()
+                <= 1e-12 * np.abs(expect @ v).max())
+        lo, hi = block.op.bounds()
+        evals = np.linalg.eigvalsh(expect)
+        slack = 1e-12 * np.abs(evals).max()
+        assert lo - slack <= evals[0] and evals[-1] <= hi + slack
+        field = np.diag(expect)
+        assert field.min() - radius - slack <= lo
+        assert hi <= field.max() + radius + slack
+
+
+def test_krylov_builds_no_dense_block(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense block built on the Krylov path")
+
+    monkeypatch.setattr(_IsingBlock, "toarray", refuse)
+    jm, b_field, pattern = random_case(8)
+    times = np.linspace(0.0, 2.0 / JMAX, 4)
+    trace = evolve(build_full_ising(jm, b_field), pattern, times,
+                   method="krylov")
+    assert trace.meta["method"] == "krylov"
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -104,7 +159,7 @@ def test_sector_evolution_matches_full_oracle(n):
     evals, evecs = block.spectrum
     psi = evecs @ (np.exp(-1j * evals * times[-1]) * evecs[local])
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
-    psi = _chebyshev_states(block.matrix, local, times[-1:])[0]
+    psi = _chebyshev_states(block.op, local, times[-1:])[0]
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
 
 
@@ -168,7 +223,8 @@ def test_xy_sector_is_one_block():
     jm = power_law_couplings(5, JMAX, 1.0)
     h = build_xy_sector(jm, 10.0 * JMAX, 2)
     block, local = h.sector(ExcitationPattern(5, (2, 4)))
-    assert block.matrix is h.matrix
+    assert h.block_keys == (0,)
+    assert block is h.block(0)
     assert np.array_equal(block.indices, np.arange(h.dimension))
     assert local == h.state_index(ExcitationPattern(5, (2, 4)))
     again, _ = h.sector(ExcitationPattern(5, (1, 5)))
@@ -190,7 +246,7 @@ def test_quench_conserves_energy(model, n):
     psi = np.zeros((2, times.size, h.dimension), dtype=complex)
     psi[0][:, block.indices] = (np.exp(-1j * np.outer(times, evals))
                                 * evecs[local]) @ evecs.T
-    psi[1][:, block.indices] = _chebyshev_states(block.matrix, local, times)
+    psi[1][:, block.indices] = _chebyshev_states(block.op, local, times)
     e0 = energy_expectation(h, product_state(pattern.flipped, n)
                             [h.basis_states])
     scale = np.abs(evals).max()
@@ -211,7 +267,7 @@ def mirror_case(n, uniform=False):
 def unsplit_reference(block, local):
     """Spectrum, level energies, level weights and diagonal ensemble from
     one eigh of the whole block; levels group at 1e-9 of the spread."""
-    evals, evecs = np.linalg.eigh(block.matrix.toarray())
+    evals, evecs = np.linalg.eigh(block.op.toarray())
     spread = max(evals[-1] - evals[0], abs(evals[-1]), 1e-300)
     levels = np.split(np.arange(evals.size),
                       np.flatnonzero(np.diff(evals) > 1e-9 * spread) + 1)
@@ -282,7 +338,7 @@ def test_asymmetric_couplings_fall_back_to_one_eigh(model, n, eigh_sizes):
     assert block.mirror is None
     spectrum = block.spectrum
     assert eigh_sizes == [block.dimension]
-    evals, evecs = np.linalg.eigh(block.matrix.toarray())
+    evals, evecs = np.linalg.eigh(block.op.toarray())
     assert np.array_equal(spectrum[0], evals)
     assert np.array_equal(spectrum[1], evecs)
 
