@@ -23,7 +23,8 @@ from .config import MODELS, RunConfig, load_config
 from .coupling import detuning_scan, effective_potential
 from .errors import ConfigError, SimulationError
 from .exact import (HamiltonianRep, build_full_ising, build_xy_sector,
-                    default_time_grid, diagonal_ensemble, evolve, level_gaps)
+                    default_time_grid, diagonal_ensemble, evolve,
+                    evolve_draws, level_gaps)
 from .iocsv import (write_c_summary_csv, write_csv, write_gge_csv,
                     write_indexed_csv, write_manifest, write_matrix_csv,
                     write_shot_lines, write_trace_csv)
@@ -77,6 +78,18 @@ class _Dynamics:
             return [evolve_spinwave(self.spinwave, p, times) for p in patterns]
         return [evolve(self.rep(p), p, times) for p in patterns]
 
+    def evolve_draws(self, patterns, times: np.ndarray, scales):
+        """The traces of every pattern for each noise draw J -> s J, in
+        draw order.  Dense exact and xy reps of this model evolve every
+        draw (exact.evolve_draws); spin-wave and Krylov-sized draws
+        rebuild the model, one draw at a time."""
+        if (self.cfg.model != "spinwave"
+                and all(self.rep(p).dense for p in patterns)):
+            return evolve_draws([(self.rep(p), p) for p in patterns],
+                                times, scales)
+        return (_Dynamics(self.cfg, self.jm.scaled(s)).evolve(patterns, times)
+                for s in scales)
+
 
 def cmd_couplings(cfg: RunConfig, outdir: Path) -> dict:
     jm, trap, modes = cfg.couplings()
@@ -123,10 +136,14 @@ def cmd_evolve(cfg: RunConfig, outdir: Path) -> dict:
         "t_max_seconds": float(times[-1]),
     }
     if ns:
-        # each draw builds its own model, freed when the draw returns
         traces = noise_average(
-            lambda s: _Dynamics(cfg, jm.scaled(s)).evolve(cfg.patterns, times),
-            cfg.noise_model(), ns, threads=r["threads"])
+            lambda scales: free.evolve_draws(cfg.patterns, times, scales),
+            cfg.noise_model(), ns)
+        diagnostics = {"noise_scales": traces[0].meta["noise_scales"]}
+        if cfg.model != "spinwave":  # spin waves propagate no state vector
+            diagnostics["max_norm_error"] = max(t.meta["norm_error"]
+                                                for t in traces)
+        manifest["diagnostics"] = diagnostics
     else:
         traces = free.evolve(cfg.patterns, times)
     if cfg.model != "spinwave":
@@ -272,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="unsigned 64-bit seed override")
         p.add_argument("--model", choices=MODELS, default=None,
                        help="dynamics model override")
-        p.add_argument("--threads", type=int, default=None,
-                       help="noise-draw workers; a draw runs every pattern")
     return parser
 
 
@@ -287,10 +302,6 @@ def main(argv=None) -> int:
             cfg.raw["seed"] = args.seed
         if args.model is not None:
             cfg.raw["model"] = args.model
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("threads: must be >= 1")
-            cfg.raw["threads"] = args.threads
         outdir = Path(args.out) if args.out else Path(str(cfg.raw["out_dir"]))
         outdir.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](cfg, outdir)

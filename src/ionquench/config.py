@@ -36,7 +36,6 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "t_max_over_jmax": ("float", 25.0),
     "n_times": ("int", 60),
     "seed": ("int", 0),
-    "threads": ("int", 1),
     "out_dir": ("str", "runs"),
     "coupling_source": ("str", "power_law"),
     "j_max_khz": ("float", 0.6),
@@ -151,8 +150,6 @@ class RunConfig:
             raise ConfigError("n_times: need at least 2 points")
         if not 0 <= r["seed"] < 2**64:
             raise ConfigError("seed: must fit in an unsigned 64-bit integer")
-        if r["threads"] < 1:
-            raise ConfigError("threads: must be >= 1")
         if r["noise_samples"] < 0:
             raise ConfigError("noise_samples: must be non-negative")
         if r["j_noise_sigma"] < 0:

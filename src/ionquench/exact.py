@@ -18,12 +18,19 @@ into its two prod_i sz_i parity sectors; an XY sector is a single block.
 first use; no 2^N matrix is ever formed.  A parity block is kept in its
 Walsh-Hadamard form (see _IsingBlock): the coupling part is diagonal in
 the Hadamard basis, the field part in the spin basis.  An XY block is
-kept as its list of nonzero entries.  The block's eigendecomposition
-is computed once and shared by dense evolution, the diagonal ensemble
-and ``level_gaps`` (the exact counterpart of
-``spinwave.pair_gap_spectrum``).  When J is inversion symmetric
-(|J - J[::-1, ::-1]| max at most _MIRROR_RTOL times |J| max, checked
-once per build; B is uniform, so H then commutes with the chain
+kept as its field diagonal and its list of coupling entries.  Every
+block thus holds its coupling part X apart from its field diagonal D,
+and a global coupling scale s (J -> s J, one noise draw) gives the block
+s X + D with the same floats s J_ij that a model rebuilt from the scaled
+couplings holds.  ``Sector.spectra`` diagonalises a stack of such
+blocks, one per scale, and ``evolve_draws`` propagates every pattern of
+a block under a chunk of draws in one stacked product, so noise draws
+rebuild nothing.  The block's own eigendecomposition is the stack of the
+single scale 1.0 (1.0 J == J): it is computed once and shared by dense
+evolution, the diagonal ensemble and ``level_gaps`` (the exact
+counterpart of ``spinwave.pair_gap_spectrum``).  When J is inversion
+symmetric (|J - J[::-1, ::-1]| max at most _MIRROR_RTOL times |J| max,
+checked once per build; B is uniform, so H then commutes with the chain
 inversion R: i -> N + 1 - i), that decomposition splits each block into
 its mirror-even and mirror-odd halves in the basis (|s> +- |Rs>)/sqrt(2),
 diagonalises each with its own eigh and merges the two spectra in
@@ -58,6 +65,8 @@ _MIRROR_RTOL = 1e-12      # inversion asymmetry of J, relative to |J| max
 _GAP_WEIGHT_FLOOR = 1e-12  # level pairs at or below this weight are dropped
 _CHEBYSHEV_TAIL = 1e-16   # largest Bessel coefficient the expansion drops
 _CHEBYSHEV_CHUNK = 64     # Chebyshev vectors held between accumulations
+_TIME_CHUNK = 2**22       # amplitudes propagated at once
+_DRAW_CHUNK = 2**15       # amplitudes per block in one chunk of noise draws
 
 
 def _hadamard(bits: int) -> np.ndarray:
@@ -109,14 +118,19 @@ class _IsingBlock:
         return (_hadamard(a), (self.dx / self.dim).reshape(1 << a, -1),
                 _hadamard(bits - a))
 
-    def toarray(self) -> np.ndarray:
-        """The dense block; entries are added into zeros, so a field of
-        -0.0 reads 0.0."""
+    def stack(self, scales: np.ndarray) -> np.ndarray:
+        """The dense blocks s X + diag(dz), one per scale s, as an
+        (S, dim, dim) stack; X holds the couplings.  Entries are added
+        into zeros, so a field of -0.0 reads 0.0."""
         b = np.arange(self.dim)
-        out = np.zeros((self.dim, self.dim))
-        out[b, b] += self.dz
-        out[b[:, None], b[:, None] ^ self.masks] += self.values
+        out = np.zeros((len(scales), self.dim, self.dim))
+        out[:, b, b] += self.dz
+        out[:, b[:, None], b[:, None] ^ self.masks] += (
+            np.multiply.outer(scales, self.values)[:, None, :])
         return out
+
+    def toarray(self) -> np.ndarray:
+        return self.stack(np.ones(1))[0]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         wa, dxw, wb = self._factors
@@ -131,35 +145,45 @@ class _IsingBlock:
 
 
 class _TripletBlock:
-    """A block given by its nonzero entries, each (row, col) at most once."""
+    """A block given by its field diagonal dz and its coupling entries
+    (rows, cols, values), each off the diagonal and at most once."""
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
-                 dim: int):
-        self.rows, self.cols, self.data, self.dim = rows, cols, data, dim
+    def __init__(self, dz: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 values: np.ndarray):
+        self.dz, self.rows, self.cols, self.values = dz, rows, cols, values
+        self.dim = dz.size
+
+    def stack(self, scales: np.ndarray) -> np.ndarray:
+        """The dense blocks s X + diag(dz), one per scale s, as an
+        (S, dim, dim) stack; X holds the couplings."""
+        b = np.arange(self.dim)
+        out = np.zeros((len(scales), self.dim, self.dim))
+        out[:, b, b] += self.dz
+        out[:, self.rows, self.cols] += np.multiply.outer(scales, self.values)
+        return out
 
     def toarray(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        out[self.rows, self.cols] += self.data
-        return out
+        return self.stack(np.ones(1))[0]
 
     @cached_property
     def _csr(self):
         import scipy.sparse  # only Krylov on an XY block needs it
 
-        return scipy.sparse.csr_matrix((self.data, (self.rows, self.cols)),
-                                       shape=(self.dim, self.dim))
+        b = np.arange(self.dim)
+        return scipy.sparse.csr_matrix(
+            (np.concatenate((self.dz, self.values)),
+             (np.concatenate((b, self.rows)), np.concatenate((b, self.cols)))),
+            shape=(self.dim, self.dim))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self._csr @ v
 
     def bounds(self) -> tuple[float, float]:
         """Gershgorin bounds of the rows."""
-        on = self.rows == self.cols
-        diag = np.zeros(self.dim)
-        diag[self.rows[on]] = self.data[on]
-        radius = np.bincount(self.rows[~on], np.abs(self.data[~on]),
+        radius = np.bincount(self.rows, np.abs(self.values),
                              minlength=self.dim)
-        return float((diag - radius).min()), float((diag + radius).max())
+        return (float((self.dz - radius).min()),
+                float((self.dz + radius).max()))
 
 
 @dataclass(frozen=True)
@@ -190,62 +214,81 @@ class Sector:
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) and eigenvectors of the block."""
-        if self.mirror is None:
-            evals, evecs = np.linalg.eigh(self.op.toarray())
-        else:
-            evals, evecs = _mirror_eigh(self.op, self.mirror)
+        """Eigenvalues (ascending) and eigenvectors of the block: the
+        spectra of scale 1, since 1.0 J == J."""
+        evals, evecs = self.spectra(np.ones(1))
+        evals, evecs = evals[0], evecs[0]
         evals.setflags(write=False)
         evecs.setflags(write=False)
         return evals, evecs
 
+    def spectra(self, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (S, dim), ascending, and eigenvectors (S, dim, dim)
+        of the block with J -> s J for each s in scales, from one stacked
+        eigh (one per mirror half when the block has a mirror).  Each
+        slice equals the spectrum of the block rebuilt from the scaled
+        couplings, bit for bit: the entries s J_ij are the same floats."""
+        if self.mirror is None:
+            return np.linalg.eigh(self.op.stack(scales))
+        return _mirror_eigh(self.op, scales, *self._mirror_halves)
 
-def _mirror_eigh(op: _IsingBlock | _TripletBlock, mirror: np.ndarray
+    @cached_property
+    def _mirror_halves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The self-mirror states f and the mirror pairs (lo, hi = R lo)."""
+        own = np.arange(self.dimension)
+        lo = np.flatnonzero(self.mirror > own)
+        return np.flatnonzero(self.mirror == own), lo, self.mirror[lo]
+
+
+def _mirror_eigh(op: _IsingBlock | _TripletBlock, scales: np.ndarray,
+                 f: np.ndarray, lo: np.ndarray, hi: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of a mirror-symmetric block through its two mirror halves.
+    """Stacked eigh of mirror-symmetric blocks through their two halves.
 
-    With f the states that are their own mirror and (l, h = R l) the
+    With f the states that are their own mirror and (lo, hi = R lo) the
     mirror pairs, the even half in the basis (|f>, (|l> + |h>)/sqrt(2))
     and the odd half in (|l> - |h>)/sqrt(2) are
 
         H+ = [[H_ff, sqrt2 H_fl], [sqrt2 H_lf, H_ll + H_lh]],
-        H- = H_ll - H_lh.
+        H- = H_ll - H_lh,
 
-    Their eigenvectors map back to the block basis by index arithmetic,
-    and a stable sort merges the two spectra.  Each dense array is freed
-    once used, so the peak stays near that of one unsplit eigh.
+    formed from the scaled blocks op.stack(scales), so the sqrt2 entries
+    round as in a rebuilt block.  Their eigenvectors map back to the
+    block basis by index arithmetic, and a stable sort merges the two
+    spectra of each scale.  Each dense stack is freed once used, so the
+    peak stays near that of one unsplit eigh.
     """
-    own = np.arange(mirror.size)
-    f = np.flatnonzero(mirror == own)
-    lo = np.flatnonzero(mirror > own)
-    hi = mirror[lo]
-    nf, n_even = f.size, f.size + lo.size
-    hmat = op.toarray()
-    h_ll = hmat[np.ix_(lo, lo)]
-    h_lh = hmat[np.ix_(lo, hi)]
-    even = np.empty((n_even, n_even))
-    even[:nf, :nf] = hmat[np.ix_(f, f)]
-    even[:nf, nf:] = np.sqrt(2.0) * hmat[np.ix_(f, lo)]
-    even[nf:, :nf] = even[:nf, nf:].T
-    even[nf:, nf:] = h_ll + h_lh
+    nf, n_even, dim = f.size, f.size + lo.size, op.dim
+    hmat = op.stack(scales)
+    h_ll = hmat[:, lo[:, None], lo]
+    h_lh = hmat[:, lo[:, None], hi]
+    even = np.empty((len(scales), n_even, n_even))
+    even[:, :nf, :nf] = hmat[:, f[:, None], f]
+    even[:, :nf, nf:] = np.sqrt(2.0) * hmat[:, f[:, None], lo]
+    even[:, nf:, :nf] = even[:, :nf, nf:].transpose(0, 2, 1)
+    even[:, nf:, nf:] = h_ll + h_lh
     del hmat
     h_ll -= h_lh  # the odd half
     del h_lh
     e_even, v_even = np.linalg.eigh(even)
     e_odd, v_odd = np.linalg.eigh(h_ll)
     del even, h_ll
-    v_even[nf:] /= np.sqrt(2.0)
+    v_even[:, nf:] /= np.sqrt(2.0)
     v_odd /= np.sqrt(2.0)
-    evecs = np.zeros((mirror.size, mirror.size))
-    evecs[f, :n_even] = v_even[:nf]
-    evecs[lo, :n_even] = v_even[nf:]
-    evecs[hi, :n_even] = v_even[nf:]
-    evecs[lo, n_even:] = v_odd
-    evecs[hi, n_even:] = -v_odd
+    # eigenvectors as rows, so that the merge moves contiguous rows and
+    # each returned matrix is column-major
+    rows = np.zeros((len(scales), dim, dim))
+    rows[:, :n_even, f] = v_even[:, :nf].transpose(0, 2, 1)
+    rows[:, :n_even, lo] = v_even[:, nf:].transpose(0, 2, 1)
+    rows[:, :n_even, hi] = v_even[:, nf:].transpose(0, 2, 1)
+    rows[:, n_even:, lo] = v_odd.transpose(0, 2, 1)
+    rows[:, n_even:, hi] = -v_odd.transpose(0, 2, 1)
     del v_even, v_odd
-    evals = np.concatenate((e_even, e_odd))
-    order = np.argsort(evals, kind="stable")
-    return evals[order], evecs[:, order]
+    evals = np.concatenate((e_even, e_odd), axis=1)
+    order = np.argsort(evals, axis=1, kind="stable")
+    return (np.take_along_axis(evals, order, axis=1),
+            np.take_along_axis(rows, order[:, :, None], axis=1)
+            .transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -387,53 +430,115 @@ def _xy_block(j_script: np.ndarray, b_field: float, masks: np.ndarray,
               k: int) -> _TripletBlock:
     """The XY sector over the ascending bitmasks masks as triplets: the
     field on the diagonal and J_ij wherever site i is up and j down."""
-    n, dim = j_script.shape[0], masks.size
-    diag = np.arange(dim)
-    rows, cols = [diag], [diag]
-    data = [np.full(dim, b_field * (2.0 * k - n))]
+    n = j_script.shape[0]
+    none = np.zeros(0, dtype=np.int64)  # so that J = 0 concatenates too
+    rows, cols, values = [none], [none], [np.zeros(0)]
     for i, j in zip(*np.nonzero(j_script)):
         up_down = ((masks >> i) & 1) & ~((masks >> j) & 1)
         a = np.flatnonzero(up_down)
         rows.append(a)
         cols.append(np.searchsorted(masks, masks[a] ^ ((1 << i) | (1 << j))))
-        data.append(np.full(a.size, j_script[i, j]))
-    return _TripletBlock(np.concatenate(rows), np.concatenate(cols),
-                         np.concatenate(data), dim)
+        values.append(np.full(a.size, j_script[i, j]))
+    return _TripletBlock(np.full(masks.size, b_field * (2.0 * k - n)),
+                         np.concatenate(rows), np.concatenate(cols),
+                         np.concatenate(values))
 
 
-def _sz_series(block: Sector, times: np.ndarray, states) -> np.ndarray:
-    """<sigma^z_i> on the grid.
+def _sz_series(block: Sector, times: np.ndarray, states, n_states: int = 1
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """<sigma^z_i> on the grid and each state's largest |norm - 1|.
 
-    states(tt) returns the block amplitudes psi(t), one row per time of
-    the chunk tt; a chunk holds at most 2^22 amplitudes.
+    states(tt) returns the block amplitudes of n_states states, stacked
+    on leading axes, with one row per time of the chunk tt: shape
+    (..., tt.size, dim).  A chunk holds at most _TIME_CHUNK amplitudes.
+    Returns sz (..., T, N) and the norm errors (...); an error above
+    1e-8 raises SimulationError.
     """
-    sz = np.empty((times.size, block.zmat.shape[1]))
-    chunk = max(1, int(2**22 // max(block.dimension, 1)))
+    chunk = max(1, _TIME_CHUNK // max(block.dimension * n_states, 1))
+    sz, err = [], 0.0
     for start in range(0, times.size, chunk):
-        psi = states(times[start:start + chunk])
-        norms = np.linalg.norm(psi, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-8):
+        prob = np.abs(states(times[start:start + chunk])) ** 2
+        norms = np.sqrt(prob.sum(axis=-1))
+        err = np.maximum(err, np.abs(norms - 1.0).max(axis=-1))
+        if not np.all(err <= 1e-8):
             raise SimulationError("propagation lost unitarity")
-        sz[start:start + chunk] = (np.abs(psi) ** 2) @ block.zmat
-    return sz
+        sz.append(prob @ block.zmat)
+    return np.concatenate(sz, axis=-2), err
+
+
+def _dense_sector(h: HamiltonianRep, pattern: ExcitationPattern
+                  ) -> tuple[Sector, int]:
+    """The pattern's block and its index there; SizeError unless h.dense."""
+    if not h.dense:
+        raise SizeError(f"dimension {h.dimension} is above DENSE_CAP, "
+                        "too large for a dense spectrum")
+    return h.sector(pattern)
 
 
 def _dense_spectrum(h: HamiltonianRep, pattern: ExcitationPattern
                     ) -> tuple[Sector, int, np.ndarray, np.ndarray]:
     """The pattern's block, its index there and the block's spectrum."""
-    if not h.dense:
-        raise SizeError(f"dimension {h.dimension} is above DENSE_CAP, "
-                        "too large for a dense spectrum")
-    block, idx0 = h.sector(pattern)
+    block, idx0 = _dense_sector(h, pattern)
     return (block, idx0) + block.spectrum
 
 
-def _dense_sz_series(h: HamiltonianRep, pattern: ExcitationPattern,
-                     times: np.ndarray) -> np.ndarray:
-    block, idx0, evals, evecs = _dense_spectrum(h, pattern)
-    amps = evecs[idx0, :]  # overlaps of the one-hot initial state
+def _dense_sz(block: Sector, idx0s: list[int], times: np.ndarray,
+              evals: np.ndarray, evecs: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """sz (S, P, T, N) and norm errors (S, P) of the block's basis states
+    idx0s, each quenched under every spectrum of a stack: evals (S, dim)
+    and evecs (S, dim, dim).  One product propagates the whole stack,
+    one (T, dim) by (dim, dim) matrix product per state and spectrum."""
+    amps = evecs[:, idx0s, None, :]  # overlaps of the one-hot states
+    back = evecs[:, None].transpose(0, 1, 3, 2)
     return _sz_series(block, times, lambda tt: (
-        np.exp(-1j * np.outer(tt, evals)) * amps[None, :]) @ evecs.T)
+        np.exp(-1j * (tt[:, None] * evals[:, None, None, :])) * amps) @ back,
+        n_states=amps.shape[0] * amps.shape[1])
+
+
+def _trace(h: HamiltonianRep, pattern: ExcitationPattern, times: np.ndarray,
+           sz: np.ndarray, method: str, norm_error: float) -> QuenchTrace:
+    return assemble_trace(times, sz, model=h.kind, pattern=pattern.flipped,
+                          b_field=h.b_field, method=method,
+                          norm_error=float(norm_error))
+
+
+def evolve_draws(quenches, times: np.ndarray, scales
+                 ) -> list[list[QuenchTrace]]:
+    """Dense quenches under global coupling noise, one list per draw.
+
+    quenches holds (rep, pattern) pairs and scales the draw scales s,
+    each standing for J -> s J.  Draw d's list holds the traces, in
+    quench order, that evolve gives on the reps rebuilt from the
+    couplings scaled by scales[d], bit for bit.  The reps' blocks serve
+    every draw: for a chunk of draws each block takes one stacked
+    Sector.spectra and propagates all of its patterns in one product.
+    A chunk holds about _DRAW_CHUNK amplitudes of the widest block.
+    Raises SizeError unless every rep is dense.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    scales = np.asarray(scales, dtype=float)
+    groups: dict[int, tuple[Sector, list[int], list[int]]] = {}
+    for pos, (h, pattern) in enumerate(quenches):
+        block, idx0 = _dense_sector(h, pattern)
+        _, where, idx0s = groups.setdefault(id(block), (block, [], []))
+        where.append(pos)
+        idx0s.append(idx0)
+    width = max(block.dimension * len(idx0s)
+                for block, _, idx0s in groups.values()) * times.size
+    step = max(1, _DRAW_CHUNK // width)
+    draws = [[None] * len(quenches) for _ in scales]
+    for start in range(0, scales.size, step):
+        chunk = scales[start:start + step]
+        for block, where, idx0s in groups.values():
+            sz, err = _dense_sz(block, idx0s, times, *block.spectra(chunk))
+            for k, pos in enumerate(where):
+                h, pattern = quenches[pos]
+                for d in range(chunk.size):
+                    draws[start + d][pos] = _trace(h, pattern, times,
+                                                   sz[d, k], "dense",
+                                                   err[d, k])
+    return draws
 
 
 def _bessel_j(n: int, z: float) -> np.ndarray:
@@ -515,7 +620,7 @@ def _chebyshev_states(op: _IsingBlock | _TripletBlock, idx0: int,
 
 
 def _krylov_sz_series(block: Sector, idx0: int, times: np.ndarray
-                      ) -> np.ndarray:
+                      ) -> tuple[np.ndarray, np.ndarray]:
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be sorted ascending")
     return _sz_series(block, times,
@@ -533,13 +638,14 @@ def evolve(h: HamiltonianRep, pattern: ExcitationPattern, times: np.ndarray,
     if method == "auto":
         method = "dense" if h.dense else "krylov"
     if method == "dense":
-        sz = _dense_sz_series(h, pattern, times)
+        block, idx0, evals, evecs = _dense_spectrum(h, pattern)
+        sz, err = _dense_sz(block, [idx0], times, evals[None], evecs[None])
+        sz, err = sz[0, 0], err[0, 0]
     elif method == "krylov":
-        sz = _krylov_sz_series(*h.sector(pattern), times)
+        sz, err = _krylov_sz_series(*h.sector(pattern), times)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return assemble_trace(times, sz, model=h.kind, pattern=pattern.flipped,
-                          b_field=h.b_field, method=method)
+    return _trace(h, pattern, times, sz, method, err)
 
 
 def _levels(evals: np.ndarray) -> np.ndarray:

@@ -1,15 +1,14 @@
 """Experimental imperfections: coupling noise, preparation and detection errors.
 
 Every random draw comes from a counter-based child generator keyed on
-(seed, stream, index), so results are reproducible no matter how the
-work is scheduled across threads.
+(seed, stream, index), so a draw's value depends only on the seed and
+its index, never on how the draws are grouped for evaluation.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -62,17 +61,22 @@ def _draw_scale(rng: np.random.Generator, sigma: float) -> float:
             return float(s)
 
 
-def noise_average(base_run: Callable[[float], Sequence[QuenchTrace]],
-                  model: NoiseModel, n_samples: int,
-                  threads: int = 1) -> list[QuenchTrace]:
+def noise_average(
+        run: Callable[[list[float]], Iterable[Sequence[QuenchTrace]]],
+        model: NoiseModel, n_samples: int) -> list[QuenchTrace]:
     """Trajectory averages over global coupling-strength noise.
 
-    base_run(s) must rerun the dynamics with J -> s J and return one
-    trace per initial pattern, always in the same order; a worker
-    thread runs one draw at a time.  Magnetizations are averaged
-    pointwise; the location observable and its running mean are rebuilt
-    from the averaged magnetizations (both are linear, so this equals
-    averaging them directly).
+    run(scales) gets every draw's scale s at once, each standing for
+    J -> s J, and returns an iterable over the draws in scale order; each
+    draw is one trace per initial pattern, always in the same order.
+    Magnetizations are summed draw by draw in draw order and divided by
+    n_samples, the summation order of np.mean over the draws, so the
+    grouping of the draws changes no bit.  The location observable and
+    its running mean are rebuilt from the averaged magnetizations (both
+    are linear, so this equals averaging them directly).  An averaged
+    trace's meta is that of its first draw plus n_samples,
+    j_relative_sigma and noise_scales (the scales in draw order); a
+    norm_error in the draws' meta becomes its largest value over draws.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -80,21 +84,32 @@ def noise_average(base_run: Callable[[float], Sequence[QuenchTrace]],
         _draw_scale(model.rng(_STREAM_NOISE, i), model.j_relative_sigma)
         for i in range(n_samples)
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(base_run, scales))
-    else:
-        runs = [base_run(s) for s in scales]
+    first, sums, metas, n_draws = None, [], [], 0
+    for traces in run(scales):
+        if first is None:
+            first = traces
+            sums = [np.zeros_like(tr.sz) for tr in traces]
+            metas = [dict(tr.meta) for tr in traces]
+        if len(traces) != len(first):
+            raise ValueError("noise samples returned a different number "
+                             "of traces")
+        for total, meta, tr in zip(sums, metas, traces):
+            if tr.sz.shape != total.shape:
+                raise ValueError("noise samples returned mismatched traces")
+            total += tr.sz
+            if "norm_error" in meta:
+                meta["norm_error"] = max(meta["norm_error"],
+                                         tr.meta["norm_error"])
+        n_draws += 1
+    if n_draws != n_samples:
+        raise ValueError(f"noise run returned {n_draws} draws for "
+                         f"{n_samples} scales")
     averaged = []
-    # strict: a draw with a different number of traces raises ValueError
-    for traces in zip(*runs, strict=True):
-        if any(tr.sz.shape != traces[0].sz.shape for tr in traces):
-            raise ValueError("noise samples returned mismatched traces")
-        mean_sz = np.mean([tr.sz for tr in traces], axis=0)
-        meta = dict(traces[0].meta)
+    for tr, total, meta in zip(first, sums, metas):
         meta.update(n_samples=n_samples,
-                    j_relative_sigma=model.j_relative_sigma)
-        averaged.append(assemble_trace(traces[0].times, mean_sz, **meta))
+                    j_relative_sigma=model.j_relative_sigma,
+                    noise_scales=scales)
+        averaged.append(assemble_trace(tr.times, total / n_samples, **meta))
     return averaged
 
 

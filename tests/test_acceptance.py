@@ -90,8 +90,8 @@ def test_steep_decay_quench_relaxes_to_gge():
 
     model = NoiseModel(j_relative_sigma=0.12, seed=0)
     noisy = noise_average(
-        lambda s: [evolve(build_full_ising(jm.scaled(s), B_FIELD),
-                          pattern, times)],
+        lambda scales: ([evolve(build_full_ising(jm.scaled(s), B_FIELD),
+                                pattern, times)] for s in scales),
         model, 128,
     )[0]
     assert np.abs(noisy.sz.mean(axis=0) - sz_gge).max() < 0.1
@@ -123,8 +123,9 @@ def test_soft_decay_quench_remembers_initial_side(trap55):
 
     model = NoiseModel(j_relative_sigma=0.12, seed=0)
     noisy = noise_average(
-        lambda s: [evolve(build_full_ising(trap55.scaled(s), B_FIELD),
-                          ExcitationPattern(7, (1,)), times)],
+        lambda scales: ([evolve(build_full_ising(trap55.scaled(s), B_FIELD),
+                                ExcitationPattern(7, (1,)), times)]
+                        for s in scales),
         model, 128,
     )[0]
     assert noisy.c_cumulative[-1] < -0.15

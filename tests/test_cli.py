@@ -132,8 +132,13 @@ class TestExitCodes:
         out = str(tmp_path / "out")
         assert main(["evolve", "--config", cfg, "--out", out,
                      "--seed", "-1"]) == 2
-        assert main(["evolve", "--config", cfg, "--out", out,
-                     "--threads", "0"]) == 2
+        # threads is gone: the flag is unknown to argparse, the key to
+        # the config parser
+        with pytest.raises(SystemExit) as exc:
+            main(["evolve", "--config", cfg, "--out", out, "--threads", "1"])
+        assert exc.value.code == 2
+        cfg = write_config(tmp_path, BASE + "threads = 1\n", "threads.cfg")
+        assert main(["evolve", "--config", cfg, "--out", out]) == 2
 
     def test_resonant_beam_is_3(self, tmp_path):
         text = ("n_ions = 4\ncoupling_source = trap\nmu_khz = 4800\n"
@@ -251,6 +256,31 @@ class TestArtifacts:
             assert "method" not in derived
         else:
             assert derived["method"] == {"p1": method, "p2-3": method}
+
+    @pytest.mark.parametrize("model", ["exact", "xy", "spinwave"])
+    def test_noisy_evolve_records_draw_diagnostics(self, tmp_path, model):
+        text = (f"n_ions = 5\nmodel = {model}\npatterns = 1; 2,4\n"
+                "n_times = 6\nnoise_samples = 4\nseed = 3\n")
+        cfg = write_config(tmp_path, text)
+        diags = []
+        for name in ("a", "b"):
+            assert main(["evolve", "--config", cfg,
+                         "--out", str(tmp_path / name)]) == 0
+            manifest = json.loads((tmp_path / name / "manifest.json")
+                                  .read_text())
+            diags.append(manifest["diagnostics"])
+        assert diags[0] == diags[1]
+        scales = diags[0]["noise_scales"]
+        assert len(scales) == 4 and min(scales) > 0.0
+        if model == "spinwave":  # no state vector, so no norm to check
+            assert "max_norm_error" not in diags[0]
+        else:
+            assert 0.0 <= diags[0]["max_norm_error"] <= 1e-8
+        assert main(["evolve", "--config", write_config(
+            tmp_path, text.replace("noise_samples = 4", "noise_samples = 0")),
+            "--out", str(tmp_path / "free")]) == 0
+        assert "diagnostics" not in json.loads(
+            (tmp_path / "free" / "manifest.json").read_text())
 
     def test_model_override_renames_traces(self, tmp_path):
         cfg = write_config(tmp_path, BASE)

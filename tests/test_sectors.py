@@ -16,7 +16,7 @@ from ionquench.cli import main
 from ionquench.config import load_config
 from ionquench.coupling import CouplingMatrix, power_law_couplings
 from ionquench.errors import SizeError
-from ionquench.exact import (_IsingBlock, _chebyshev_states,
+from ionquench.exact import (Sector, _IsingBlock, _chebyshev_states,
                              build_full_ising, build_xy_sector,
                              default_time_grid, diagonal_ensemble,
                              energy_expectation, evolve, level_gaps)
@@ -50,12 +50,13 @@ def parity(states):
 
 @pytest.fixture
 def eigh_sizes(monkeypatch):
-    """Matrix size of every np.linalg.eigh call made during the test."""
+    """Size of every matrix np.linalg.eigh diagonalised during the test,
+    once per matrix of a stacked call."""
     sizes = []
     real = np.linalg.eigh
 
     def counting(a, *args, **kwargs):
-        sizes.append(a.shape[-1])
+        sizes.extend([a.shape[-1]] * (a.size // a.shape[-1] ** 2))
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
@@ -343,6 +344,32 @@ def test_asymmetric_couplings_fall_back_to_one_eigh(model, n, eigh_sizes):
     assert np.array_equal(spectrum[1], evecs)
 
 
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stacked_spectra_equal_rebuilt_models(n, symmetric):
+    """Each draw's slice of a block's stacked spectra equals, bit for bit,
+    the spectrum of the block rebuilt from J -> s J: both parities of the
+    full model and every XY sector, split into mirror halves or not."""
+    jm, b_field, _ = (mirror_case if symmetric else random_case)(n)
+    scales = np.array([0.7, 1.0, 1.0 + 2.0**-40, 1.3])
+
+    def rebuilt(s, k):
+        return (build_full_ising(jm.scaled(s), b_field) if k is None
+                else build_xy_sector(jm.scaled(s), b_field, k))
+
+    for k in [None] + list(range(n + 1)):
+        h = rebuilt(1.0, k) if k is None else build_xy_sector(jm, b_field, k)
+        for key in h.block_keys:
+            block = h.block(key)
+            # two sites are inversion symmetric whatever J is
+            assert (block.mirror is not None) == (symmetric or n == 2)
+            evals, evecs = block.spectra(scales)
+            for s, e, v in zip(scales, evals, evecs):
+                ref_e, ref_v = rebuilt(s, k).block(key).spectrum
+                assert np.array_equal(e, ref_e)
+                assert np.array_equal(v, ref_v)
+
+
 # At N = 6 no odd-parity state is its own mirror, so the odd block of 32
 # splits into mirror halves of 16 + 16; the even block holds the 8
 # self-mirror states and splits into 8 + 12 = 20 even and 12 odd.
@@ -430,8 +457,9 @@ def test_noise_averaged_traces_match_per_pattern_oracle(tmp_path):
     times = default_time_grid(jm.j_max, r["t_max_over_jmax"], r["n_times"])
     for pattern in cfg.patterns:
         oracle = noise_average(
-            lambda s: [evolve(build_full_ising(jm.scaled(s), cfg.b_field),
-                              pattern, times)],
+            lambda scales: ([evolve(build_full_ising(jm.scaled(s),
+                                                     cfg.b_field),
+                                    pattern, times)] for s in scales),
             cfg.noise_model(), samples)[0]
         tag = cli._pattern_tag(pattern)
         trace = out / f"trace_exact_{tag}.csv"
@@ -440,6 +468,43 @@ def test_noise_averaged_traces_match_per_pattern_oracle(tmp_path):
         assert np.array_equal(read_column(trace, "sz"), oracle.sz.ravel())
         assert np.array_equal(read_column(out / f"c_exact_{tag}.csv", "C"),
                               oracle.c_series)
+
+
+@pytest.mark.parametrize("model,patterns", [
+    # the odd block of 32 states holds two patterns: chunks of 2 draws
+    ("exact", "1; 6; 2,3"),
+    # the k = 3 sector of 20 states holds two patterns: chunks of 4 draws
+    ("xy", "1,2,3; 4,5,6; 2"),
+])
+def test_noisy_evolve_equals_mean_of_rebuilt_draws(tmp_path, monkeypatch,
+                                                   model, patterns):
+    """Draw chunks that do not divide the draw count change no bit: the
+    CSVs equal np.mean over per-draw models rebuilt from J -> s J."""
+    chunks = []
+    real = Sector.spectra
+    monkeypatch.setattr(Sector, "spectra", lambda self, scales: (
+        chunks.append(len(scales)) or real(self, scales)))
+    samples = 5 if model == "exact" else 9
+    path = tmp_path / "run.cfg"
+    path.write_text(f"n_ions = 6\nmodel = {model}\npatterns = {patterns}\n"
+                    f"n_times = 200\nt_max_over_jmax = 6\nalpha = 0.8\n"
+                    f"noise_samples = {samples}\nseed = 23\n")
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+    assert sorted(set(chunks)) == ([1, 2] if model == "exact" else [1, 4])
+    cfg = load_config(path)
+    jm, _, _ = cfg.couplings()
+    times = default_time_grid(jm.j_max, 6, 200)
+    scales = json.loads((out / "manifest.json").read_text())[
+        "diagnostics"]["noise_scales"]
+    assert len(scales) == samples
+    draws = [cli._Dynamics(cfg, jm.scaled(s)).evolve(cfg.patterns, times)
+             for s in scales]
+    for p, pattern in enumerate(cfg.patterns):
+        mean = np.mean([traces[p].sz for traces in draws], axis=0)
+        tag = cli._pattern_tag(pattern)
+        assert np.array_equal(
+            read_column(out / f"trace_{model}_{tag}.csv", "sz"), mean.ravel())
 
 
 def test_one_dense_cap_governs_every_consumer(tmp_path, monkeypatch):

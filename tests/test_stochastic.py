@@ -19,6 +19,11 @@ def run_scaled(scale):
     return evolve_spinwave(sys, PATTERN, TIMES)
 
 
+def run_draws(scales):
+    """One trace per draw, each rebuilt at its own scale."""
+    return ([run_scaled(s)] for s in scales)
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         NoiseModel(j_relative_sigma=-0.1)
@@ -42,7 +47,7 @@ def test_rng_streams_are_independent_and_reproducible():
 
 def test_zero_sigma_average_is_the_bare_run():
     model = NoiseModel(j_relative_sigma=0.0, seed=4)
-    avg = noise_average(lambda s: [run_scaled(s)], model, n_samples=3)[0]
+    avg = noise_average(run_draws, model, n_samples=3)[0]
     base = run_scaled(1.0)
     # every sample reran at scale 1, so only the rounding of the
     # 3-sample mean separates the two
@@ -52,24 +57,21 @@ def test_zero_sigma_average_is_the_bare_run():
     assert avg.meta["j_relative_sigma"] == 0.0
 
 
-def test_average_deterministic_and_thread_invariant():
+def test_average_is_deterministic():
     model = NoiseModel(seed=7)
-    one = noise_average(lambda s: [run_scaled(s)], model, n_samples=8,
-                        threads=1)[0]
-    again = noise_average(lambda s: [run_scaled(s)], model, n_samples=8,
-                          threads=1)[0]
-    four = noise_average(lambda s: [run_scaled(s)], model, n_samples=8,
-                         threads=4)[0]
+    one = noise_average(run_draws, model, n_samples=8)[0]
+    again = noise_average(run_draws, model, n_samples=8)[0]
     assert np.array_equal(one.sz, again.sz)
-    assert np.array_equal(one.sz, four.sz)
+    assert one.meta["noise_scales"] == again.meta["noise_scales"]
+    assert len(one.meta["noise_scales"]) == 8
 
 
 def test_scale_draws_are_positive_even_at_huge_sigma():
     seen = []
 
-    def record(scale):
-        seen.append(scale)
-        return [run_scaled(1.0)]
+    def record(scales):
+        seen.extend(scales)
+        return ([run_scaled(1.0)] for _ in scales)
 
     noise_average(record, NoiseModel(j_relative_sigma=5.0, seed=2),
                   n_samples=64)
@@ -81,25 +83,29 @@ def test_scale_draws_are_positive_even_at_huge_sigma():
 def test_average_input_validation():
     model = NoiseModel(seed=0)
     with pytest.raises(ValueError):
-        noise_average(lambda s: [run_scaled(s)], model, n_samples=0)
+        noise_average(run_draws, model, n_samples=0)
 
-    calls = [0]
-
-    def shapeshifter(scale):
-        calls[0] += 1
-        times = TIMES if calls[0] == 1 else TIMES[:-1]
-        sys = build_spinwave(BASE_JM.scaled(scale), B_FIELD)
-        return [evolve_spinwave(sys, PATTERN, times)]
+    def shapeshifter(scales):
+        for i, s in enumerate(scales):
+            times = TIMES if i == 0 else TIMES[:-1]
+            sys = build_spinwave(BASE_JM.scaled(s), B_FIELD)
+            yield [evolve_spinwave(sys, PATTERN, times)]
 
     with pytest.raises(ValueError):
         noise_average(shapeshifter, model, n_samples=2)
 
     # a later draw returns more or fewer traces than the first one
     for counts in ([1, 2], [2, 1]):
-        n_traces = iter(counts)
         with pytest.raises(ValueError):
-            noise_average(lambda s: [run_scaled(s)] * next(n_traces), model,
-                          n_samples=2)
+            noise_average(lambda scales: ([run_scaled(s)] * n for s, n
+                                          in zip(scales, counts)),
+                          model, n_samples=2)
+
+    # the run returns fewer or more draws than it was given scales
+    for wrong in (lambda scales: run_draws(scales[1:]),
+                  lambda scales: run_draws(scales + [1.0])):
+        with pytest.raises(ValueError, match="draws for 3 scales"):
+            noise_average(wrong, model, n_samples=3)
 
 
 def shots_of(sz, n_shots, **noise):
