@@ -80,15 +80,22 @@ class _Dynamics:
 
     def evolve_draws(self, patterns, times: np.ndarray, scales):
         """The traces of every pattern for each noise draw J -> s J, in
-        draw order.  Dense exact and xy reps of this model evolve every
-        draw (exact.evolve_draws); spin-wave and Krylov-sized draws
-        rebuild the model, one draw at a time."""
-        if (self.cfg.model != "spinwave"
-                and all(self.rep(p).dense for p in patterns)):
-            return evolve_draws([(self.rep(p), p) for p in patterns],
-                                times, scales)
-        return (_Dynamics(self.cfg, self.jm.scaled(s)).evolve(patterns, times)
-                for s in scales)
+        draw order.  Patterns whose exact or xy rep of this model is
+        dense evolve every draw from it (exact.evolve_draws); spin-wave
+        and Krylov-sized patterns rebuild the model, one draw at a
+        time.  Each draw's traces keep the order of patterns."""
+        dense = [self.cfg.model != "spinwave" and self.rep(p).dense
+                 for p in patterns]
+        shared = (evolve_draws([(self.rep(p), p)
+                                for p, d in zip(patterns, dense) if d],
+                               times, scales)
+                  if any(dense) else [[] for _ in scales])
+        rebuilt = [p for p, d in zip(patterns, dense) if not d]
+        for s, ours in zip(scales, shared):
+            ours = iter(ours)
+            theirs = iter(_Dynamics(self.cfg, self.jm.scaled(s)).evolve(
+                rebuilt, times) if rebuilt else [])
+            yield [next(ours) if d else next(theirs) for d in dense]
 
 
 def cmd_couplings(cfg: RunConfig, outdir: Path) -> dict:

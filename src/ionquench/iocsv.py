@@ -76,12 +76,15 @@ def write_gge_csv(path: Path, sz_gge: np.ndarray) -> None:
 
 
 def write_shot_lines(path: Path, shots: np.ndarray) -> None:
-    """One line of 0/1 characters per row of an (n_shots, N) bit array."""
+    """One line of 0/1 characters per row of an (n_shots, N) bit array.
+
+    The character matrix is filled in place and written as it stands,
+    without a bytes copy."""
     lines = np.empty((shots.shape[0], shots.shape[1] + 1), dtype=np.uint8)
-    lines[:, :-1] = shots + ord("0")
+    np.add(shots, ord("0"), out=lines[:, :-1])
     lines[:, -1] = ord("\n")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(lines.tobytes())
+    path.write_bytes(lines)
 
 
 def write_manifest(path: Path, manifest: dict) -> None:

@@ -21,6 +21,8 @@ _STREAM_PREP = 1
 _STREAM_SHOTS = 2
 _STREAM_DETECT = 3
 
+_READOUT_CHUNK = 2**15    # float draws per block of the shot readout
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -118,22 +120,55 @@ def _readout(sz: np.ndarray, rows: np.ndarray,
     """Fluorescence readout of independent site outcomes.
 
     sz holds rows of sigma^z marginals and shot j reads out row
-    rows[j]; indexing the rows late builds one (n_shots, N) float array
-    fewer.  Each site reads up with probability (sz + 1)/2, drawn from
+    rows[j].  Each site reads up with probability (sz + 1)/2, drawn from
     stream SHOTS; each bit is then reported wrong with the detection
-    error probability, drawn from stream DETECT.  Returns the bits as a
-    (len(rows), N) uint8 array.
+    error probability, drawn from stream DETECT.  The draws fill one
+    reused float buffer of about _READOUT_CHUNK values, a block of
+    shots at a time; a generator fills its output in C order, so the
+    blocks take the same values in the same order as one draw of the
+    whole (len(rows), N) shape.  Returns the bits as a (len(rows), N)
+    uint8 array.
     """
     # NaN fails both comparisons, so non-finite marginals raise too
     if not (sz.min() >= -1.0 - 1e-9 and sz.max() <= 1.0 + 1e-9):
         raise ValueError("sz marginals must be finite and lie in [-1, 1]")
     p = np.clip((sz + 1.0) / 2.0, 0.0, 1.0)
-    shape = (rows.size, sz.shape[1])
-    up = model.rng(_STREAM_SHOTS).random(shape) < p[rows]
-    bits = up.astype(np.uint8)
-    if model.detection_error > 0:
-        bits ^= model.rng(_STREAM_DETECT).random(shape) < model.detection_error
+    n_sites = sz.shape[1]
+    bits = np.empty((rows.size, n_sites), dtype=np.uint8)
+    block = max(1, _READOUT_CHUNK // n_sites)
+    buf = np.empty((min(block, rows.size), n_sites))
+    shots = model.rng(_STREAM_SHOTS)
+    detect = model.rng(_STREAM_DETECT) if model.detection_error > 0 else None
+    for start in range(0, rows.size, block):
+        out = bits[start:start + block]
+        draw = buf[:len(out)]
+        np.less(shots.random(out=draw), p[rows[start:start + len(out)]],
+                out=out)
+        if detect is not None:
+            out ^= detect.random(out=draw) < model.detection_error
     return bits
+
+
+def _distinct_rows(kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(kept, axis=0, return_inverse=True) of a 2D bool array.
+
+    Rows are coded as int64, the first column the most significant bit,
+    so sorting the codes sorts the rows lexicographically.  A wide row
+    is coded a word of columns at a time, each word's bits appended to
+    the row's rank among the columns before it; a word is narrow enough
+    to leave room for that rank in the int64.
+    """
+    n, width = kept.shape
+    word = 62 - n.bit_length()
+    which = np.zeros(n, dtype=np.int64)
+    for start in range(0, width, word):
+        cols = kept[:, start:start + word]
+        weights = 1 << np.arange(cols.shape[1] - 1, -1, -1, dtype=np.int64)
+        _, which = np.unique((which << cols.shape[1]) | (cols @ weights),
+                             return_inverse=True)
+    rows = np.empty((int(which.max()) + 1, width), dtype=bool)
+    rows[which] = kept
+    return rows, which
 
 
 @dataclass(frozen=True)
@@ -181,9 +216,12 @@ def shot_pipeline(pattern: ExcitationPattern,
     succeeds independently with prep_flip_fidelity, and a failed flip
     leaves that spin down.  The dynamics of the pattern that was kept
     then fix the site marginals that the detector reads out.  Dynamics
-    run once per distinct kept pattern; the empty pattern short-circuits
-    to all spins down.  Returns the detected bits as an (n_shots, N)
-    uint8 array.
+    run once per distinct kept pattern, in the lexicographic order of
+    the kept rows (first intended flip first): each row is keyed by an
+    int64 code of its flips (_distinct_rows), the order np.unique(axis=0)
+    gives without sorting rows as records.  The empty pattern
+    short-circuits to all spins down.  Returns the detected bits as an
+    (n_shots, N) uint8 array.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
@@ -191,11 +229,10 @@ def shot_pipeline(pattern: ExcitationPattern,
     # row-major draws: shot by shot, site by site within a shot
     kept = (model.rng(_STREAM_PREP).random((n_shots, sites.size))
             < model.prep_flip_fidelity)
-    rows, which = np.unique(kept, axis=0, return_inverse=True)
+    rows, which = _distinct_rows(kept)
     sz = np.full((len(rows), pattern.n_ions), -1.0)
     for r, row in enumerate(rows):
         if row.any():
             sz[r] = run_to_sz(ExcitationPattern(pattern.n_ions,
                                                 tuple(sites[row])))
-    # numpy 2.0.0 returns the inverse with shape (n_shots, 1)
-    return _readout(sz, which.reshape(-1), model)
+    return _readout(sz, which, model)

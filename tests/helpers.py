@@ -1,15 +1,17 @@
 """Shared oracles for the test suite.
 
 Everything here is an independent reference implementation: dense
-Pauli-product Hamiltonians, a truncated-Fock boson propagator and
-Poisson-binomial conditionals, all built from first principles so the
-package code can be checked against them.
+Pauli-product Hamiltonians, a truncated-Fock boson propagator,
+Poisson-binomial conditionals and a whole-array shot readout, all built
+from first principles so the package code can be checked against them.
 """
 
 import math
 
 import numpy as np
 import scipy.linalg as sla
+
+from ionquench.observables import ExcitationPattern
 
 TWO_PI = 2.0 * math.pi
 JMAX = TWO_PI * 600.0     # rad/s, default strongest coupling
@@ -176,3 +178,27 @@ def detected_probability(p: np.ndarray, err: float) -> np.ndarray:
     """Per-site up probability after symmetric readout errors."""
     p = np.asarray(p, dtype=float)
     return p * (1.0 - err) + (1.0 - p) * err
+
+
+# -- whole-array shot readout ------------------------------------------------
+
+def whole_array_shots(pattern, run_to_sz, model, n_shots: int) -> np.ndarray:
+    """Shots with every draw taken as one array: the distinct kept rows
+    from np.unique(axis=0), one random((n_shots, N)) per stream (1 for
+    preparation, 2 for outcomes, 3 for detection) and the marginals of
+    every shot gathered as p[rows]."""
+    sites = np.array(pattern.flipped, dtype=int)
+    kept = (model.rng(1).random((n_shots, sites.size))
+            < model.prep_flip_fidelity)
+    rows, which = np.unique(kept, axis=0, return_inverse=True)
+    sz = np.full((len(rows), pattern.n_ions), -1.0)
+    for r, row in enumerate(rows):
+        if row.any():
+            sz[r] = run_to_sz(ExcitationPattern(pattern.n_ions,
+                                                tuple(sites[row])))
+    p = np.clip((sz + 1.0) / 2.0, 0.0, 1.0)
+    shape = (n_shots, pattern.n_ions)
+    bits = (model.rng(2).random(shape) < p[which.reshape(-1)]).astype(np.uint8)
+    if model.detection_error > 0:
+        bits ^= model.rng(3).random(shape) < model.detection_error
+    return bits

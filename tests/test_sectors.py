@@ -507,6 +507,38 @@ def test_noisy_evolve_equals_mean_of_rebuilt_draws(tmp_path, monkeypatch,
             read_column(out / f"trace_{model}_{tag}.csv", "sz"), mean.ravel())
 
 
+def test_dense_patterns_share_the_model_beside_krylov_ones(tmp_path,
+                                                          monkeypatch):
+    """One Krylov-sized xy sector (k = 7 of 15 ions, 6435 states) leaves
+    the dense k = 1 sector on the command's one model: it is built once
+    for all draws, and the CSVs still equal np.mean over per-draw
+    models rebuilt from J -> s J."""
+    built = []
+    real = cli.build_xy_sector
+    monkeypatch.setattr(cli, "build_xy_sector", lambda jm, b, k: (
+        built.append(k) or real(jm, b, k)))
+    path = tmp_path / "run.cfg"
+    path.write_text("n_ions = 15\nmodel = xy\npatterns = 1; 1,2,3,4,5,6,7\n"
+                    "n_times = 5\nt_max_over_jmax = 1\nnoise_samples = 3\n"
+                    "seed = 29\n")
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+    assert built.count(1) == 1
+    cfg = load_config(path)
+    jm, _, _ = cfg.couplings()
+    times = default_time_grid(jm.j_max, 1, 5)
+    scales = json.loads((out / "manifest.json").read_text())[
+        "diagnostics"]["noise_scales"]
+    draws = [cli._Dynamics(cfg, jm.scaled(s)).evolve(cfg.patterns, times)
+             for s in scales]
+    assert [tr.meta["method"] for tr in draws[0]] == ["dense", "krylov"]
+    for p, pattern in enumerate(cfg.patterns):
+        mean = np.mean([traces[p].sz for traces in draws], axis=0)
+        tag = cli._pattern_tag(pattern)
+        assert np.array_equal(
+            read_column(out / f"trace_xy_{tag}.csv", "sz"), mean.ravel())
+
+
 def test_one_dense_cap_governs_every_consumer(tmp_path, monkeypatch):
     """DENSE_CAP is read at call time, so one patch moves the dense/Krylov
     choice, the diagonal ensemble, the level gaps and both CLI commands."""

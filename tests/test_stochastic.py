@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import B_FIELD, JMAX, conditional_marginals
+from helpers import B_FIELD, JMAX, conditional_marginals, whole_array_shots
+from ionquench import stochastic
 from ionquench.coupling import power_law_couplings
 from ionquench.errors import EmptySelectionError
+from ionquench.iocsv import write_shot_lines
 from ionquench.observables import ExcitationPattern
 from ionquench.spinwave import build_spinwave, evolve_spinwave
 from ionquench.stochastic import (NoiseModel, noise_average, postselect,
@@ -199,6 +203,72 @@ def test_shots_match_per_shot_scalar_oracle():
                 oracle[row, site] ^= 1
     assert len(set(kept)) > 4
     assert np.array_equal(shots, oracle)
+
+
+def logged_dynamics(n_ions):
+    """Distinct marginals per pattern, and the list of patterns run."""
+    calls = []
+
+    def run(pat):
+        calls.append(pat.flipped)
+        return 0.9 * np.cos(np.arange(n_ions) + 3.0 * sum(pat.flipped))
+    return run, calls
+
+
+BLOCK = stochastic._READOUT_CHUNK // 13
+
+
+@pytest.mark.parametrize("n_shots", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                     3 * BLOCK + 7])
+@pytest.mark.parametrize("flipped", [(), (5,), (2, 7, 13)])
+@pytest.mark.parametrize("detection_error", [0.0, 0.05])
+def test_streamed_readout_equals_whole_array_draws(n_shots, flipped,
+                                                   detection_error):
+    """Readout blocks of any remainder and integer-coded preparation rows
+    change no bit, and run the dynamics for the same patterns in the
+    same order, as whole-array draws and np.unique(axis=0)."""
+    pattern = ExcitationPattern(13, flipped)
+    model = NoiseModel(prep_flip_fidelity=0.6,
+                       detection_error=detection_error, seed=31)
+    run, calls = logged_dynamics(13)
+    ref_run, ref_calls = logged_dynamics(13)
+    shots = shot_pipeline(pattern, run, model, n_shots)
+    oracle = whole_array_shots(pattern, ref_run, model, n_shots)
+    assert shots.dtype == oracle.dtype and shots.shape == oracle.shape
+    assert np.array_equal(shots, oracle)
+    assert calls == ref_calls
+
+
+@pytest.mark.parametrize("width", [0, 1, 5, 52, 53, 70, 130])
+def test_distinct_rows_equal_unique_rows(width):
+    """Rows wider than one int64 code (52 bits at 1000 rows) sort and
+    invert as np.unique(axis=0) does."""
+    rng = np.random.default_rng(width)
+    base = rng.random((40, width)) < 0.5
+    base[1:4, :width // 2] = base[0, :width // 2]
+    kept = base[rng.integers(0, 40, 1000)]
+    rows, which = stochastic._distinct_rows(kept)
+    ref_rows, ref_which = np.unique(kept, axis=0, return_inverse=True)
+    assert np.array_equal(rows, ref_rows)
+    assert np.array_equal(which, ref_which.reshape(-1))
+
+
+def test_readout_and_writer_stay_near_the_bit_array(tmp_path):
+    """Peak traced memory of 50 000 shots of 100 sites, written out, stays
+    under three bit arrays: the draws stream through fixed blocks and the
+    writer makes no bytes copy (whole-array draws peaked above 17)."""
+    pattern = ExcitationPattern(100, (3, 50, 99))
+    sz = 0.9 * np.cos(np.arange(100.0))
+    tracemalloc.start()
+    try:
+        shots = shot_pipeline(pattern, lambda pat: sz, NoiseModel(seed=4),
+                              50000)
+        write_shot_lines(tmp_path / "shots.txt", shots)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert shots.nbytes == 5_000_000
+    assert peak < 3 * shots.nbytes
 
 
 def test_postselect_partitions_and_errors():
