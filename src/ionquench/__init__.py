@@ -9,8 +9,7 @@ measurement emulation) and cli (reproducible runs to CSV/JSON).
 
 __version__ = "0.1.0"
 
-from .coupling import (ContinuumDispersion, CouplingMatrix, EffectivePotential,
-                       continuum_dispersion, effective_potential,
+from .coupling import (CouplingMatrix, EffectivePotential, effective_potential,
                        eigen_spectrum_lambda, fit_alpha, ion_couplings,
                        power_law_couplings, scale_rabi_for_jmax,
                        tune_mu_for_alpha, with_fitted_alpha)

@@ -79,23 +79,18 @@ class _Dynamics:
         return [evolve(self.rep(p), p, times) for p in patterns]
 
     def evolve_draws(self, patterns, times: np.ndarray, scales):
-        """The traces of every pattern for each noise draw J -> s J, in
-        draw order.  Patterns whose exact or xy rep of this model is
-        dense evolve every draw from it (exact.evolve_draws); spin-wave
-        and Krylov-sized patterns rebuild the model, one draw at a
-        time.  Each draw's traces keep the order of patterns."""
-        dense = [self.cfg.model != "spinwave" and self.rep(p).dense
-                 for p in patterns]
-        shared = (evolve_draws([(self.rep(p), p)
-                                for p, d in zip(patterns, dense) if d],
-                               times, scales)
-                  if any(dense) else [[] for _ in scales])
-        rebuilt = [p for p, d in zip(patterns, dense) if not d]
-        for s, ours in zip(scales, shared):
-            ours = iter(ours)
-            theirs = iter(_Dynamics(self.cfg, self.jm.scaled(s)).evolve(
-                rebuilt, times) if rebuilt else [])
-            yield [next(ours) if d else next(theirs) for d in dense]
+        """The (sz, meta) of every pattern for each noise draw J -> s J,
+        in draw order and, within a draw, in the order of patterns.
+        exact and xy run exact.evolve_draws on this model's reps; spin
+        waves build one SpinWaveSystem per draw."""
+        if self.cfg.model != "spinwave":
+            yield from evolve_draws([(self.rep(p), p) for p in patterns],
+                                    times, scales)
+            return
+        for s in scales:
+            sw = build_spinwave(self.jm.scaled(s), self.cfg.b_field)
+            yield [(tr.sz, tr.meta)
+                   for tr in (evolve_spinwave(sw, p, times) for p in patterns)]
 
 
 def cmd_couplings(cfg: RunConfig, outdir: Path) -> dict:
@@ -145,7 +140,7 @@ def cmd_evolve(cfg: RunConfig, outdir: Path) -> dict:
     if ns:
         traces = noise_average(
             lambda scales: free.evolve_draws(cfg.patterns, times, scales),
-            cfg.noise_model(), ns)
+            times, cfg.noise_model(), ns)
         diagnostics = {"noise_scales": traces[0].meta["noise_scales"]}
         if cfg.model != "spinwave":  # spin waves propagate no state vector
             diagnostics["max_norm_error"] = max(t.meta["norm_error"]

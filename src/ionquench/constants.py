@@ -8,4 +8,3 @@ hbar = 1.0545718176461565e-34         # J s
 atomic_mass = 1.66053906892e-27       # kg
 elementary_charge = 1.602176634e-19   # C
 epsilon_0 = 8.8541878188e-12          # F / m
-ZETA_3 = 1.2020569031595942           # Riemann zeta(3)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import ZETA_3, hbar
+from .constants import hbar
 from .errors import ResonanceError
 from .lattice import PhononModes, TrapConfig
 
@@ -182,35 +182,6 @@ def effective_potential(jm: CouplingMatrix) -> EffectivePotential:
                               well_minima_sites=(left + 1, right + 1))
 
 
-@dataclass(frozen=True)
-class ContinuumDispersion:
-    """Quadratic expansion of the coupling band edge near wavenumber pi.
-
-    m_eff (kg) and the band curvature quadratic_coeff (rad/s per unit
-    dimensionless wavenumber squared, = hbar dk^2 / 2 m_eff).  The
-    printed closed form adds the dimensionless constant 4 zeta(3)
-    directly to mu^2 - omega_x^2; with scaled_zeta_term=True that
-    constant is multiplied by omega_z^2, which keeps the expression
-    dimensionally consistent.  The two disagree whenever omega_z^2 is
-    not negligible against mu^2 - omega_x^2; both are exposed on
-    purpose rather than silently picking one.
-    """
-
-    m_eff: float
-    quadratic_coeff: float
-    scaled_zeta_term: bool
-
-
-def continuum_dispersion(cfg: TrapConfig,
-                         scaled_zeta_term: bool = False) -> ContinuumDispersion:
-    z3 = 4.0 * ZETA_3
-    if scaled_zeta_term:
-        z3 = z3 * cfg.omega_z**2
-    band = cfg.mu**2 - cfg.omega_x**2 + z3
-    m_eff = cfg.mass * band**2 / (cfg.omega_z**2 * cfg.rabi**2 * math.log(2.0))
-    coeff = hbar * cfg.delta_k**2 / (2.0 * m_eff)
-    return ContinuumDispersion(m_eff=float(m_eff), quadratic_coeff=float(coeff),
-                               scaled_zeta_term=scaled_zeta_term)
 
 
 def detuning_scan(cfg: TrapConfig, modes: PhononModes,

@@ -22,33 +22,36 @@ kept as its field diagonal and its list of coupling entries.  Every
 block thus holds its coupling part X apart from its field diagonal D,
 and a global coupling scale s (J -> s J, one noise draw) gives the block
 s X + D with the same floats s J_ij that a model rebuilt from the scaled
-couplings holds.  ``Sector.spectra`` diagonalises a stack of such
-blocks, one per scale, and ``evolve_draws`` propagates every pattern of
-a block under a chunk of draws in one stacked product, so noise draws
-rebuild nothing.  The block's own eigendecomposition is the stack of the
-single scale 1.0 (1.0 J == J): it is computed once and shared by dense
-evolution, the diagonal ensemble and ``level_gaps`` (the exact
-counterpart of ``spinwave.pair_gap_spectrum``).  When J is inversion
-symmetric (|J - J[::-1, ::-1]| max at most _MIRROR_RTOL times |J| max,
-checked once per build; B is uniform, so H then commutes with the chain
+couplings holds.  ``evolve_draws`` is the one path for noise draws.  On
+a dense rep, ``Sector.spectra`` diagonalises a stack of such blocks, one
+per scale, and every pattern of a block evolves under a chunk of draws
+in one stacked product; on a larger rep, each draw builds its blocks
+from s J on the rep's basis.  Neither rebuilds a basis.  The block's own
+eigendecomposition is the stack of the single scale 1.0 (1.0 J == J):
+it is computed once and shared by dense evolution, the diagonal ensemble
+and ``level_gaps`` (the exact counterpart of
+``spinwave.pair_gap_spectrum``).  When J is inversion symmetric
+(|J - J[::-1, ::-1]| max at most _MIRROR_RTOL times |J| max, checked
+once per build; B is uniform, so H then commutes with the chain
 inversion R: i -> N + 1 - i), that decomposition splits each block into
 its mirror-even and mirror-odd halves in the basis (|s> +- |Rs>)/sqrt(2),
 diagonalises each with its own eigh and merges the two spectra in
 ascending order, so levels are grouped across both halves.  Otherwise the
 block gets one eigh; J is never symmetrised.  One predicate,
 ``HamiltonianRep.dense``, allows that spectrum: the full dimension of the
-rep, not the sector's, is at most DENSE_CAP.  Above the cap the diagonal
-ensemble and the level gaps raise SizeError, and evolution runs inside
-the block by one real Chebyshev expansion of exp(-i H t) that serves
-every grid time at once (method "krylov"): its order, and so its number
-of block products, grows linearly in spectral width x max |t|.  A
-parity block's product is four small dense Hadamard products; an XY
-block's is a sparse product, the only use of scipy in the package.
+rep, not the sector's, is at most DENSE_CAP, and it alone picks the
+propagator.  Above the cap the diagonal ensemble and the level gaps
+raise SizeError, and evolution runs inside the block by one real
+Chebyshev expansion of exp(-i H t) that serves every grid time at once
+(method "krylov"): its order, and so its number of block products,
+grows linearly in spectral width x max |t|.  A parity block's product
+is four small dense Hadamard products; an XY block's is a sparse
+product, the only use of scipy in the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
 
@@ -466,19 +469,14 @@ def _sz_series(block: Sector, times: np.ndarray, states, n_states: int = 1
     return np.concatenate(sz, axis=-2), err
 
 
-def _dense_sector(h: HamiltonianRep, pattern: ExcitationPattern
-                  ) -> tuple[Sector, int]:
-    """The pattern's block and its index there; SizeError unless h.dense."""
+def _dense_spectrum(h: HamiltonianRep, pattern: ExcitationPattern
+                    ) -> tuple[Sector, int, np.ndarray, np.ndarray]:
+    """The pattern's block, its index there and the block's spectrum;
+    SizeError unless h.dense."""
     if not h.dense:
         raise SizeError(f"dimension {h.dimension} is above DENSE_CAP, "
                         "too large for a dense spectrum")
-    return h.sector(pattern)
-
-
-def _dense_spectrum(h: HamiltonianRep, pattern: ExcitationPattern
-                    ) -> tuple[Sector, int, np.ndarray, np.ndarray]:
-    """The pattern's block, its index there and the block's spectrum."""
-    block, idx0 = _dense_sector(h, pattern)
+    block, idx0 = h.sector(pattern)
     return (block, idx0) + block.spectrum
 
 
@@ -496,48 +494,59 @@ def _dense_sz(block: Sector, idx0s: list[int], times: np.ndarray,
         n_states=amps.shape[0] * amps.shape[1])
 
 
-def _trace(h: HamiltonianRep, pattern: ExcitationPattern, times: np.ndarray,
-           sz: np.ndarray, method: str, norm_error: float) -> QuenchTrace:
-    return assemble_trace(times, sz, model=h.kind, pattern=pattern.flipped,
-                          b_field=h.b_field, method=method,
-                          norm_error=float(norm_error))
+def _meta(h: HamiltonianRep, pattern: ExcitationPattern, method: str,
+          norm_error: float) -> dict:
+    """The meta of a quench: model, pattern, field, method, norm error."""
+    return dict(model=h.kind, pattern=pattern.flipped, b_field=h.b_field,
+                method=method, norm_error=float(norm_error))
 
 
 def evolve_draws(quenches, times: np.ndarray, scales
-                 ) -> list[list[QuenchTrace]]:
-    """Dense quenches under global coupling noise, one list per draw.
+                 ) -> list[list[tuple[np.ndarray, dict]]]:
+    """Quenches under global coupling noise, one list per draw.
 
     quenches holds (rep, pattern) pairs and scales the draw scales s,
-    each standing for J -> s J.  Draw d's list holds the traces, in
-    quench order, that evolve gives on the reps rebuilt from the
-    couplings scaled by scales[d], bit for bit.  The reps' blocks serve
-    every draw: for a chunk of draws each block takes one stacked
-    Sector.spectra and propagates all of its patterns in one product.
-    A chunk holds about _DRAW_CHUNK amplitudes of the widest block.
-    Raises SizeError unless every rep is dense.
+    each standing for J -> s J.  Draw d's list holds one (sz, meta) pair
+    per quench, in quench order: the sz and meta that evolve gives on
+    the reps rebuilt from the couplings scaled by scales[d], bit for bit.
+    The blocks of a dense rep serve every draw: for a chunk of draws
+    each block takes one stacked Sector.spectra and propagates all of
+    its patterns in one product; a chunk holds about _DRAW_CHUNK
+    amplitudes of the widest block.  A Krylov-sized rep evolves each
+    draw on blocks built from the couplings s J_ij, the floats a rebuilt
+    model holds, so no basis or occupation table is rebuilt.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     scales = np.asarray(scales, dtype=float)
-    groups: dict[int, tuple[Sector, list[int], list[int]]] = {}
+    dense: dict[int, tuple[Sector, list[int], list[int]]] = {}
+    krylov: dict[int, tuple[HamiltonianRep, list[int]]] = {}
     for pos, (h, pattern) in enumerate(quenches):
-        block, idx0 = _dense_sector(h, pattern)
-        _, where, idx0s = groups.setdefault(id(block), (block, [], []))
-        where.append(pos)
-        idx0s.append(idx0)
-    width = max(block.dimension * len(idx0s)
-                for block, _, idx0s in groups.values()) * times.size
-    step = max(1, _DRAW_CHUNK // width)
+        if h.dense:
+            block, idx0 = h.sector(pattern)
+            _, where, idx0s = dense.setdefault(id(block), (block, [], []))
+            where.append(pos)
+            idx0s.append(idx0)
+        else:
+            krylov.setdefault(id(h), (h, []))[1].append(pos)
+    width = max((block.dimension * len(idx0s)
+                 for block, _, idx0s in dense.values()), default=1)
+    step = max(1, _DRAW_CHUNK // (width * times.size))
     draws = [[None] * len(quenches) for _ in scales]
     for start in range(0, scales.size, step):
         chunk = scales[start:start + step]
-        for block, where, idx0s in groups.values():
+        for block, where, idx0s in dense.values():
             sz, err = _dense_sz(block, idx0s, times, *block.spectra(chunk))
             for k, pos in enumerate(where):
-                h, pattern = quenches[pos]
                 for d in range(chunk.size):
-                    draws[start + d][pos] = _trace(h, pattern, times,
-                                                   sz[d, k], "dense",
-                                                   err[d, k])
+                    draws[start + d][pos] = (
+                        sz[d, k], _meta(*quenches[pos], "dense", err[d, k]))
+    for s, draw in zip(scales, draws):
+        for h, where in krylov.values():
+            scaled = replace(h, j_script=h.j_script * s)
+            for pos in where:
+                pattern = quenches[pos][1]
+                sz, err = _krylov_sz_series(*scaled.sector(pattern), times)
+                draw[pos] = (sz, _meta(h, pattern, "krylov", err))
     return draws
 
 
@@ -627,25 +636,24 @@ def _krylov_sz_series(block: Sector, idx0: int, times: np.ndarray
                       lambda tt: _chebyshev_states(block.op, idx0, tt))
 
 
-def evolve(h: HamiltonianRep, pattern: ExcitationPattern, times: np.ndarray,
-           method: str = "auto") -> QuenchTrace:
+def evolve(h: HamiltonianRep, pattern: ExcitationPattern, times: np.ndarray
+           ) -> QuenchTrace:
     """Quench from a product state, sampling <sigma^z_i> on a time grid.
 
-    The state is propagated inside its sector; "auto" picks dense when
-    h.dense holds and Krylov otherwise.
+    The state is propagated inside its sector: by the block's spectrum
+    when h.dense holds ("dense"), by a Chebyshev expansion otherwise
+    ("krylov").
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if method == "auto":
-        method = "dense" if h.dense else "krylov"
-    if method == "dense":
-        block, idx0, evals, evecs = _dense_spectrum(h, pattern)
+    block, idx0 = h.sector(pattern)
+    if h.dense:
+        evals, evecs = block.spectrum
         sz, err = _dense_sz(block, [idx0], times, evals[None], evecs[None])
-        sz, err = sz[0, 0], err[0, 0]
-    elif method == "krylov":
-        sz, err = _krylov_sz_series(*h.sector(pattern), times)
+        sz, err, method = sz[0, 0], err[0, 0], "dense"
     else:
-        raise ValueError(f"unknown method {method!r}")
-    return _trace(h, pattern, times, sz, method, err)
+        sz, err = _krylov_sz_series(block, idx0, times)
+        method = "krylov"
+    return assemble_trace(times, sz, **_meta(h, pattern, method, err))
 
 
 def _levels(evals: np.ndarray) -> np.ndarray:

@@ -64,21 +64,24 @@ def _draw_scale(rng: np.random.Generator, sigma: float) -> float:
 
 
 def noise_average(
-        run: Callable[[list[float]], Iterable[Sequence[QuenchTrace]]],
-        model: NoiseModel, n_samples: int) -> list[QuenchTrace]:
+        run: Callable[[list[float]],
+                      Iterable[Sequence[tuple[np.ndarray, dict]]]],
+        times: np.ndarray, model: NoiseModel, n_samples: int
+        ) -> list[QuenchTrace]:
     """Trajectory averages over global coupling-strength noise.
 
     run(scales) gets every draw's scale s at once, each standing for
     J -> s J, and returns an iterable over the draws in scale order; each
-    draw is one trace per initial pattern, always in the same order.
-    Magnetizations are summed draw by draw in draw order and divided by
-    n_samples, the summation order of np.mean over the draws, so the
-    grouping of the draws changes no bit.  The location observable and
-    its running mean are rebuilt from the averaged magnetizations (both
-    are linear, so this equals averaging them directly).  An averaged
-    trace's meta is that of its first draw plus n_samples,
-    j_relative_sigma and noise_scales (the scales in draw order); a
-    norm_error in the draws' meta becomes its largest value over draws.
+    draw is one (sz, meta) pair per initial pattern, always in the same
+    order, sz of shape (times.size, N).  Magnetizations are summed draw
+    by draw in draw order and divided by n_samples, the summation order
+    of np.mean over the draws, so the grouping of the draws changes no
+    bit.  The location observable and its running mean are built from
+    the averaged magnetizations (both are linear, so this equals
+    averaging them directly).  An averaged trace's meta is that of its
+    first draw plus n_samples, j_relative_sigma and noise_scales (the
+    scales in draw order); a norm_error in the draws' meta becomes its
+    largest value over draws.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -86,32 +89,31 @@ def noise_average(
         _draw_scale(model.rng(_STREAM_NOISE, i), model.j_relative_sigma)
         for i in range(n_samples)
     ]
-    first, sums, metas, n_draws = None, [], [], 0
-    for traces in run(scales):
-        if first is None:
-            first = traces
-            sums = [np.zeros_like(tr.sz) for tr in traces]
-            metas = [dict(tr.meta) for tr in traces]
-        if len(traces) != len(first):
+    sums, metas, n_draws = None, [], 0
+    for draw in run(scales):
+        if sums is None:
+            sums = [np.zeros_like(sz) for sz, _ in draw]
+            metas = [dict(meta) for _, meta in draw]
+        if len(draw) != len(sums):
             raise ValueError("noise samples returned a different number "
                              "of traces")
-        for total, meta, tr in zip(sums, metas, traces):
-            if tr.sz.shape != total.shape:
+        for total, meta, (sz, draw_meta) in zip(sums, metas, draw):
+            if sz.shape != total.shape:
                 raise ValueError("noise samples returned mismatched traces")
-            total += tr.sz
+            total += sz
             if "norm_error" in meta:
                 meta["norm_error"] = max(meta["norm_error"],
-                                         tr.meta["norm_error"])
+                                         draw_meta["norm_error"])
         n_draws += 1
     if n_draws != n_samples:
         raise ValueError(f"noise run returned {n_draws} draws for "
                          f"{n_samples} scales")
     averaged = []
-    for tr, total, meta in zip(first, sums, metas):
+    for total, meta in zip(sums, metas):
         meta.update(n_samples=n_samples,
                     j_relative_sigma=model.j_relative_sigma,
                     noise_scales=scales)
-        averaged.append(assemble_trace(tr.times, total / n_samples, **meta))
+        averaged.append(assemble_trace(times, total / n_samples, **meta))
     return averaged
 
 
@@ -192,17 +194,18 @@ def postselect(shots: np.ndarray, k: int) -> PostselectionResult:
     shots = np.asarray(shots)
     if len(shots) == 0:
         raise ValueError("no shots given")
-    kept = shots[shots.sum(axis=1) == k].astype(float)
-    fraction = len(kept) / len(shots)
-    if len(kept) == 0:
+    mask = shots.sum(axis=1) == k
+    n_kept = int(mask.sum())
+    if n_kept == 0:
         raise EmptySelectionError(
             f"post-selection on {k} excitations rejected all "
             f"{len(shots)} shots", acceptance_fraction=0.0
         )
-    p = kept.mean(axis=0)
-    perr = np.sqrt(p * (1.0 - p) / len(kept))
+    # an exact integer column count, so no float copy of the shots
+    p = shots.sum(axis=0, where=mask[:, None], dtype=np.int64) / n_kept
+    perr = np.sqrt(p * (1.0 - p) / n_kept)
     return PostselectionResult(
-        acceptance_fraction=fraction, n_accepted=len(kept), p_up=p,
+        acceptance_fraction=n_kept / len(shots), n_accepted=n_kept, p_up=p,
         p_err=perr, sz=2.0 * p - 1.0, sz_err=2.0 * perr,
     )
 

@@ -77,6 +77,11 @@ def product_state(flipped, n: int) -> np.ndarray:
     return psi
 
 
+def sz_meta(trace) -> tuple:
+    """The (sz, meta) pair of a trace that noise_average reads per draw."""
+    return trace.sz, trace.meta
+
+
 # -- truncated-Fock boson model ---------------------------------------------
 
 def fock_boson_hamiltonian(j_script: np.ndarray, b: float, n_max: int

@@ -14,7 +14,7 @@ import pytest
 
 from helpers import (B_FIELD, JMAX, conditional_marginals,
                      detected_probability, fock_occupation_dynamics,
-                     mixture_conditional_truth)
+                     mixture_conditional_truth, sz_meta)
 from ionquench.cli import main
 from ionquench.coupling import effective_potential, power_law_couplings
 from ionquench.exact import (build_full_ising, build_xy_sector,
@@ -90,9 +90,10 @@ def test_steep_decay_quench_relaxes_to_gge():
 
     model = NoiseModel(j_relative_sigma=0.12, seed=0)
     noisy = noise_average(
-        lambda scales: ([evolve(build_full_ising(jm.scaled(s), B_FIELD),
-                                pattern, times)] for s in scales),
-        model, 128,
+        lambda scales: ([sz_meta(evolve(build_full_ising(jm.scaled(s),
+                                                         B_FIELD),
+                                        pattern, times))] for s in scales),
+        times, model, 128,
     )[0]
     assert np.abs(noisy.sz.mean(axis=0) - sz_gge).max() < 0.1
     assert time.perf_counter() - start < 60.0
@@ -123,10 +124,11 @@ def test_soft_decay_quench_remembers_initial_side(trap55):
 
     model = NoiseModel(j_relative_sigma=0.12, seed=0)
     noisy = noise_average(
-        lambda scales: ([evolve(build_full_ising(trap55.scaled(s), B_FIELD),
-                                ExcitationPattern(7, (1,)), times)]
+        lambda scales: ([sz_meta(evolve(build_full_ising(trap55.scaled(s),
+                                                         B_FIELD),
+                                        ExcitationPattern(7, (1,)), times))]
                         for s in scales),
-        model, 128,
+        times, model, 128,
     )[0]
     assert noisy.c_cumulative[-1] < -0.15
     assert time.perf_counter() - start < 120.0

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 import scipy.constants
 from scipy.constants import hbar
-from scipy.special import zeta
 
 import ionquench.constants
 
 from conftest import make_trap_config, make_trap_couplings
-from ionquench.coupling import (CouplingMatrix, continuum_dispersion,
-                                effective_potential, eigen_spectrum_lambda,
-                                fit_alpha, ion_couplings, power_law_couplings,
+from ionquench.coupling import (CouplingMatrix, effective_potential,
+                                eigen_spectrum_lambda, fit_alpha,
+                                ion_couplings, power_law_couplings,
                                 scale_rabi_for_jmax, tune_mu_for_alpha,
                                 with_fitted_alpha)
 from ionquench.errors import ResonanceError
@@ -100,7 +99,6 @@ def test_constants_are_the_scipy_values():
     for name in ("hbar", "atomic_mass", "elementary_charge", "epsilon_0"):
         assert (getattr(ionquench.constants, name)
                 == getattr(scipy.constants, name))
-    assert ionquench.constants.ZETA_3 == zeta(3.0)
 
 
 def test_lambdas_share_the_resonance_check_of_the_couplings():
@@ -156,44 +154,6 @@ def test_effective_potential_double_well():
 def test_effective_potential_rejects_flat_diagonal():
     with pytest.raises(ValueError, match="degenerate potential"):
         effective_potential(power_law_couplings(5, 1.0, 0.7))
-
-
-def test_continuum_dispersion_matches_band_curvature():
-    """Far above the band the quadratic coefficient reproduces the
-    discrete coupling dispersion near the zone edge within 15%."""
-    cfg = make_trap_config(40).with_mu(TWO_PI * 7e6)
-    disp = continuum_dispersion(cfg)
-    q = np.linspace(0.0, np.pi, 400)
-    kappa_q = sum((2.0 - 2.0 * np.cos(q * r)) / r**3 for r in range(1, 200))
-    lam_q = hbar * cfg.delta_k**2 * cfg.rabi**2 / (
-        2.0 * cfg.mass * (cfg.mu**2 - cfg.omega_x**2 + cfg.omega_z**2 * kappa_q))
-    # quadratic fit of the true band top near q = pi
-    sel = q > 0.8 * np.pi
-    coef = np.polyfit((np.pi - q[sel]) ** 2, lam_q[sel], 1)[0]
-    assert coef > 0
-    assert disp.quadratic_coeff == pytest.approx(coef, rel=0.15)
-    assert disp.m_eff > 0
-
-
-def test_continuum_dispersion_unit_variants_agree_when_detuned_far():
-    def rel_gap(mu):
-        cfg = make_trap_config(10).with_mu(mu)
-        bare = continuum_dispersion(cfg, scaled_zeta_term=False)
-        scaled = continuum_dispersion(cfg, scaled_zeta_term=True)
-        return abs(bare.quadratic_coeff / scaled.quadratic_coeff - 1.0)
-
-    # the variants differ by (1 + 4 zeta(3) w_z^2 / (mu^2 - w_x^2))^2,
-    # so they converge quadratically fast in the detuning
-    assert rel_gap(TWO_PI * 20e6) < 1e-2
-    assert rel_gap(TWO_PI * 20e6) < 0.25 * rel_gap(TWO_PI * 7e6)
-    cfg = make_trap_config(10).with_mu(TWO_PI * 7e6)
-    assert continuum_dispersion(cfg).scaled_zeta_term is False
-    assert continuum_dispersion(cfg, True).scaled_zeta_term is True
-
-
-def test_zeta_constant_in_dispersion():
-    # the band-edge offset constant used by the closed form
-    assert 4.0 * zeta(3.0) == pytest.approx(4.8082276, rel=1e-6)
 
 
 def test_with_fitted_alpha_attaches_exponent():

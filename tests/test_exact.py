@@ -81,13 +81,14 @@ def test_evolution_matches_dense_oracle(sites):
         assert np.abs(trace.sz - ref).max() < 1e-10
 
 
-def test_krylov_agrees_with_dense():
+def test_krylov_agrees_with_dense(monkeypatch):
     jm = power_law_couplings(10, JMAX, 0.55)
     h = build_full_ising(jm, B_FIELD)
     pattern = ExcitationPattern(10, (4,))
     times = np.linspace(0.0, 10.0 / JMAX, 21)
-    dense = evolve(h, pattern, times, method="dense")
-    kry = evolve(h, pattern, times, method="krylov")
+    dense = evolve(h, pattern, times)
+    monkeypatch.setattr("ionquench.exact.DENSE_CAP", 0)
+    kry = evolve(h, pattern, times)
     assert dense.meta["method"] == "dense"
     assert kry.meta["method"] == "krylov"
     assert np.abs(dense.sz - kry.sz).max() < 1e-8
@@ -97,16 +98,19 @@ def test_krylov_agrees_with_dense():
     (np.array([-3.0, -1.0, 0.0, 0.0, 2.0, 2.0, 7.0]) / JMAX, 2.0),
     (np.linspace(0.0, 25.0 / JMAX, 60), 5.0),
 ], ids=["negative-and-repeated", "long-horizon"])
-def test_krylov_agrees_with_dense_on_any_sorted_grid(times, budget_s):
+def test_krylov_agrees_with_dense_on_any_sorted_grid(monkeypatch, times,
+                                                     budget_s):
     """The Chebyshev order follows max |R t|, so times below zero are
     covered, and a long horizon costs one sparse product per order."""
     jm = power_law_couplings(10, JMAX, 0.55)
     h = build_full_ising(jm, B_FIELD)
     pattern = ExcitationPattern(10, (4,))
-    dense = evolve(h, pattern, times, method="dense")
+    dense = evolve(h, pattern, times)
+    monkeypatch.setattr("ionquench.exact.DENSE_CAP", 0)
     start = time.perf_counter()
-    kry = evolve(h, pattern, times, method="krylov")
+    kry = evolve(h, pattern, times)
     assert time.perf_counter() - start < budget_s
+    assert kry.meta["method"] == "krylov"
     assert np.abs(dense.sz - kry.sz).max() < 1e-8
 
 
@@ -120,12 +124,14 @@ def test_chebyshev_order_matches_the_scipy_bessel_rule():
     assert _chebyshev_order(0.0) == 1
 
 
-def test_krylov_zero_width_block_is_a_pure_phase():
+def test_krylov_zero_width_block_is_a_pure_phase(monkeypatch):
+    monkeypatch.setattr("ionquench.exact.DENSE_CAP", 0)
     zero = np.zeros((5, 5))
     h = build_full_ising(CouplingMatrix(j=zero, j_script=zero.copy(),
                                         j_max=0.0), 0.0)
     pattern = ExcitationPattern(5, (2, 5))
-    trace = evolve(h, pattern, np.linspace(0.0, 3.0, 4), method="krylov")
+    trace = evolve(h, pattern, np.linspace(0.0, 3.0, 4))
+    assert trace.meta["method"] == "krylov"
     assert np.array_equal(trace.sz, np.tile(pattern.sz(), (4, 1)))
 
 
@@ -138,18 +144,15 @@ def test_auto_method_respects_dense_cap(monkeypatch):
     monkeypatch.setattr("ionquench.exact.DENSE_CAP", 64)
     small = evolve(h, pattern, times)
     assert small.meta["method"] == "krylov"
-    with pytest.raises(SizeError):
-        evolve(h, pattern, times, method="dense")
 
 
-def test_krylov_needs_sorted_times():
+def test_krylov_needs_sorted_times(monkeypatch):
+    monkeypatch.setattr("ionquench.exact.DENSE_CAP", 0)
     jm = power_law_couplings(4, JMAX, 1.0)
     h = build_full_ising(jm, B_FIELD)
     times = np.array([0.0, 2.0, 1.0]) / JMAX
     with pytest.raises(ValueError):
-        evolve(h, ExcitationPattern(4, (1,)), times, method="krylov")
-    with pytest.raises(ValueError):
-        evolve(h, ExcitationPattern(4, (1,)), times, method="magic")
+        evolve(h, ExcitationPattern(4, (1,)), times)
 
 
 def test_full_space_cap():

@@ -11,15 +11,17 @@ import numpy as np
 import pytest
 
 import ionquench.cli as cli
-from helpers import JMAX, dense_ising_oracle, dense_sz_dynamics, product_state
+from helpers import (JMAX, dense_ising_oracle, dense_sz_dynamics,
+                     product_state, sz_meta)
 from ionquench.cli import main
 from ionquench.config import load_config
 from ionquench.coupling import CouplingMatrix, power_law_couplings
 from ionquench.errors import SizeError
-from ionquench.exact import (Sector, _IsingBlock, _chebyshev_states,
-                             build_full_ising, build_xy_sector,
-                             default_time_grid, diagonal_ensemble,
-                             energy_expectation, evolve, level_gaps)
+from ionquench.exact import (DENSE_CAP, Sector, _IsingBlock,
+                             _chebyshev_states, build_full_ising,
+                             build_xy_sector, default_time_grid,
+                             diagonal_ensemble, energy_expectation, evolve,
+                             level_gaps)
 from ionquench.observables import ExcitationPattern
 from ionquench.stochastic import noise_average
 
@@ -137,22 +139,25 @@ def test_krylov_builds_no_dense_block(monkeypatch):
         raise AssertionError("dense block built on the Krylov path")
 
     monkeypatch.setattr(_IsingBlock, "toarray", refuse)
+    monkeypatch.setattr("ionquench.exact.DENSE_CAP", 0)
     jm, b_field, pattern = random_case(8)
     times = np.linspace(0.0, 2.0 / JMAX, 4)
-    trace = evolve(build_full_ising(jm, b_field), pattern, times,
-                   method="krylov")
+    trace = evolve(build_full_ising(jm, b_field), pattern, times)
     assert trace.meta["method"] == "krylov"
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_sector_evolution_matches_full_oracle(n):
+def test_sector_evolution_matches_full_oracle(monkeypatch, n):
     jm, b_field, pattern = random_case(n)
     h = build_full_ising(jm, b_field)
     times = np.linspace(0.0, 5.0 / JMAX, 8)
     ref = dense_sz_dynamics(dense_ising_oracle(jm.j_script, b_field),
                             product_state(pattern.flipped, n), times, n)
-    dense = evolve(h, pattern, times, method="dense")
-    krylov = evolve(h, pattern, times, method="krylov")
+    dense = evolve(h, pattern, times)
+    monkeypatch.setattr("ionquench.exact.DENSE_CAP", 0)
+    krylov = evolve(h, pattern, times)
+    assert (dense.meta["method"], krylov.meta["method"]) == ("dense",
+                                                             "krylov")
     assert np.abs(dense.sz - ref).max() < 1e-10
     assert np.abs(krylov.sz - ref).max() < 1e-8
 
@@ -179,16 +184,17 @@ def test_diagonal_ensemble_is_the_long_time_average(n):
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_mirrored_pattern_has_opposite_c(n):
+def test_mirrored_pattern_has_opposite_c(monkeypatch, n):
     """Power-law couplings are inversion symmetric, so the mirrored
     pattern evolves into the mirrored magnetizations and C flips sign."""
     _, b_field, pattern = random_case(n)
     alpha = np.random.default_rng(n).uniform(0.0, 3.0)
     h = build_full_ising(power_law_couplings(n, JMAX, alpha), b_field)
     times = np.linspace(0.0, 5.0 / JMAX, 8)
-    for method in ("dense", "krylov"):
-        c = evolve(h, pattern, times, method=method).c_series
-        mirror = evolve(h, pattern.mirrored(), times, method=method).c_series
+    for cap in (DENSE_CAP, 0):  # dense, then Krylov
+        monkeypatch.setattr("ionquench.exact.DENSE_CAP", cap)
+        c = evolve(h, pattern, times).c_series
+        mirror = evolve(h, pattern.mirrored(), times).c_series
         assert np.abs(c + mirror).max() < 1e-12
 
 
@@ -457,10 +463,11 @@ def test_noise_averaged_traces_match_per_pattern_oracle(tmp_path):
     times = default_time_grid(jm.j_max, r["t_max_over_jmax"], r["n_times"])
     for pattern in cfg.patterns:
         oracle = noise_average(
-            lambda scales: ([evolve(build_full_ising(jm.scaled(s),
-                                                     cfg.b_field),
-                                    pattern, times)] for s in scales),
-            cfg.noise_model(), samples)[0]
+            lambda scales: ([sz_meta(evolve(build_full_ising(jm.scaled(s),
+                                                             cfg.b_field),
+                                            pattern, times))]
+                            for s in scales),
+            times, cfg.noise_model(), samples)[0]
         tag = cli._pattern_tag(pattern)
         trace = out / f"trace_exact_{tag}.csv"
         assert np.array_equal(read_column(trace, "t_seconds"),
@@ -509,10 +516,10 @@ def test_noisy_evolve_equals_mean_of_rebuilt_draws(tmp_path, monkeypatch,
 
 def test_dense_patterns_share_the_model_beside_krylov_ones(tmp_path,
                                                           monkeypatch):
-    """One Krylov-sized xy sector (k = 7 of 15 ions, 6435 states) leaves
-    the dense k = 1 sector on the command's one model: it is built once
-    for all draws, and the CSVs still equal np.mean over per-draw
-    models rebuilt from J -> s J."""
+    """A Krylov-sized xy sector (k = 7 of 15 ions, 6435 states) and the
+    dense k = 1 sector both stay on the command's one model: each is
+    built once for all draws, and the CSVs still equal np.mean over
+    per-draw models rebuilt from J -> s J."""
     built = []
     real = cli.build_xy_sector
     monkeypatch.setattr(cli, "build_xy_sector", lambda jm, b, k: (
@@ -524,6 +531,7 @@ def test_dense_patterns_share_the_model_beside_krylov_ones(tmp_path,
     out = tmp_path / "out"
     assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
     assert built.count(1) == 1
+    assert built.count(7) == 1
     cfg = load_config(path)
     jm, _, _ = cfg.couplings()
     times = default_time_grid(jm.j_max, 1, 5)
@@ -537,6 +545,37 @@ def test_dense_patterns_share_the_model_beside_krylov_ones(tmp_path,
         tag = cli._pattern_tag(pattern)
         assert np.array_equal(
             read_column(out / f"trace_xy_{tag}.csv", "sz"), mean.ravel())
+
+
+def test_noisy_krylov_draws_share_the_full_model(tmp_path, monkeypatch):
+    """Krylov-sized full-model draws evolve on blocks built from s J on
+    the command's one rep: build_full_ising runs once, and the CSVs
+    equal np.mean over per-draw models rebuilt from J -> s J."""
+    monkeypatch.setattr("ionquench.exact.DENSE_CAP", 16)
+    built = []
+    real = cli.build_full_ising
+    monkeypatch.setattr(cli, "build_full_ising", lambda jm, b: (
+        built.append(jm) or real(jm, b)))
+    path = tmp_path / "run.cfg"
+    path.write_text("n_ions = 5\nmodel = exact\npatterns = 1; 2,3; 5\n"
+                    "n_times = 6\nt_max_over_jmax = 2\nnoise_samples = 3\n"
+                    "seed = 31\n")
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+    assert len(built) == 1
+    cfg = load_config(path)
+    jm, _, _ = cfg.couplings()
+    times = default_time_grid(jm.j_max, 2, 6)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["derived"]["method"].values()) == {"krylov"}
+    draws = [[evolve(build_full_ising(jm.scaled(s), cfg.b_field), p, times)
+              for p in cfg.patterns]
+             for s in manifest["diagnostics"]["noise_scales"]]
+    for p, pattern in enumerate(cfg.patterns):
+        mean = np.mean([traces[p].sz for traces in draws], axis=0)
+        tag = cli._pattern_tag(pattern)
+        assert np.array_equal(
+            read_column(out / f"trace_exact_{tag}.csv", "sz"), mean.ravel())
 
 
 def test_one_dense_cap_governs_every_consumer(tmp_path, monkeypatch):

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import B_FIELD, JMAX, conditional_marginals, whole_array_shots
+from helpers import (B_FIELD, JMAX, conditional_marginals, sz_meta,
+                     whole_array_shots)
 from ionquench import stochastic
 from ionquench.coupling import power_law_couplings
 from ionquench.errors import EmptySelectionError
@@ -24,8 +25,8 @@ def run_scaled(scale):
 
 
 def run_draws(scales):
-    """One trace per draw, each rebuilt at its own scale."""
-    return ([run_scaled(s)] for s in scales)
+    """One (sz, meta) per draw, each rebuilt at its own scale."""
+    return ([sz_meta(run_scaled(s))] for s in scales)
 
 
 def test_model_validation():
@@ -51,7 +52,7 @@ def test_rng_streams_are_independent_and_reproducible():
 
 def test_zero_sigma_average_is_the_bare_run():
     model = NoiseModel(j_relative_sigma=0.0, seed=4)
-    avg = noise_average(run_draws, model, n_samples=3)[0]
+    avg = noise_average(run_draws, TIMES, model, n_samples=3)[0]
     base = run_scaled(1.0)
     # every sample reran at scale 1, so only the rounding of the
     # 3-sample mean separates the two
@@ -63,8 +64,8 @@ def test_zero_sigma_average_is_the_bare_run():
 
 def test_average_is_deterministic():
     model = NoiseModel(seed=7)
-    one = noise_average(run_draws, model, n_samples=8)[0]
-    again = noise_average(run_draws, model, n_samples=8)[0]
+    one = noise_average(run_draws, TIMES, model, n_samples=8)[0]
+    again = noise_average(run_draws, TIMES, model, n_samples=8)[0]
     assert np.array_equal(one.sz, again.sz)
     assert one.meta["noise_scales"] == again.meta["noise_scales"]
     assert len(one.meta["noise_scales"]) == 8
@@ -75,9 +76,9 @@ def test_scale_draws_are_positive_even_at_huge_sigma():
 
     def record(scales):
         seen.extend(scales)
-        return ([run_scaled(1.0)] for _ in scales)
+        return ([sz_meta(run_scaled(1.0))] for _ in scales)
 
-    noise_average(record, NoiseModel(j_relative_sigma=5.0, seed=2),
+    noise_average(record, TIMES, NoiseModel(j_relative_sigma=5.0, seed=2),
                   n_samples=64)
     assert len(seen) == 64
     assert min(seen) > 0.0
@@ -87,29 +88,29 @@ def test_scale_draws_are_positive_even_at_huge_sigma():
 def test_average_input_validation():
     model = NoiseModel(seed=0)
     with pytest.raises(ValueError):
-        noise_average(run_draws, model, n_samples=0)
+        noise_average(run_draws, TIMES, model, n_samples=0)
 
     def shapeshifter(scales):
         for i, s in enumerate(scales):
             times = TIMES if i == 0 else TIMES[:-1]
             sys = build_spinwave(BASE_JM.scaled(s), B_FIELD)
-            yield [evolve_spinwave(sys, PATTERN, times)]
+            yield [sz_meta(evolve_spinwave(sys, PATTERN, times))]
 
     with pytest.raises(ValueError):
-        noise_average(shapeshifter, model, n_samples=2)
+        noise_average(shapeshifter, TIMES, model, n_samples=2)
 
     # a later draw returns more or fewer traces than the first one
     for counts in ([1, 2], [2, 1]):
         with pytest.raises(ValueError):
-            noise_average(lambda scales: ([run_scaled(s)] * n for s, n
-                                          in zip(scales, counts)),
-                          model, n_samples=2)
+            noise_average(lambda scales: ([sz_meta(run_scaled(s))] * n
+                                          for s, n in zip(scales, counts)),
+                          TIMES, model, n_samples=2)
 
     # the run returns fewer or more draws than it was given scales
     for wrong in (lambda scales: run_draws(scales[1:]),
                   lambda scales: run_draws(scales + [1.0])):
         with pytest.raises(ValueError, match="draws for 3 scales"):
-            noise_average(wrong, model, n_samples=3)
+            noise_average(wrong, TIMES, model, n_samples=3)
 
 
 def shots_of(sz, n_shots, **noise):
@@ -295,6 +296,25 @@ def test_postselect_leaves_shots_unchanged():
     assert 0 < res.n_accepted < 500
     assert shots.dtype == np.uint8
     assert np.array_equal(shots, before)
+
+
+def test_postselect_counts_without_a_float_copy():
+    """With every shot accepted, the estimates are integer column counts
+    over the accepted count: the floats of a float64 mean, at a peak
+    below twice the bits (a float64 copy peaked at nine times)."""
+    rng = np.random.default_rng(5)
+    shots = np.zeros((50000, 100), dtype=np.uint8)
+    up = np.argpartition(rng.random(shots.shape), 3, axis=1)[:, :3]
+    np.put_along_axis(shots, up, 1, axis=1)
+    tracemalloc.start()
+    try:
+        res = postselect(shots, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.n_accepted == 50000
+    assert np.array_equal(res.p_up, shots.astype(float).mean(axis=0))
+    assert peak < 2 * shots.nbytes
 
 
 def test_postselection_matches_conditional_law():
