@@ -23,21 +23,26 @@ block thus holds its coupling part X apart from its field diagonal D,
 and a global coupling scale s (J -> s J, one noise draw) gives the block
 s X + D with the same floats s J_ij that a model rebuilt from the scaled
 couplings holds.  ``evolve_draws`` is the one path for noise draws.  On
-a dense rep, ``Sector.spectra`` diagonalises a stack of such blocks, one
-per scale, and every pattern of a block evolves under a chunk of draws
-in one stacked product; on a larger rep, each draw builds its blocks
-from s J on the rep's basis.  Neither rebuilds a basis.  The block's own
-eigendecomposition is the stack of the single scale 1.0 (1.0 J == J):
-it is computed once and shared by dense evolution, the diagonal ensemble
-and ``level_gaps`` (the exact counterpart of
-``spinwave.pair_gap_spectrum``).  When J is inversion symmetric
+a dense rep, ``Sector.half_spectra`` diagonalises a stack of such
+blocks, one per scale, and every pattern of a block evolves under a
+chunk of draws in one stacked product; on a larger rep, each draw
+builds its blocks from s J on the rep's basis.  Neither rebuilds a
+basis.  The block's own eigendecomposition is the stack of the single
+scale 1.0 (1.0 J == J): it is computed once and shared by dense
+evolution, the diagonal ensemble and ``level_gaps`` (the exact
+counterpart of ``spinwave.pair_gap_spectrum``).  That decomposition is
+kept in two mirror halves.  When J is inversion symmetric
 (|J - J[::-1, ::-1]| max at most _MIRROR_RTOL times |J| max, checked
 once per build; B is uniform, so H then commutes with the chain
-inversion R: i -> N + 1 - i), that decomposition splits each block into
-its mirror-even and mirror-odd halves in the basis (|s> +- |Rs>)/sqrt(2),
-diagonalises each with its own eigh and merges the two spectra in
-ascending order, so levels are grouped across both halves.  Otherwise the
-block gets one eigh; J is never symmetrised.  One predicate,
+inversion R: i -> N + 1 - i), the even half holds the self-mirror
+states and (|s> + |Rs>)/sqrt(2), the odd half (|s> - |Rs>)/sqrt(2), and
+each half gets its own eigh.  A block without that symmetry is its own
+even half with an empty odd one, so it gets one eigh; J is never
+symmetrised.  The halves are never merged into one eigenvector matrix:
+a start state maps to at most one amplitude per half, each half
+propagates in real arithmetic, sz is read from the half amplitudes in
+closed form, and only the levels (which may straddle both halves) sort
+the two spectra together.  One predicate,
 ``HamiltonianRep.dense``, allows that spectrum: the full dimension of the
 rep, not the sector's, is at most DENSE_CAP, and it alone picks the
 propagator.  Above the cap the diagonal ensemble and the level gaps
@@ -216,37 +221,75 @@ class Sector:
         return self.indices.size
 
     @cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) and eigenvectors of the block: the
-        spectra of scale 1, since 1.0 J == J."""
-        evals, evecs = self.spectra(np.ones(1))
-        evals, evecs = evals[0], evecs[0]
-        evals.setflags(write=False)
-        evecs.setflags(write=False)
-        return evals, evecs
-
-    def spectra(self, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (S, dim), ascending, and eigenvectors (S, dim, dim)
-        of the block with J -> s J for each s in scales, from one stacked
-        eigh (one per mirror half when the block has a mirror).  Each
-        slice equals the spectrum of the block rebuilt from the scaled
-        couplings, bit for bit: the entries s J_ij are the same floats."""
-        if self.mirror is None:
-            return np.linalg.eigh(self.op.stack(scales))
-        return _mirror_eigh(self.op, scales, *self._mirror_halves)
+    def halves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The self-mirror states f and the mirror pairs (lo, hi = R lo).
+        Without a mirror every state is in f and there are no pairs."""
+        own = np.arange(self.dimension)
+        mirror = own if self.mirror is None else self.mirror
+        lo = np.flatnonzero(mirror > own)
+        return np.flatnonzero(mirror == own), lo, mirror[lo]
 
     @cached_property
-    def _mirror_halves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The self-mirror states f and the mirror pairs (lo, hi = R lo)."""
-        own = np.arange(self.dimension)
-        lo = np.flatnonzero(self.mirror > own)
-        return np.flatnonzero(self.mirror == own), lo, self.mirror[lo]
+    def half_spectrum(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The even and odd (eigenvalues, eigenvectors) of the block: the
+        half spectra of scale 1, since 1.0 J == J."""
+        halves = tuple((evals[0], evecs[0])
+                       for evals, evecs in self.half_spectra(np.ones(1)))
+        for evals, evecs in halves:
+            evals.setflags(write=False)
+            evecs.setflags(write=False)
+        return halves
+
+    def half_spectra(self, scales: np.ndarray
+                     ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The even and odd halves' eigenvalues (S, n), ascending, and
+        eigenvectors (S, n, n) of the block with J -> s J for each s in
+        scales, from one stacked eigh per half (see _half_eigh).  Each
+        slice equals the half spectra of the block rebuilt from the
+        scaled couplings, bit for bit: the entries s J_ij are the same
+        floats."""
+        return _half_eigh(self.op, scales, *self.halves)
+
+    def half_coords(self, idx0s) -> tuple[np.ndarray, np.ndarray]:
+        """The block's basis states idx0s in the half bases, as rows
+        (P, n_even) and (P, n_odd).  A self-mirror state is one even
+        entry; the pair states lo and hi are (|+> +- |->)/sqrt2 over the
+        pair's even and odd basis vectors."""
+        f, lo, _ = self.halves
+        even = np.zeros((len(idx0s), f.size + lo.size))
+        odd = np.zeros((len(idx0s), lo.size))
+        for k, s in enumerate(idx0s):
+            partner = s if self.mirror is None else self.mirror[s]
+            if partner == s:
+                even[k, np.searchsorted(f, s)] = 1.0
+            else:
+                p = np.searchsorted(lo, min(s, partner))
+                even[k, f.size + p] = np.sqrt(0.5)
+                odd[k, p] = np.sqrt(0.5) if s < partner else -np.sqrt(0.5)
+        return even, odd
+
+    @cached_property
+    def half_z(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sigma^z tables that _half_sz weighs: z_f then (z_lo +
+        z_hi)/2 for the even half, (z_lo + z_hi)/2 for the odd half and
+        z_lo - z_hi for the pair coherences."""
+        f, lo, hi = self.halves
+        pair = (self.zmat[lo] + self.zmat[hi]) / 2.0
+        return (np.concatenate((self.zmat[f], pair)), pair,
+                self.zmat[lo] - self.zmat[hi])
 
 
-def _mirror_eigh(op: _IsingBlock | _TripletBlock, scales: np.ndarray,
-                 f: np.ndarray, lo: np.ndarray, hi: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked eigh of mirror-symmetric blocks through their two halves.
+def _eigh(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of a stack; a stack of empty halves takes none."""
+    if stack.shape[-1] == 0:
+        return np.zeros(stack.shape[:-1]), stack
+    return np.linalg.eigh(stack)
+
+
+def _half_eigh(op: _IsingBlock | _TripletBlock, scales: np.ndarray,
+               f: np.ndarray, lo: np.ndarray, hi: np.ndarray
+               ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Stacked eigh of blocks through their two mirror halves.
 
     With f the states that are their own mirror and (lo, hi = R lo) the
     mirror pairs, the even half in the basis (|f>, (|l> + |h>)/sqrt(2))
@@ -256,42 +299,23 @@ def _mirror_eigh(op: _IsingBlock | _TripletBlock, scales: np.ndarray,
         H- = H_ll - H_lh,
 
     formed from the scaled blocks op.stack(scales), so the sqrt2 entries
-    round as in a rebuilt block.  Their eigenvectors map back to the
-    block basis by index arithmetic, and a stable sort merges the two
-    spectra of each scale.  Each dense stack is freed once used, so the
-    peak stays near that of one unsplit eigh.
+    round as in a rebuilt block.  A block without a mirror is its own
+    even half, uncopied, and its empty odd half takes no eigh.  The
+    dense stack is freed once the halves are formed, so the peak stays
+    near that of one unsplit eigh.
     """
-    nf, n_even, dim = f.size, f.size + lo.size, op.dim
+    nf, even_states = f.size, np.concatenate((f, lo))
     hmat = op.stack(scales)
-    h_ll = hmat[:, lo[:, None], lo]
     h_lh = hmat[:, lo[:, None], hi]
-    even = np.empty((len(scales), n_even, n_even))
-    even[:, :nf, :nf] = hmat[:, f[:, None], f]
-    even[:, :nf, nf:] = np.sqrt(2.0) * hmat[:, f[:, None], lo]
-    even[:, nf:, :nf] = even[:, :nf, nf:].transpose(0, 2, 1)
-    even[:, nf:, nf:] = h_ll + h_lh
+    odd = hmat[:, lo[:, None], lo] - h_lh
+    even = (hmat if nf == op.dim
+            else hmat[:, even_states[:, None], even_states])
     del hmat
-    h_ll -= h_lh  # the odd half
+    even[:, :nf, nf:] *= np.sqrt(2.0)
+    even[:, nf:, :nf] = even[:, :nf, nf:].transpose(0, 2, 1)
+    even[:, nf:, nf:] += h_lh
     del h_lh
-    e_even, v_even = np.linalg.eigh(even)
-    e_odd, v_odd = np.linalg.eigh(h_ll)
-    del even, h_ll
-    v_even[:, nf:] /= np.sqrt(2.0)
-    v_odd /= np.sqrt(2.0)
-    # eigenvectors as rows, so that the merge moves contiguous rows and
-    # each returned matrix is column-major
-    rows = np.zeros((len(scales), dim, dim))
-    rows[:, :n_even, f] = v_even[:, :nf].transpose(0, 2, 1)
-    rows[:, :n_even, lo] = v_even[:, nf:].transpose(0, 2, 1)
-    rows[:, :n_even, hi] = v_even[:, nf:].transpose(0, 2, 1)
-    rows[:, n_even:, lo] = v_odd.transpose(0, 2, 1)
-    rows[:, n_even:, hi] = -v_odd.transpose(0, 2, 1)
-    del v_even, v_odd
-    evals = np.concatenate((e_even, e_odd), axis=1)
-    order = np.argsort(evals, axis=1, kind="stable")
-    return (np.take_along_axis(evals, order, axis=1),
-            np.take_along_axis(rows, order[:, :, None], axis=1)
-            .transpose(0, 2, 1))
+    return _eigh(even), _eigh(odd)
 
 
 @dataclass(frozen=True)
@@ -447,51 +471,89 @@ def _xy_block(j_script: np.ndarray, b_field: float, masks: np.ndarray,
                          np.concatenate(values))
 
 
-def _sz_series(block: Sector, times: np.ndarray, states, n_states: int = 1
+def _sz_series(times: np.ndarray, readout, n_amps: int
                ) -> tuple[np.ndarray, np.ndarray]:
     """<sigma^z_i> on the grid and each state's largest |norm - 1|.
 
-    states(tt) returns the block amplitudes of n_states states, stacked
-    on leading axes, with one row per time of the chunk tt: shape
-    (..., tt.size, dim).  A chunk holds at most _TIME_CHUNK amplitudes.
-    Returns sz (..., T, N) and the norm errors (...); an error above
-    1e-8 raises SimulationError.
+    readout(tt) returns the squared norms (..., tt.size) and the sz
+    (..., tt.size, N) of states stacked on the leading axes, one row per
+    time of the chunk tt.  A chunk holds at most _TIME_CHUNK amplitudes,
+    n_amps per time.  Returns sz (..., T, N) and the norm errors (...);
+    an error above 1e-8 raises SimulationError.
     """
-    chunk = max(1, _TIME_CHUNK // max(block.dimension * n_states, 1))
+    chunk = max(1, _TIME_CHUNK // max(n_amps, 1))
     sz, err = [], 0.0
     for start in range(0, times.size, chunk):
-        prob = np.abs(states(times[start:start + chunk])) ** 2
-        norms = np.sqrt(prob.sum(axis=-1))
-        err = np.maximum(err, np.abs(norms - 1.0).max(axis=-1))
+        norm2, part = readout(times[start:start + chunk])
+        err = np.maximum(err, np.abs(np.sqrt(norm2) - 1.0).max(axis=-1))
         if not np.all(err <= 1e-8):
             raise SimulationError("propagation lost unitarity")
-        sz.append(prob @ block.zmat)
+        sz.append(part)
     return np.concatenate(sz, axis=-2), err
 
 
+def _half_sz(block: Sector, p_even: np.ndarray, p_odd: np.ndarray,
+             coherence: np.ndarray) -> np.ndarray:
+    """sz of states given in the half bases, in closed form.
+
+    With e and o a state's even and odd amplitudes, e_f and e_p the even
+    ones on the self-mirror states and on the pairs, p_even = |e|^2,
+    p_odd = |o|^2 and coherence = Re(e_p conj(o)):
+
+        sz = |e_f|^2 z_f + (|e_p|^2 + |o|^2) (z_lo + z_hi) / 2
+             + Re(e_p conj(o)) (z_lo - z_hi),
+
+    since the pair states carry (e_p +- o) / sqrt2.
+    """
+    z_even, z_pair, z_diff = block.half_z
+    return p_even @ z_even + p_odd @ z_pair + coherence @ z_diff
+
+
 def _dense_spectrum(h: HamiltonianRep, pattern: ExcitationPattern
-                    ) -> tuple[Sector, int, np.ndarray, np.ndarray]:
-    """The pattern's block, its index there and the block's spectrum;
-    SizeError unless h.dense."""
+                    ) -> tuple[Sector, tuple, list[np.ndarray]]:
+    """The pattern's block, the block's half spectra and the pattern's
+    overlaps with each half's eigenvectors; SizeError unless h.dense."""
     if not h.dense:
         raise SizeError(f"dimension {h.dimension} is above DENSE_CAP, "
                         "too large for a dense spectrum")
     block, idx0 = h.sector(pattern)
-    return (block, idx0) + block.spectrum
+    spectrum = block.half_spectrum
+    return block, spectrum, [coords[0] @ evecs for coords, (_, evecs)
+                             in zip(block.half_coords([idx0]), spectrum)]
 
 
 def _dense_sz(block: Sector, idx0s: list[int], times: np.ndarray,
-              evals: np.ndarray, evecs: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
+              spectra) -> tuple[np.ndarray, np.ndarray]:
     """sz (S, P, T, N) and norm errors (S, P) of the block's basis states
-    idx0s, each quenched under every spectrum of a stack: evals (S, dim)
-    and evecs (S, dim, dim).  One product propagates the whole stack,
-    one (T, dim) by (dim, dim) matrix product per state and spectrum."""
-    amps = evecs[:, idx0s, None, :]  # overlaps of the one-hot states
-    back = evecs[:, None].transpose(0, 1, 3, 2)
-    return _sz_series(block, times, lambda tt: (
-        np.exp(-1j * (tt[:, None] * evals[:, None, None, :])) * amps) @ back,
-        n_states=amps.shape[0] * amps.shape[1])
+    idx0s, each quenched under every spectrum of a stack (half_spectra).
+
+    A half with eigenvalues E and eigenvectors V carries the state
+    V e^{-iEt} c, c the overlaps of the state's half coordinates with V.
+    Its conjugate, which the readout cannot tell apart, is V (cos(Et) c)
+    + i V (sin(Et) c): two real (T, n) by (n, n) products per half,
+    state and spectrum.  sz follows from the half amplitudes (_half_sz),
+    so no block-basis amplitude is formed.
+    """
+    nf = block.halves[0].size
+    starts = [(evals[:, None, None, :], (coords @ evecs)[:, :, None, :],
+               evecs[:, None].transpose(0, 1, 3, 2))
+              for coords, (evals, evecs)
+              in zip(block.half_coords(idx0s), spectra)]
+
+    def readout(tt):
+        parts = []
+        for evals, c, back in starts:
+            phase = tt[:, None] * evals
+            parts.append(((np.cos(phase) * c) @ back,
+                          (np.sin(phase) * c) @ back))
+        (e_re, e_im), (o_re, o_im) = parts
+        p_even, p_odd = e_re**2 + e_im**2, o_re**2 + o_im**2
+        coherence = e_re[..., nf:] * o_re + e_im[..., nf:] * o_im
+        return (p_even.sum(axis=-1) + p_odd.sum(axis=-1),
+                _half_sz(block, p_even, p_odd, coherence))
+
+    return _sz_series(times, readout,
+                      block.dimension * len(idx0s) * len(spectra[0][0]))
 
 
 def _meta(h: HamiltonianRep, pattern: ExcitationPattern, method: str,
@@ -510,8 +572,9 @@ def evolve_draws(quenches, times: np.ndarray, scales
     per quench, in quench order: the sz and meta that evolve gives on
     the reps rebuilt from the couplings scaled by scales[d], bit for bit.
     The blocks of a dense rep serve every draw: for a chunk of draws
-    each block takes one stacked Sector.spectra and propagates all of
-    its patterns in one product; a chunk holds about _DRAW_CHUNK
+    each block takes one stacked Sector.half_spectra and propagates all
+    of its patterns in one stacked product per half and real part, one
+    product per draw and pattern; a chunk holds about _DRAW_CHUNK
     amplitudes of the widest block.  A Krylov-sized rep evolves each
     draw on blocks built from the couplings s J_ij, the floats a rebuilt
     model holds, so no basis or occupation table is rebuilt.
@@ -535,7 +598,8 @@ def evolve_draws(quenches, times: np.ndarray, scales
     for start in range(0, scales.size, step):
         chunk = scales[start:start + step]
         for block, where, idx0s in dense.values():
-            sz, err = _dense_sz(block, idx0s, times, *block.spectra(chunk))
+            sz, err = _dense_sz(block, idx0s, times,
+                                block.half_spectra(chunk))
             for k, pos in enumerate(where):
                 for d in range(chunk.size):
                     draws[start + d][pos] = (
@@ -632,23 +696,28 @@ def _krylov_sz_series(block: Sector, idx0: int, times: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be sorted ascending")
-    return _sz_series(block, times,
-                      lambda tt: _chebyshev_states(block.op, idx0, tt))
+
+    def readout(tt):
+        prob = np.abs(_chebyshev_states(block.op, idx0, tt)) ** 2
+        return prob.sum(axis=-1), prob @ block.zmat
+
+    return _sz_series(times, readout, block.dimension)
 
 
 def evolve(h: HamiltonianRep, pattern: ExcitationPattern, times: np.ndarray
            ) -> QuenchTrace:
     """Quench from a product state, sampling <sigma^z_i> on a time grid.
 
-    The state is propagated inside its sector: by the block's spectrum
-    when h.dense holds ("dense"), by a Chebyshev expansion otherwise
-    ("krylov").
+    The state is propagated inside its sector: by the block's half
+    spectra when h.dense holds ("dense"), by a Chebyshev expansion
+    otherwise ("krylov").
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     block, idx0 = h.sector(pattern)
     if h.dense:
-        evals, evecs = block.spectrum
-        sz, err = _dense_sz(block, [idx0], times, evals[None], evecs[None])
+        one = [(evals[None], evecs[None])
+               for evals, evecs in block.half_spectrum]
+        sz, err = _dense_sz(block, [idx0], times, one)
         sz, err, method = sz[0, 0], err[0, 0], "dense"
     else:
         sz, err = _krylov_sz_series(block, idx0, times)
@@ -668,23 +737,49 @@ def _levels(evals: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], cuts, [evals.size]))
 
 
+def _merged_levels(spectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The eigenvalues of a block's two halves in ascending order, the
+    stable order that sorts the even then odd eigenvalues into them, and
+    the level bounds (see _levels), so a level may straddle both halves."""
+    evals = np.concatenate([e for e, _ in spectrum])
+    order = np.argsort(evals, kind="stable")
+    evals = evals[order]
+    return evals, order, _levels(evals)
+
+
 def diagonal_ensemble(h: HamiltonianRep, pattern: ExcitationPattern
                       ) -> np.ndarray:
     """Infinite-time average of <sigma^z_i>.
 
-    Each energy level (see _levels) is one block and the initial state
-    is projected into it whole, so exactly degenerate pairs keep their
-    coherences.  Only the sector of the initial state enters; raises
-    SizeError unless h.dense.
+    Each energy level (see _merged_levels) is one block and the initial
+    state is projected into it whole, so exactly degenerate pairs keep
+    their coherences.  A level of one eigenvector v with overlap c adds
+    c^2 v^2 to its half's weights, so all of them together cost one
+    product per half; only the levels of several eigenvectors, which
+    may straddle both halves, are projected one by one.  Only the
+    sector of the initial state enters; raises SizeError unless h.dense.
     """
-    block, idx0, evals, evecs = _dense_spectrum(h, pattern)
-    amps = evecs[idx0, :]
-    bounds = _levels(evals)
-    prob = np.zeros(block.dimension)
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        proj = evecs[:, start:stop] @ amps[start:stop]
-        prob += np.abs(proj) ** 2
-    return prob @ block.zmat
+    block, spectrum, overlaps = _dense_spectrum(h, pattern)
+    (_, v_even), (_, v_odd) = spectrum
+    c_even, c_odd = overlaps
+    _, order, bounds = _merged_levels(spectrum)
+    sizes = np.diff(bounds)
+    single = np.zeros(order.size, dtype=bool)
+    single[order[bounds[:-1][sizes == 1]]] = True
+    n_even, nf = c_even.size, block.halves[0].size
+    p_even = v_even**2 @ np.where(single[:n_even], c_even**2, 0.0)
+    p_odd = v_odd**2 @ np.where(single[n_even:], c_odd**2, 0.0)
+    coherence = np.zeros(c_odd.size)
+    for j in np.flatnonzero(sizes > 1):
+        members = order[bounds[j]:bounds[j + 1]]
+        even = members[members < n_even]
+        odd = members[members >= n_even] - n_even
+        e = v_even[:, even] @ c_even[even]
+        o = v_odd[:, odd] @ c_odd[odd]
+        p_even += e**2
+        p_odd += o**2
+        coherence += e[nf:] * o
+    return _half_sz(block, p_even, p_odd, coherence)
 
 
 def level_gaps(h: HamiltonianRep, pattern: ExcitationPattern
@@ -693,14 +788,15 @@ def level_gaps(h: HamiltonianRep, pattern: ExcitationPattern
 
     The exact counterpart of spinwave.pair_gap_spectrum.  Only the
     sector of the pattern carries weight, so only its levels pair up.
-    A level weighs |P_E psi|^2, which does not depend on the basis eigh
-    picks inside a degenerate level, and a pair weighs the product of
-    its two levels; pairs at or below _GAP_WEIGHT_FLOOR are dropped.
-    Raises SizeError unless h.dense.
+    A level weighs |P_E psi|^2, the sum of its eigenvectors' squared
+    overlaps, which does not depend on the basis eigh picks inside a
+    degenerate level, and a pair weighs the product of its two levels;
+    pairs at or below _GAP_WEIGHT_FLOOR are dropped.  Raises SizeError
+    unless h.dense.
     """
-    _, idx0, evals, evecs = _dense_spectrum(h, pattern)
-    bounds = _levels(evals)
-    p = np.add.reduceat(evecs[idx0, :] ** 2, bounds[:-1])
+    _, spectrum, overlaps = _dense_spectrum(h, pattern)
+    evals, order, bounds = _merged_levels(spectrum)
+    p = np.add.reduceat(np.concatenate(overlaps)[order] ** 2, bounds[:-1])
     energies = np.add.reduceat(evals, bounds[:-1]) / np.diff(bounds)
     m, n = np.triu_indices(len(p), k=1)
     w = p[m] * p[n]

@@ -6,13 +6,14 @@ the block where the spectrum is split into its two mirror halves.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ionquench.cli as cli
 from helpers import (JMAX, dense_ising_oracle, dense_sz_dynamics,
-                     product_state, sz_meta)
+                     dense_xy_oracle, product_state, sz_meta)
 from ionquench.cli import main
 from ionquench.config import load_config
 from ionquench.coupling import CouplingMatrix, power_law_couplings
@@ -63,6 +64,17 @@ def eigh_sizes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     return sizes
+
+
+def merged_spectrum(block):
+    """The block's half spectra as one ascending spectrum in the block
+    basis: eigenvalues (dim,) and eigenvectors (dim, dim)."""
+    (e_even, v_even), (e_odd, v_odd) = block.half_spectrum
+    c_even, c_odd = block.half_coords(range(block.dimension))
+    evals = np.concatenate((e_even, e_odd))
+    evecs = np.concatenate((c_even @ v_even, c_odd @ v_odd), axis=1)
+    order = np.argsort(evals, kind="stable")
+    return evals[order], evecs[:, order]
 
 
 def assert_block_matches_oracle(block, ref):
@@ -162,7 +174,7 @@ def test_sector_evolution_matches_full_oracle(monkeypatch, n):
     assert np.abs(krylov.sz - ref).max() < 1e-8
 
     block, local = h.sector(pattern)
-    evals, evecs = block.spectrum
+    evals, evecs = merged_spectrum(block)
     psi = evecs @ (np.exp(-1j * evals * times[-1]) * evecs[local])
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
     psi = _chebyshev_states(block.op, local, times[-1:])[0]
@@ -248,7 +260,7 @@ def test_quench_conserves_energy(model, n):
     jm, b_field, pattern = random_case(n)
     h = build(model, jm, b_field, pattern)
     block, local = h.sector(pattern)
-    evals, evecs = block.spectrum
+    evals, evecs = merged_spectrum(block)
     times = np.linspace(0.0, 20.0 / JMAX, 9)
     psi = np.zeros((2, times.size, h.dimension), dtype=complex)
     psi[0][:, block.indices] = (np.exp(-1j * np.outer(times, evals))
@@ -289,7 +301,7 @@ def assert_matches_unsplit(h, pattern):
     block, local = h.sector(pattern)
     evals, levels, energy, weight, ensemble = unsplit_reference(block, local)
     spread = max(evals[-1] - evals[0], abs(evals[-1]))
-    assert np.abs(block.spectrum[0] - evals).max() <= 1e-10 * spread
+    assert np.abs(merged_spectrum(block)[0] - evals).max() <= 1e-10 * spread
     assert np.abs(diagonal_ensemble(h, pattern) - ensemble).max() < 1e-8
     m, k = np.triu_indices(len(levels), k=1)
     w = weight[m] * weight[k]
@@ -316,6 +328,68 @@ def test_mirror_split_matches_unsplit_eigh(model, n):
 
 
 @pytest.mark.parametrize("model", ["full", "xy"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_half_propagation_matches_the_oracle(model, n):
+    """Inversion-symmetric J, both parities of the full model and every
+    XY sector: dense evolution through the mirror halves matches the 2^N
+    Kronecker oracle from a start state of each kind the block holds, a
+    self-mirror state (no odd amplitude) and both states of a pair."""
+    jm, b_field, _ = mirror_case(n)
+    if model == "full":
+        oracle = dense_ising_oracle(jm.j_script, b_field)
+        reps = [build_full_ising(jm, b_field)]
+    else:
+        oracle = dense_xy_oracle(jm.j_script, b_field)
+        assert not oracle.imag.any()  # flip-flops are real: a real eigh
+        oracle = oracle.real
+        reps = [build_xy_sector(jm, b_field, k) for k in range(n + 1)]
+    times = np.linspace(0.0, 5.0 / JMAX, 8)
+    kinds = set()
+    for h in reps:
+        for key in h.block_keys:
+            block = h.block(key)
+            assert block.mirror is not None
+            for kind, states in zip(("self", "lo", "hi"), block.halves):
+                if not states.size:
+                    continue
+                mask = int(h.basis_states[block.indices[states[-1]]])
+                pattern = ExcitationPattern(n, tuple(
+                    i + 1 for i in range(n) if mask >> i & 1))
+                ref = dense_sz_dynamics(
+                    oracle, product_state(pattern.flipped, n), times, n)
+                trace = evolve(h, pattern, times)
+                assert trace.meta["method"] == "dense"
+                assert np.abs(trace.sz - ref).max() < 1e-10
+                kinds.add(kind)
+    assert kinds == {"self", "lo", "hi"}
+
+
+def test_dense_memory_stays_within_the_halves():
+    """N = 11 at alpha = 0.55 (blocks of 1024): the first dense evolve,
+    which diagonalises the block, peaks under 20 MB of traced memory,
+    and a cached evolve plus the diagonal ensemble stay under one dense
+    (dim, dim) float block; no merged eigenvector matrix is formed."""
+    n = 11
+    h = build_full_ising(power_law_couplings(n, JMAX, 0.55), 10.0 * JMAX)
+    pattern = ExcitationPattern(n, (2,))
+    times = default_time_grid(JMAX)
+    tracemalloc.start()
+    try:
+        evolve(h, pattern, times)
+        _, first = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        evolve(h, pattern, times)
+        diagonal_ensemble(h, pattern)
+        _, cached = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dim = h.sector(pattern)[0].dimension
+    assert dim == 1024
+    assert first < 20e6
+    assert cached < 8 * dim**2
+
+
+@pytest.mark.parametrize("model", ["full", "xy"])
 @pytest.mark.parametrize("n", [5, 6])
 def test_degenerate_levels_straddle_the_mirror_halves(model, n):
     """With uniform couplings some exactly degenerate levels hold states of
@@ -325,7 +399,7 @@ def test_degenerate_levels_straddle_the_mirror_halves(model, n):
     h = build(model, jm, b_field, pattern)
     block, _ = h.sector(pattern)
     levels = assert_matches_unsplit(h, pattern)
-    evecs = block.spectrum[1]
+    evecs = merged_spectrum(block)[1]
     mirror_parity = np.rint((evecs[block.mirror] * evecs).sum(axis=0))
     assert np.array_equal(np.abs(mirror_parity), np.ones(block.dimension))
     assert any(np.unique(mirror_parity[lev]).size == 2 for lev in levels)
@@ -343,7 +417,7 @@ def test_asymmetric_couplings_fall_back_to_one_eigh(model, n, eigh_sizes):
     h = build(model, CouplingMatrix.from_full(j), b_field, pattern)
     block, _ = h.sector(pattern)
     assert block.mirror is None
-    spectrum = block.spectrum
+    spectrum = merged_spectrum(block)
     assert eigh_sizes == [block.dimension]
     evals, evecs = np.linalg.eigh(block.op.toarray())
     assert np.array_equal(spectrum[0], evals)
@@ -369,11 +443,12 @@ def test_stacked_spectra_equal_rebuilt_models(n, symmetric):
             block = h.block(key)
             # two sites are inversion symmetric whatever J is
             assert (block.mirror is not None) == (symmetric or n == 2)
-            evals, evecs = block.spectra(scales)
-            for s, e, v in zip(scales, evals, evecs):
-                ref_e, ref_v = rebuilt(s, k).block(key).spectrum
-                assert np.array_equal(e, ref_e)
-                assert np.array_equal(v, ref_v)
+            halves = block.half_spectra(scales)
+            for d, s in enumerate(scales):
+                ref = rebuilt(s, k).block(key).half_spectrum
+                for (evals, evecs), (ref_e, ref_v) in zip(halves, ref):
+                    assert np.array_equal(evals[d], ref_e)
+                    assert np.array_equal(evecs[d], ref_v)
 
 
 # At N = 6 no odd-parity state is its own mirror, so the odd block of 32
@@ -488,8 +563,8 @@ def test_noisy_evolve_equals_mean_of_rebuilt_draws(tmp_path, monkeypatch,
     """Draw chunks that do not divide the draw count change no bit: the
     CSVs equal np.mean over per-draw models rebuilt from J -> s J."""
     chunks = []
-    real = Sector.spectra
-    monkeypatch.setattr(Sector, "spectra", lambda self, scales: (
+    real = Sector.half_spectra
+    monkeypatch.setattr(Sector, "half_spectra", lambda self, scales: (
         chunks.append(len(scales)) or real(self, scales)))
     samples = 5 if model == "exact" else 9
     path = tmp_path / "run.cfg"
