@@ -17,8 +17,7 @@ from .errors import (ConfigError, ConvergenceError, EmptySelectionError,
                      ResonanceError, SectorError, SimulationError, SizeError,
                      StabilityError)
 from .exact import (HamiltonianRep, build_full_ising, build_xy_sector,
-                    default_time_grid, diagonal_ensemble, evolve,
-                    excitation_drift, level_gaps)
+                    default_time_grid, diagonal_ensemble, evolve, level_gaps)
 from .lattice import (Geometry, PhononModes, TrapConfig, equilibrium_positions,
                       exact_modes, k_matrix, perturbative_modes)
 from .observables import ExcitationPattern, QuenchTrace, assemble_trace, observable_c

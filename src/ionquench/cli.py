@@ -3,7 +3,11 @@
 Subcommands map onto the library layers: couplings, evolve, gge, gaps,
 shots and sweep-alpha.  Every run reads one flat key-value config file,
 writes CSV/JSON artifacts into the output directory and is bytewise
-reproducible for a fixed config and seed.
+reproducible for a fixed config and seed.  A ``cmd_*`` handler writes
+its files through ``out / name`` and returns its manifest sections
+(``derived``, ``diagnostics``); ``main`` then writes manifest.json with
+the command, version, config, those sections and ``outputs``, the names
+of the files written, in write order.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical or stability
 failure.
@@ -39,12 +43,18 @@ def _pattern_tag(pattern: ExcitationPattern) -> str:
     return "p" + ("-".join(str(i) for i in pattern.flipped) or "none")
 
 
-def _manifest_base(cfg: RunConfig, command: str) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "config": dict(cfg.raw),
-    }
+class _OutDir:
+    """The output directory of a run.  ``out / name`` is the path of the
+    file name and records name, so ``names`` lists the files a command
+    wrote, in write order."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.names: list[str] = []
+
+    def __truediv__(self, name: str) -> Path:
+        self.names.append(name)
+        return self.path / name
 
 
 class _Dynamics:
@@ -93,50 +103,43 @@ class _Dynamics:
                    for tr in (evolve_spinwave(sw, p, times) for p in patterns)]
 
 
-def cmd_couplings(cfg: RunConfig, outdir: Path) -> dict:
+def cmd_couplings(cfg: RunConfig, out: _OutDir) -> dict:
     jm, trap, modes = cfg.couplings()
-    write_matrix_csv(outdir / "j_matrix.csv", jm.j)
-    manifest = _manifest_base(cfg, "couplings")
-    manifest["derived"] = {
+    write_matrix_csv(out / "j_matrix.csv", jm.j)
+    derived = {
         "j_max_rad_per_s": jm.j_max,
         "alpha_fit": jm.alpha_fit,
         "n_ions": jm.n_ions,
     }
-    outputs = ["j_matrix.csv"]
     if trap is not None:
-        write_indexed_csv(outdir / "positions.csv", equilibrium_positions(trap))
-        write_indexed_csv(outdir / "mode_kappas.csv", modes.kappas)
-        write_indexed_csv(outdir / "mode_frequencies.csv", modes.frequencies)
+        write_indexed_csv(out / "positions.csv", equilibrium_positions(trap))
+        write_indexed_csv(out / "mode_kappas.csv", modes.kappas)
+        write_indexed_csv(out / "mode_frequencies.csv", modes.frequencies)
         pot = effective_potential(jm)
-        write_csv(outdir / "potential.csv", ("site", "U_rad_per_s"),
+        write_csv(out / "potential.csv", ("site", "U_rad_per_s"),
                   (np.arange(1, jm.n_ions + 1), pot.u))
-        outputs += ["positions.csv", "mode_kappas.csv",
-                    "mode_frequencies.csv", "potential.csv"]
-        manifest["derived"].update(
+        derived.update(
             mu_rad_per_s=trap.mu,
             rabi_rad_per_s=trap.rabi,
             omega_z_rad_per_s=trap.omega_z,
             barrier_height_rad_per_s=pot.barrier_height,
             well_minima_sites=list(pot.well_minima_sites),
         )
-    manifest["outputs"] = outputs
-    write_manifest(outdir / "manifest.json", manifest)
-    return manifest
+    return {"derived": derived}
 
 
-def cmd_evolve(cfg: RunConfig, outdir: Path) -> dict:
+def cmd_evolve(cfg: RunConfig, out: _OutDir) -> dict:
     jm, _, _ = cfg.couplings()
     r = cfg.raw
     times = default_time_grid(jm.j_max, r["t_max_over_jmax"], r["n_times"])
     ns = r["noise_samples"] or None   # the n_samples column when noisy
     free = _Dynamics(cfg, jm)
     sw = free.spinwave
-    manifest = _manifest_base(cfg, "evolve")
-    manifest["derived"] = {
+    sections = {"derived": {
         "j_max_rad_per_s": jm.j_max,
         "alpha_fit": jm.alpha_fit,
         "t_max_seconds": float(times[-1]),
-    }
+    }}
     if ns:
         traces = noise_average(
             lambda scales: free.evolve_draws(cfg.patterns, times, scales),
@@ -145,78 +148,62 @@ def cmd_evolve(cfg: RunConfig, outdir: Path) -> dict:
         if cfg.model != "spinwave":  # spin waves propagate no state vector
             diagnostics["max_norm_error"] = max(t.meta["norm_error"]
                                                 for t in traces)
-        manifest["diagnostics"] = diagnostics
+        sections["diagnostics"] = diagnostics
     else:
         traces = free.evolve(cfg.patterns, times)
     if cfg.model != "spinwave":
-        manifest["derived"]["method"] = {
+        sections["derived"]["method"] = {
             _pattern_tag(p): t.meta["method"]
             for p, t in zip(cfg.patterns, traces)}
-    outputs = []
     for pattern, trace in zip(cfg.patterns, traces):
         tag = _pattern_tag(pattern)
-        write_trace_csv(outdir / f"trace_{cfg.model}_{tag}.csv", trace, ns)
-        write_c_summary_csv(outdir / f"c_{cfg.model}_{tag}.csv", trace, ns)
-        write_gge_csv(outdir / f"gge_{tag}.csv",
-                      gge_state(sw, pattern).sz_gge)
-        outputs += [f"trace_{cfg.model}_{tag}.csv", f"c_{cfg.model}_{tag}.csv",
-                    f"gge_{tag}.csv"]
+        write_trace_csv(out / f"trace_{cfg.model}_{tag}.csv", trace, ns)
+        write_c_summary_csv(out / f"c_{cfg.model}_{tag}.csv", trace, ns)
+        write_gge_csv(out / f"gge_{tag}.csv", gge_state(sw, pattern).sz_gge)
         h = free.rep(pattern) if cfg.model != "spinwave" else None
         if h is not None and h.dense:
-            write_csv(outdir / f"diag_ensemble_{tag}.csv",
+            write_csv(out / f"diag_ensemble_{tag}.csv",
                       ("site", "sz_diag"), (np.arange(1, cfg.n_ions + 1),
                                             diagonal_ensemble(h, pattern)))
-            outputs.append(f"diag_ensemble_{tag}.csv")
-    manifest["outputs"] = outputs
-    write_manifest(outdir / "manifest.json", manifest)
-    return manifest
+    return sections
 
 
-def cmd_gge(cfg: RunConfig, outdir: Path) -> dict:
+def cmd_gge(cfg: RunConfig, out: _OutDir) -> dict:
     jm, _, _ = cfg.couplings()
-    sw = _Dynamics(cfg, jm).spinwave
-    manifest = _manifest_base(cfg, "gge")
-    outputs = []
+    sw = build_spinwave(jm, cfg.b_field)
     for pattern in cfg.patterns:
         tag = _pattern_tag(pattern)
         state = gge_state(sw, pattern)
-        write_gge_csv(outdir / f"gge_{tag}.csv", state.sz_gge)
-        write_csv(outdir / f"gge_modes_{tag}.csv",
+        write_gge_csv(out / f"gge_{tag}.csv", state.sz_gge)
+        write_csv(out / f"gge_modes_{tag}.csv",
                   ("mode", "occupation", "lambda"),
                   (np.arange(len(state.lambdas)), state.d_occupations,
                    state.lambdas))
-        outputs += [f"gge_{tag}.csv", f"gge_modes_{tag}.csv"]
-    manifest["outputs"] = outputs
-    write_manifest(outdir / "manifest.json", manifest)
-    return manifest
+    return {}
 
 
-def cmd_gaps(cfg: RunConfig, outdir: Path) -> dict:
+def cmd_gaps(cfg: RunConfig, out: _OutDir) -> dict:
     pattern = cfg.patterns[0]
-    manifest = _manifest_base(cfg, "gaps")
     rows = []
     summary = {}
     fits = {}
     for alpha in cfg.alpha_grid:
         jm = cfg.couplings(alpha)[0]
         fits[str(alpha)] = jm.alpha_fit
-        dyn = _Dynamics(cfg, jm)
-        pairs = (level_gaps(dyn.rep(pattern), pattern) if cfg.model == "exact"
-                 else pair_gap_spectrum(dyn.spinwave, pattern))
+        pairs = (level_gaps(build_full_ising(jm, cfg.b_field), pattern)
+                 if cfg.model == "exact" else
+                 pair_gap_spectrum(build_spinwave(jm, cfg.b_field), pattern))
         resolved = [(g / jm.j_max, w) for g, w in pairs]
         rows += [(alpha, g, w) for g, w in resolved]
         heavy = [g for g, w in resolved if w > 1e-3]
         summary[str(alpha)] = min(heavy) if heavy else None
-    write_csv(outdir / "gaps.csv", ("alpha", "gap_over_jmax", "weight"),
+    write_csv(out / "gaps.csv", ("alpha", "gap_over_jmax", "weight"),
               np.array(rows, dtype=float).reshape(-1, 3).T)
-    manifest["derived"] = {"min_weighted_gap_over_jmax": summary,
-                           "alpha_fit": fits}
-    manifest["outputs"] = ["gaps.csv"]
-    write_manifest(outdir / "manifest.json", manifest)
-    return manifest
+    return {"derived": {"min_weighted_gap_over_jmax": summary,
+                        "alpha_fit": fits}}
 
 
-def cmd_shots(cfg: RunConfig, outdir: Path) -> dict:
+def cmd_shots(cfg: RunConfig, out: _OutDir) -> dict:
     jm, _, _ = cfg.couplings()
     r = cfg.raw
     t_over = (r["shot_time_over_jmax"] if r["shot_time_over_jmax"] > 0
@@ -228,24 +215,20 @@ def cmd_shots(cfg: RunConfig, outdir: Path) -> dict:
         pattern, lambda pat: dyn.evolve([pat], np.array([t_shot]))[0].sz[0],
         cfg.noise_model(), r["n_shots"])
     result = postselect(shots, pattern.n_excitations)
-    write_shot_lines(outdir / "shots.txt", shots)
-    write_csv(outdir / "shot_estimates.csv",
+    write_shot_lines(out / "shots.txt", shots)
+    write_csv(out / "shot_estimates.csv",
               ("site", "p_up", "p_err", "sz", "sz_err"),
               (np.arange(1, cfg.n_ions + 1), result.p_up, result.p_err,
                result.sz, result.sz_err))
-    manifest = _manifest_base(cfg, "shots")
-    manifest["derived"] = {
+    return {"derived": {
         "t_shot_seconds": t_shot,
         "acceptance_fraction": result.acceptance_fraction,
         "n_accepted": result.n_accepted,
         "target_excitations": pattern.n_excitations,
-    }
-    manifest["outputs"] = ["shots.txt", "shot_estimates.csv"]
-    write_manifest(outdir / "manifest.json", manifest)
-    return manifest
+    }}
 
 
-def cmd_sweep_alpha(cfg: RunConfig, outdir: Path) -> dict:
+def cmd_sweep_alpha(cfg: RunConfig, out: _OutDir) -> dict:
     r = cfg.raw
     if r["coupling_source"] != "trap":
         raise ConfigError("coupling_source: trap parameters requested "
@@ -256,14 +239,11 @@ def cmd_sweep_alpha(cfg: RunConfig, outdir: Path) -> dict:
                                        r["scan_detuning_max"]),
                          r["scan_points"])
     rows = [(trial.mu, d, alpha, jm.j_max) for d, trial, jm, alpha in scan]
-    write_csv(outdir / "alpha_scan.csv",
+    write_csv(out / "alpha_scan.csv",
               ("mu_rad_per_s", "detuning_fraction", "alpha_fit",
                "j_max_rad_per_s"),
               np.array(rows, dtype=float).reshape(-1, 4).T)
-    manifest = _manifest_base(cfg, "sweep-alpha")
-    manifest["outputs"] = ["alpha_scan.csv"]
-    write_manifest(outdir / "manifest.json", manifest)
-    return manifest
+    return {}
 
 
 _COMMANDS = {
@@ -304,9 +284,13 @@ def main(argv=None) -> int:
             cfg.raw["seed"] = args.seed
         if args.model is not None:
             cfg.raw["model"] = args.model
-        outdir = Path(args.out) if args.out else Path(str(cfg.raw["out_dir"]))
-        outdir.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](cfg, outdir)
+        out = _OutDir(Path(args.out or str(cfg.raw["out_dir"])))
+        out.path.mkdir(parents=True, exist_ok=True)
+        sections = _COMMANDS[args.command](cfg, out)
+        write_manifest(out.path / "manifest.json",
+                       {"command": args.command, "version": __version__,
+                        "config": dict(cfg.raw), **sections,
+                        "outputs": out.names})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -77,6 +77,19 @@ _TIME_CHUNK = 2**22       # amplitudes propagated at once
 _DRAW_CHUNK = 2**15       # amplitudes per block in one chunk of noise draws
 
 
+def _dense_stack(scales: np.ndarray, dz: np.ndarray, rows: np.ndarray,
+                 cols: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The dense blocks s X + diag(dz), one per scale s, as an (S, dim,
+    dim) stack; X holds the coupling values at (rows, cols), indices and
+    values broadcast together.  Entries are added into zeros, so a field
+    of -0.0 reads 0.0."""
+    b = np.arange(dz.size)
+    out = np.zeros((len(scales), dz.size, dz.size))
+    out[:, b, b] += dz
+    out[:, rows, cols] += np.multiply.outer(scales, values)
+    return out
+
+
 def _hadamard(bits: int) -> np.ndarray:
     """The 2^bits Walsh-Hadamard matrix, entries (-1)^popcount(x & b)."""
     w = np.ones((1, 1))
@@ -127,18 +140,11 @@ class _IsingBlock:
                 _hadamard(bits - a))
 
     def stack(self, scales: np.ndarray) -> np.ndarray:
-        """The dense blocks s X + diag(dz), one per scale s, as an
-        (S, dim, dim) stack; X holds the couplings.  Entries are added
-        into zeros, so a field of -0.0 reads 0.0."""
-        b = np.arange(self.dim)
-        out = np.zeros((len(scales), self.dim, self.dim))
-        out[:, b, b] += self.dz
-        out[:, b[:, None], b[:, None] ^ self.masks] += (
-            np.multiply.outer(scales, self.values)[:, None, :])
-        return out
-
-    def toarray(self) -> np.ndarray:
-        return self.stack(np.ones(1))[0]
+        """The dense blocks (see _dense_stack): pair (i, j) puts J_ij at
+        every entry (b, b ^ mask)."""
+        b = np.arange(self.dim)[:, None]
+        return _dense_stack(scales, self.dz, b, b ^ self.masks,
+                            self.values[None])
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         wa, dxw, wb = self._factors
@@ -162,16 +168,9 @@ class _TripletBlock:
         self.dim = dz.size
 
     def stack(self, scales: np.ndarray) -> np.ndarray:
-        """The dense blocks s X + diag(dz), one per scale s, as an
-        (S, dim, dim) stack; X holds the couplings."""
-        b = np.arange(self.dim)
-        out = np.zeros((len(scales), self.dim, self.dim))
-        out[:, b, b] += self.dz
-        out[:, self.rows, self.cols] += np.multiply.outer(scales, self.values)
-        return out
-
-    def toarray(self) -> np.ndarray:
-        return self.stack(np.ones(1))[0]
+        """The dense blocks (see _dense_stack)."""
+        return _dense_stack(scales, self.dz, self.rows, self.cols,
+                            self.values)
 
     @cached_property
     def _csr(self):
@@ -199,7 +198,7 @@ class Sector:
     """One block of a HamiltonianRep that dynamics never leave.
 
     indices are the rep's basis indices of the block in ascending
-    order, op the block's operator (toarray, matvec, bounds) and zmat
+    order, op the block's operator (stack, matvec, bounds) and zmat
     the matching (dim, n_ions) table of sigma^z eigenvalues (+-1).
     mirror maps each block index to that of its chain-inverted state, or
     is None when H does not commute with the inversion.
@@ -479,8 +478,11 @@ def _sz_series(times: np.ndarray, readout, n_amps: int
     (..., tt.size, N) of states stacked on the leading axes, one row per
     time of the chunk tt.  A chunk holds at most _TIME_CHUNK amplitudes,
     n_amps per time.  Returns sz (..., T, N) and the norm errors (...);
-    an error above 1e-8 raises SimulationError.
+    an error above 1e-8 raises SimulationError, and times out of
+    ascending order raise ValueError.
     """
+    if np.any(np.diff(times) < 0):
+        raise ValueError("times must be sorted ascending")
     chunk = max(1, _TIME_CHUNK // max(n_amps, 1))
     sz, err = [], 0.0
     for start in range(0, times.size, chunk):
@@ -694,9 +696,6 @@ def _chebyshev_states(op: _IsingBlock | _TripletBlock, idx0: int,
 
 def _krylov_sz_series(block: Sector, idx0: int, times: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
-    if np.any(np.diff(times) < 0):
-        raise ValueError("times must be sorted ascending")
-
     def readout(tt):
         prob = np.abs(_chebyshev_states(block.op, idx0, tt)) ** 2
         return prob.sum(axis=-1), prob @ block.zmat
@@ -803,21 +802,6 @@ def level_gaps(h: HamiltonianRep, pattern: ExcitationPattern
     keep = w > _GAP_WEIGHT_FLOOR
     gaps = np.abs(energies[m] - energies[n])[keep]
     return list(zip(gaps.tolist(), w[keep].tolist()))
-
-
-def energy_expectation(h: HamiltonianRep, psi: np.ndarray) -> float:
-    """<psi|H|psi> of a state on the rep's basis, one block at a time."""
-    total = 0.0
-    for key in h.block_keys:
-        block = h.block(key)
-        part = psi[block.indices]
-        total += np.vdot(part, block.op.matvec(part))
-    return float(np.real(total))
-
-
-def excitation_drift(trace: QuenchTrace) -> float:
-    """Largest excursion of the total excitation number from its start."""
-    return float(np.abs(trace.n_excitations - trace.n_excitations[0]).max())
 
 
 def default_time_grid(j_max: float, horizon: float = 25.0,

@@ -32,10 +32,9 @@ def write_csv(path: Path, header: Sequence[str],
                  (",".join(row) + "\n" for row in zip(*text, strict=True)))
 
 
-def write_matrix_csv(path: Path, j: np.ndarray,
-                     value_name: str = "J_rad_per_s") -> None:
+def write_matrix_csv(path: Path, j: np.ndarray) -> None:
     i, k = np.indices(j.shape) + 1
-    write_csv(path, ("i", "j", value_name), (i, k, j))
+    write_csv(path, ("i", "j", "J_rad_per_s"), (i, k, j))
 
 
 def write_indexed_csv(path: Path, values: np.ndarray) -> None:

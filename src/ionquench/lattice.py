@@ -26,6 +26,8 @@ from .errors import ConvergenceError, StabilityError
 # hardware for this kind of chain.
 YB171_MASS = 170.936 * atomic_mass
 RAMAN_DELTA_K = math.sqrt(2.0) * 2.0 * math.pi / 355e-9
+_EQUILIBRIUM_MAX_ITER = 200   # Newton steps of the force balance
+_EQUILIBRIUM_TOL = 1e-12      # residual force per ion, dimensionless
 
 
 class Geometry(enum.Enum):
@@ -154,8 +156,7 @@ def perturbative_modes(n: int) -> PhononModes:
     return PhononModes(mode_matrix=v, kappas=kappas)
 
 
-def _dimensionless_equilibrium(n: int, max_iter: int = 200,
-                               tol: float = 1e-12) -> tuple[np.ndarray, float]:
+def _dimensionless_equilibrium(n: int) -> tuple[np.ndarray, float]:
     """Damped Newton solve of the harmonic-trap force balance.
 
     Positions are in units of the Coulomb length; the residual is the
@@ -176,8 +177,8 @@ def _dimensionless_equilibrium(n: int, max_iter: int = 200,
 
     f, jac = f_and_jac(u)
     norm = np.abs(f).max()
-    for _ in range(max_iter):
-        if norm < tol:
+    for _ in range(_EQUILIBRIUM_MAX_ITER):
+        if norm < _EQUILIBRIUM_TOL:
             return u, norm
         du = np.linalg.solve(jac, -f)
         lam = 1.0
@@ -192,9 +193,10 @@ def _dimensionless_equilibrium(n: int, max_iter: int = 200,
             lam *= 0.5
         else:
             break
-    if norm >= tol:
+    if norm >= _EQUILIBRIUM_TOL:
         raise ConvergenceError(
-            f"equilibrium solve stalled at residual {norm:.3e} (tol {tol:.0e})"
+            f"equilibrium solve stalled at residual {norm:.3e} "
+            f"(tol {_EQUILIBRIUM_TOL:.0e})"
         )
     return u, norm
 

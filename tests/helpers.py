@@ -77,6 +77,21 @@ def product_state(flipped, n: int) -> np.ndarray:
     return psi
 
 
+def energy_expectation(h, psi: np.ndarray) -> float:
+    """<psi|H|psi> of a state on the basis of rep h, one block at a time."""
+    total = 0.0
+    for key in h.block_keys:
+        block = h.block(key)
+        part = psi[block.indices]
+        total += np.vdot(part, block.op.matvec(part))
+    return float(np.real(total))
+
+
+def excitation_drift(trace) -> float:
+    """Largest excursion of the total excitation number from its start."""
+    return float(np.abs(trace.n_excitations - trace.n_excitations[0]).max())
+
+
 def sz_meta(trace) -> tuple:
     """The (sz, meta) pair of a trace that noise_average reads per draw."""
     return trace.sz, trace.meta

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from helpers import (B_FIELD, JMAX, conditional_marginals,
-                     detected_probability, fock_occupation_dynamics,
-                     mixture_conditional_truth, sz_meta)
+                     detected_probability, excitation_drift,
+                     fock_occupation_dynamics, mixture_conditional_truth,
+                     sz_meta)
 from ionquench.cli import main
 from ionquench.coupling import effective_potential, power_law_couplings
 from ionquench.exact import (build_full_ising, build_xy_sector,
-                             default_time_grid, diagonal_ensemble, evolve,
-                             excitation_drift)
+                             default_time_grid, diagonal_ensemble, evolve)
 from ionquench.lattice import TrapConfig, exact_modes
 from ionquench.observables import ExcitationPattern, observable_c
 from ionquench.spinwave import (build_spinwave, evolve_spinwave, gge_state,

@@ -531,8 +531,11 @@ class TestShippedConfigs:
                      "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == command
-        assert manifest["outputs"]
-        for output in manifest["outputs"]:
+        listed = manifest["outputs"]
+        assert listed
+        assert len(set(listed)) == len(listed), listed
+        assert {p.name for p in out.iterdir()} == {"manifest.json", *listed}
+        for output in listed:
             assert (out / output).is_file(), output
 
 

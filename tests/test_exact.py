@@ -7,13 +7,13 @@ import pytest
 from scipy.special import jv
 
 from helpers import (B_FIELD, JMAX, dense_ising_oracle, dense_sz_dynamics,
-                     dense_xy_oracle, product_state)
+                     dense_xy_oracle, energy_expectation, excitation_drift,
+                     product_state)
 from ionquench.coupling import CouplingMatrix, power_law_couplings
 from ionquench.errors import SectorError, SizeError
 from ionquench.exact import (_CHEBYSHEV_TAIL, _chebyshev_order,
                              build_full_ising, build_xy_sector,
-                             default_time_grid, diagonal_ensemble,
-                             energy_expectation, evolve, excitation_drift)
+                             default_time_grid, diagonal_ensemble, evolve)
 from ionquench.observables import ExcitationPattern
 
 TWO_PI = 2.0 * math.pi
@@ -38,7 +38,8 @@ def test_full_matrix_matches_kron_oracle(n):
     assert np.all(ref[np.ix_(even, odd)] == 0.0)
     for block in blocks:
         idx = block.indices
-        assert np.abs(block.op.toarray() - ref[np.ix_(idx, idx)]).max() == 0.0
+        dense = block.op.stack(np.ones(1))[0]
+        assert np.abs(dense - ref[np.ix_(idx, idx)]).max() == 0.0
 
 
 def test_xy_sector_matches_restricted_oracle():
@@ -49,7 +50,7 @@ def test_xy_sector_matches_restricted_oracle():
     masks = h.basis_states
     assert h.dimension == math.comb(n, k)
     assert h.block_keys == (0,)
-    block = h.block(0).op.toarray()
+    block = h.block(0).op.stack(np.ones(1))[0]
     assert np.abs(block - ref[np.ix_(masks, masks)]).max() < 1e-9
     expect = sorted(sum(1 << i for i in c) for c in combinations(range(n), k))
     assert list(masks) == expect
@@ -60,7 +61,7 @@ def test_single_excitation_sector_is_hopping_matrix():
     jm = power_law_couplings(n, JMAX, 0.55)
     h = build_xy_sector(jm, B_FIELD, 1)
     expect = jm.j_script + B_FIELD * (2.0 - n) * np.eye(n)
-    assert np.abs(h.block(0).op.toarray() - expect).max() == 0.0
+    assert np.abs(h.block(0).op.stack(np.ones(1))[0] - expect).max() == 0.0
 
 
 @pytest.mark.parametrize("sites", [(1,), (1, 3)])
@@ -146,8 +147,10 @@ def test_auto_method_respects_dense_cap(monkeypatch):
     assert small.meta["method"] == "krylov"
 
 
-def test_krylov_needs_sorted_times(monkeypatch):
-    monkeypatch.setattr("ionquench.exact.DENSE_CAP", 0)
+@pytest.mark.parametrize("cap", [0, 4096])
+def test_evolve_needs_sorted_times(monkeypatch, cap):
+    """Krylov (cap 0) and dense (cap 4096) runs both reject unsorted times."""
+    monkeypatch.setattr("ionquench.exact.DENSE_CAP", cap)
     jm = power_law_couplings(4, JMAX, 1.0)
     h = build_full_ising(jm, B_FIELD)
     times = np.array([0.0, 2.0, 1.0]) / JMAX

@@ -13,7 +13,8 @@ import pytest
 
 import ionquench.cli as cli
 from helpers import (JMAX, dense_ising_oracle, dense_sz_dynamics,
-                     dense_xy_oracle, product_state, sz_meta)
+                     dense_xy_oracle, energy_expectation, product_state,
+                     sz_meta)
 from ionquench.cli import main
 from ionquench.config import load_config
 from ionquench.coupling import CouplingMatrix, power_law_couplings
@@ -21,8 +22,7 @@ from ionquench.errors import SizeError
 from ionquench.exact import (DENSE_CAP, Sector, _IsingBlock,
                              _chebyshev_states, build_full_ising,
                              build_xy_sector, default_time_grid,
-                             diagonal_ensemble, energy_expectation, evolve,
-                             level_gaps)
+                             diagonal_ensemble, evolve, level_gaps)
 from ionquench.observables import ExcitationPattern
 from ionquench.stochastic import noise_average
 
@@ -80,7 +80,7 @@ def merged_spectrum(block):
 def assert_block_matches_oracle(block, ref):
     """Every entry of the block against the 2^N oracle restricted to it:
     couplings exactly, the field to the rounding of the oracle's sum."""
-    dense = block.op.toarray()
+    dense = block.op.stack(np.ones(1))[0]
     expect = ref[np.ix_(block.indices, block.indices)]
     off = ~np.eye(block.dimension, dtype=bool)
     assert np.abs(dense - expect)[off].max(initial=0.0) == 0.0
@@ -99,7 +99,7 @@ def test_full_model_is_hermitian_and_parity_block_diagonal(n):
     assert np.all(parity(h.basis_states[odd.indices]) == 1)
     assert np.all(ref[np.ix_(even.indices, odd.indices)] == 0.0)
     for block in (even, odd):
-        dense = block.op.toarray()
+        dense = block.op.stack(np.ones(1))[0]
         assert np.array_equal(dense, dense.T)
         assert_block_matches_oracle(block, ref)
 
@@ -147,10 +147,10 @@ def test_block_product_and_bounds_match_the_oracle(n, case):
 
 
 def test_krylov_builds_no_dense_block(monkeypatch):
-    def refuse(self):
+    def refuse(self, scales):
         raise AssertionError("dense block built on the Krylov path")
 
-    monkeypatch.setattr(_IsingBlock, "toarray", refuse)
+    monkeypatch.setattr(_IsingBlock, "stack", refuse)
     monkeypatch.setattr("ionquench.exact.DENSE_CAP", 0)
     jm, b_field, pattern = random_case(8)
     times = np.linspace(0.0, 2.0 / JMAX, 4)
@@ -286,7 +286,7 @@ def mirror_case(n, uniform=False):
 def unsplit_reference(block, local):
     """Spectrum, level energies, level weights and diagonal ensemble from
     one eigh of the whole block; levels group at 1e-9 of the spread."""
-    evals, evecs = np.linalg.eigh(block.op.toarray())
+    evals, evecs = np.linalg.eigh(block.op.stack(np.ones(1))[0])
     spread = max(evals[-1] - evals[0], abs(evals[-1]), 1e-300)
     levels = np.split(np.arange(evals.size),
                       np.flatnonzero(np.diff(evals) > 1e-9 * spread) + 1)
@@ -419,7 +419,7 @@ def test_asymmetric_couplings_fall_back_to_one_eigh(model, n, eigh_sizes):
     assert block.mirror is None
     spectrum = merged_spectrum(block)
     assert eigh_sizes == [block.dimension]
-    evals, evecs = np.linalg.eigh(block.op.toarray())
+    evals, evecs = np.linalg.eigh(block.op.stack(np.ones(1))[0])
     assert np.array_equal(spectrum[0], evals)
     assert np.array_equal(spectrum[1], evecs)
 
