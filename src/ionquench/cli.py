@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -27,15 +26,15 @@ from .config import MODELS, RunConfig, load_config
 from .coupling import detuning_scan, effective_potential
 from .errors import ConfigError, SimulationError
 from .exact import (HamiltonianRep, build_full_ising, build_xy_sector,
-                    default_time_grid, diagonal_ensemble, evolve,
-                    evolve_draws, level_gaps)
+                    default_time_grid, diagonal_ensemble, evolve_draws,
+                    level_gaps)
 from .iocsv import (write_c_summary_csv, write_csv, write_gge_csv,
                     write_indexed_csv, write_manifest, write_matrix_csv,
                     write_shot_lines, write_trace_csv)
 from .lattice import equilibrium_positions
-from .observables import ExcitationPattern, QuenchTrace
-from .spinwave import (SpinWaveSystem, build_spinwave, evolve_spinwave,
-                       gge_state, pair_gap_spectrum)
+from .observables import ExcitationPattern, assemble_trace
+from .spinwave import (build_spinwave, evolve_spinwave, gge_state,
+                       pair_gap_spectrum)
 from .stochastic import noise_average, postselect, shot_pipeline
 
 
@@ -62,17 +61,13 @@ class _Dynamics:
 
     Patterns of one sector share one HamiltonianRep and so its cached
     spectrum: the full model for exact (both parity sectors), one rep
-    per excitation number for xy.  spinwave uses one SpinWaveSystem.
+    per excitation number for xy.  A noise-free run is the draw s = 1.
     """
 
     def __init__(self, cfg: RunConfig, jm):
         self.cfg = cfg
         self.jm = jm
         self._reps: dict[int | None, HamiltonianRep] = {}
-
-    @cached_property
-    def spinwave(self) -> SpinWaveSystem:
-        return build_spinwave(self.jm, self.cfg.b_field)
 
     def rep(self, pattern: ExcitationPattern) -> HamiltonianRep:
         """The exact or xy Hamiltonian whose basis holds the pattern."""
@@ -82,11 +77,6 @@ class _Dynamics:
                              if k is None else
                              build_xy_sector(self.jm, self.cfg.b_field, k))
         return self._reps[k]
-
-    def evolve(self, patterns, times: np.ndarray) -> list[QuenchTrace]:
-        if self.cfg.model == "spinwave":
-            return [evolve_spinwave(self.spinwave, p, times) for p in patterns]
-        return [evolve(self.rep(p), p, times) for p in patterns]
 
     def evolve_draws(self, patterns, times: np.ndarray, scales):
         """The (sz, meta) of every pattern for each noise draw J -> s J,
@@ -134,7 +124,7 @@ def cmd_evolve(cfg: RunConfig, out: _OutDir) -> dict:
     times = default_time_grid(jm.j_max, r["t_max_over_jmax"], r["n_times"])
     ns = r["noise_samples"] or None   # the n_samples column when noisy
     free = _Dynamics(cfg, jm)
-    sw = free.spinwave
+    sw = build_spinwave(jm, cfg.b_field)
     sections = {"derived": {
         "j_max_rad_per_s": jm.j_max,
         "alpha_fit": jm.alpha_fit,
@@ -150,7 +140,8 @@ def cmd_evolve(cfg: RunConfig, out: _OutDir) -> dict:
                                                 for t in traces)
         sections["diagnostics"] = diagnostics
     else:
-        traces = free.evolve(cfg.patterns, times)
+        traces = [assemble_trace(times, sz, **meta) for sz, meta
+                  in next(free.evolve_draws(cfg.patterns, times, [1.0]))]
     if cfg.model != "spinwave":
         sections["derived"]["method"] = {
             _pattern_tag(p): t.meta["method"]
@@ -206,14 +197,18 @@ def cmd_gaps(cfg: RunConfig, out: _OutDir) -> dict:
 def cmd_shots(cfg: RunConfig, out: _OutDir) -> dict:
     jm, _, _ = cfg.couplings()
     r = cfg.raw
-    t_over = (r["shot_time_over_jmax"] if r["shot_time_over_jmax"] > 0
+    t_over = (r["shot_time_over_jmax"] if r["shot_time_over_jmax"] >= 0
               else r["t_max_over_jmax"])
     t_shot = t_over / jm.j_max
     pattern = cfg.patterns[0]
     dyn = _Dynamics(cfg, jm)
-    shots = shot_pipeline(
-        pattern, lambda pat: dyn.evolve([pat], np.array([t_shot]))[0].sz[0],
-        cfg.noise_model(), r["n_shots"])
+
+    def run_to_sz(pat):
+        [(sz, _)] = next(dyn.evolve_draws([pat], np.array([t_shot]), [1.0]))
+        return sz[0]
+
+    shots = shot_pipeline(pattern, run_to_sz, cfg.noise_model(),
+                          r["n_shots"])
     result = postselect(shots, pattern.n_excitations)
     write_shot_lines(out / "shots.txt", shots)
     write_csv(out / "shot_estimates.csv",

@@ -173,6 +173,8 @@ class RunConfig:
             ]
         except ValueError:
             raise ConfigError("alpha_grid: cannot parse float list") from None
+        if not all(map(math.isfinite, self.alpha_grid)):
+            raise ConfigError("alpha_grid: values must be finite")
         if not self.alpha_grid or any(a < 0 for a in self.alpha_grid):
             raise ConfigError("alpha_grid: needs non-negative values")
         if (r["coupling_source"] == "trap"

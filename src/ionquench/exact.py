@@ -22,16 +22,18 @@ kept as its field diagonal and its list of coupling entries.  Every
 block thus holds its coupling part X apart from its field diagonal D,
 and a global coupling scale s (J -> s J, one noise draw) gives the block
 s X + D with the same floats s J_ij that a model rebuilt from the scaled
-couplings holds.  ``evolve_draws`` is the one path for noise draws.  On
-a dense rep, ``Sector.half_spectra`` diagonalises a stack of such
-blocks, one per scale, and every pattern of a block evolves under a
-chunk of draws in one stacked product; on a larger rep, each draw
-builds its blocks from s J on the rep's basis.  Neither rebuilds a
-basis.  The block's own eigendecomposition is the stack of the single
-scale 1.0 (1.0 J == J): it is computed once and shared by dense
-evolution, the diagonal ensemble and ``level_gaps`` (the exact
-counterpart of ``spinwave.pair_gap_spectrum``).  That decomposition is
-kept in two mirror halves.  When J is inversion symmetric
+couplings holds.  ``evolve_draws`` is the one quench path, and
+``evolve`` is its single draw s = 1.  On a dense rep,
+``Sector.half_spectra`` diagonalises a stack of such blocks, one per
+scale, and every pattern of a block evolves under a chunk of draws in
+one stacked product; on a larger rep, each draw builds its blocks from
+s J on the rep's basis.  Neither rebuilds a basis.  The block's own
+eigendecomposition is the stack of the single scale 1.0 (1.0 J == J):
+it is computed once, is the spectrum ``half_spectra`` hands out for
+scales [1.0], and is shared by dense evolution, the diagonal ensemble
+and ``level_gaps`` (the exact counterpart of
+``spinwave.pair_gap_spectrum``).  That decomposition is kept in two
+mirror halves.  When J is inversion symmetric
 (|J - J[::-1, ::-1]| max at most _MIRROR_RTOL times |J| max, checked
 once per build; B is uniform, so H then commutes with the chain
 inversion R: i -> N + 1 - i), the even half holds the self-mirror
@@ -232,8 +234,8 @@ class Sector:
     def half_spectrum(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """The even and odd (eigenvalues, eigenvectors) of the block: the
         half spectra of scale 1, since 1.0 J == J."""
-        halves = tuple((evals[0], evecs[0])
-                       for evals, evecs in self.half_spectra(np.ones(1)))
+        halves = tuple((evals[0], evecs[0]) for evals, evecs
+                       in _half_eigh(self.op, np.ones(1), *self.halves))
         for evals, evecs in halves:
             evals.setflags(write=False)
             evecs.setflags(write=False)
@@ -246,7 +248,11 @@ class Sector:
         scales, from one stacked eigh per half (see _half_eigh).  Each
         slice equals the half spectra of the block rebuilt from the
         scaled couplings, bit for bit: the entries s J_ij are the same
-        floats."""
+        floats.  So scales of exactly [1.0] take the cached
+        half_spectrum, stacked."""
+        if np.array_equal(scales, [1.0]):
+            return tuple((evals[None], evecs[None])
+                         for evals, evecs in self.half_spectrum)
         return _half_eigh(self.op, scales, *self.halves)
 
     def half_coords(self, idx0s) -> tuple[np.ndarray, np.ndarray]:
@@ -352,12 +358,6 @@ class HamiltonianRep:
         """Whether the rep is small enough for dense spectra (DENSE_CAP)."""
         return self.dimension <= DENSE_CAP
 
-    @property
-    def block_keys(self) -> tuple[int, ...]:
-        """Keys of the blocks: the two parities of the full model, one
-        key for an XY sector."""
-        return (0, 1) if self.k_excitations is None else (0,)
-
     def state_index(self, pattern: ExcitationPattern) -> int:
         """Basis index of a product state, validating the sector."""
         if pattern.n_ions != self.n_ions:
@@ -384,9 +384,10 @@ class HamiltonianRep:
         return block, int(np.searchsorted(block.indices, idx))
 
     def block(self, key: int) -> Sector:
-        """Block key of block_keys, built on first use and kept with the
-        rep: the prod sz parity sector for the full model, the whole rep
-        for an XY sector.  The inversion maps each block onto itself.
+        """Block key, built on first use and kept with the rep: the prod
+        sz parity sector key (0 or 1) for the full model, the whole rep
+        (key 0) for an XY sector.  The inversion maps each block onto
+        itself.
         """
         block = self._sectors.get(key)
         if block is None:
@@ -571,8 +572,8 @@ def evolve_draws(quenches, times: np.ndarray, scales
 
     quenches holds (rep, pattern) pairs and scales the draw scales s,
     each standing for J -> s J.  Draw d's list holds one (sz, meta) pair
-    per quench, in quench order: the sz and meta that evolve gives on
-    the reps rebuilt from the couplings scaled by scales[d], bit for bit.
+    per quench, in quench order: bit for bit those of the same quench on
+    the reps rebuilt from the couplings scaled by scales[d].
     The blocks of a dense rep serve every draw: for a chunk of draws
     each block takes one stacked Sector.half_spectra and propagates all
     of its patterns in one stacked product per half and real part, one
@@ -707,21 +708,13 @@ def evolve(h: HamiltonianRep, pattern: ExcitationPattern, times: np.ndarray
            ) -> QuenchTrace:
     """Quench from a product state, sampling <sigma^z_i> on a time grid.
 
-    The state is propagated inside its sector: by the block's half
-    spectra when h.dense holds ("dense"), by a Chebyshev expansion
-    otherwise ("krylov").
+    This is the single draw s = 1 of evolve_draws: the state propagates
+    inside its sector by the block's half spectra when h.dense holds
+    ("dense"), by a Chebyshev expansion otherwise ("krylov").
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    block, idx0 = h.sector(pattern)
-    if h.dense:
-        one = [(evals[None], evecs[None])
-               for evals, evecs in block.half_spectrum]
-        sz, err = _dense_sz(block, [idx0], times, one)
-        sz, err, method = sz[0, 0], err[0, 0], "dense"
-    else:
-        sz, err = _krylov_sz_series(block, idx0, times)
-        method = "krylov"
-    return assemble_trace(times, sz, **_meta(h, pattern, method, err))
+    [(sz, meta)] = evolve_draws([(h, pattern)], times, [1.0])[0]
+    return assemble_trace(times, sz, **meta)
 
 
 def _levels(evals: np.ndarray) -> np.ndarray:

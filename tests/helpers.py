@@ -80,7 +80,7 @@ def product_state(flipped, n: int) -> np.ndarray:
 def energy_expectation(h, psi: np.ndarray) -> float:
     """<psi|H|psi> of a state on the basis of rep h, one block at a time."""
     total = 0.0
-    for key in h.block_keys:
+    for key in (0, 1) if h.k_excitations is None else (0,):
         block = h.block(key)
         part = psi[block.indices]
         total += np.vdot(part, block.op.matvec(part))

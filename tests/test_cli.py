@@ -127,6 +127,16 @@ class TestExitCodes:
         assert f"{key}: must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gaps", "evolve"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_alpha_grid_is_2(self, tmp_path, capsys, command,
+                                        value):
+        cfg = write_config(tmp_path, BASE + f"alpha_grid = 0.5,{value}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "alpha_grid: values must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_seed_and_threads_are_2(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
         out = str(tmp_path / "out")
@@ -366,6 +376,20 @@ class TestArtifacts:
         manifest = json.loads((out / "manifest.json").read_text())
         assert 0.0 < manifest["derived"]["acceptance_fraction"] <= 1.0
         assert manifest["derived"]["n_accepted"] >= 1
+
+    @pytest.mark.parametrize("model", ["exact", "xy", "spinwave"])
+    def test_shot_time_zero_reads_the_quench_instant(self, tmp_path, model):
+        """shot_time_over_jmax = 0 measures at t = 0: with perfect
+        preparation and detection every shot reads the pattern."""
+        text = (f"n_ions = 5\nmodel = {model}\npatterns = 2,4\n"
+                "n_shots = 50\nprep_fidelity = 1\ndetection_error = 0\n"
+                "shot_time_over_jmax = 0\n")
+        out = tmp_path / "out"
+        assert main(["shots", "--config", write_config(tmp_path, text),
+                     "--out", str(out)]) == 0
+        assert (out / "shots.txt").read_text().splitlines() == ["01010"] * 50
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["derived"]["t_shot_seconds"] == 0.0
 
     def test_sweep_alpha_scan(self, tmp_path):
         text = ("n_ions = 5\ncoupling_source = trap\nmu_khz = 4900\n"

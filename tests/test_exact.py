@@ -31,7 +31,7 @@ def test_full_matrix_matches_kron_oracle(n):
     h = build_full_ising(jm, B_FIELD)
     ref = dense_ising_oracle(jm.j_script, B_FIELD)
     assert np.array_equal(np.sort(h.basis_states), h.basis_states)
-    blocks = [h.block(key) for key in h.block_keys]
+    blocks = [h.block(key) for key in (0, 1)]
     even, odd = (block.indices for block in blocks)
     assert np.array_equal(np.sort(np.concatenate((even, odd))),
                           np.arange(h.dimension))
@@ -49,7 +49,6 @@ def test_xy_sector_matches_restricted_oracle():
     ref = dense_xy_oracle(jm.j_script, B_FIELD)
     masks = h.basis_states
     assert h.dimension == math.comb(n, k)
-    assert h.block_keys == (0,)
     block = h.block(0).op.stack(np.ones(1))[0]
     assert np.abs(block - ref[np.ix_(masks, masks)]).max() < 1e-9
     expect = sorted(sum(1 << i for i in c) for c in combinations(range(n), k))

@@ -19,7 +19,7 @@ from ionquench.cli import main
 from ionquench.config import load_config
 from ionquench.coupling import CouplingMatrix, power_law_couplings
 from ionquench.errors import SizeError
-from ionquench.exact import (DENSE_CAP, Sector, _IsingBlock,
+from ionquench.exact import (DENSE_CAP, Sector, _dense_sz, _IsingBlock,
                              _chebyshev_states, build_full_ising,
                              build_xy_sector, default_time_grid,
                              diagonal_ensemble, evolve, level_gaps)
@@ -94,7 +94,7 @@ def test_full_model_is_hermitian_and_parity_block_diagonal(n):
     h = build_full_ising(jm, b_field)
     assert h.dimension == 2**n
     ref = dense_ising_oracle(jm.j_script, b_field)
-    even, odd = (h.block(key) for key in h.block_keys)
+    even, odd = (h.block(key) for key in (0, 1))
     assert np.all(parity(h.basis_states[even.indices]) == 0)
     assert np.all(parity(h.basis_states[odd.indices]) == 1)
     assert np.all(ref[np.ix_(even.indices, odd.indices)] == 0.0)
@@ -131,7 +131,7 @@ def test_block_product_and_bounds_match_the_oracle(n, case):
     ref = dense_ising_oracle(jm.j_script, b_field)
     radius = np.abs(np.triu(jm.j_script, 1)).sum()
     rng = np.random.default_rng(n)
-    for key in h.block_keys:
+    for key in (0, 1):
         block = h.block(key)
         expect = ref[np.ix_(block.indices, block.indices)]
         v = rng.normal(size=block.dimension)
@@ -242,7 +242,6 @@ def test_xy_sector_is_one_block():
     jm = power_law_couplings(5, JMAX, 1.0)
     h = build_xy_sector(jm, 10.0 * JMAX, 2)
     block, local = h.sector(ExcitationPattern(5, (2, 4)))
-    assert h.block_keys == (0,)
     assert block is h.block(0)
     assert np.array_equal(block.indices, np.arange(h.dimension))
     assert local == h.state_index(ExcitationPattern(5, (2, 4)))
@@ -346,7 +345,7 @@ def test_half_propagation_matches_the_oracle(model, n):
     times = np.linspace(0.0, 5.0 / JMAX, 8)
     kinds = set()
     for h in reps:
-        for key in h.block_keys:
+        for key in (0, 1) if model == "full" else (0,):
             block = h.block(key)
             assert block.mirror is not None
             for kind, states in zip(("self", "lo", "hi"), block.halves):
@@ -439,7 +438,7 @@ def test_stacked_spectra_equal_rebuilt_models(n, symmetric):
 
     for k in [None] + list(range(n + 1)):
         h = rebuilt(1.0, k) if k is None else build_xy_sector(jm, b_field, k)
-        for key in h.block_keys:
+        for key in (0, 1) if k is None else (0,):
             block = h.block(key)
             # two sites are inversion symmetric whatever J is
             assert (block.mirror is not None) == (symmetric or n == 2)
@@ -477,6 +476,23 @@ def test_cmd_evolve_diagonalises_each_sector_once(tmp_path, eigh_sizes):
     # the GGE's spin-wave build diagonalises the n x n hopping matrix;
     # both traces and both diagonal ensembles share one sector spectrum
     assert sorted(eigh_sizes) == sorted([n] + ODD_HALVES)
+
+
+def test_noise_free_patterns_of_a_block_share_one_readout(tmp_path,
+                                                         monkeypatch):
+    """Patterns 1 and 6 of 6 ions both lie in the odd block, so the
+    noise-free run, the draw s = 1, propagates them in one _dense_sz."""
+    calls = []
+    monkeypatch.setattr("ionquench.exact._dense_sz",
+                        lambda block, idx0s, *rest: (
+                            calls.append(len(idx0s))
+                            or _dense_sz(block, idx0s, *rest)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_ions = 6\nmodel = exact\npatterns = 1; 6\n"
+                   "n_times = 6\nt_max_over_jmax = 5\n")
+    assert main(["evolve", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert calls == [2]
 
 
 def test_noise_draws_share_one_spectrum_per_sector(tmp_path, eigh_sizes):
@@ -580,8 +596,8 @@ def test_noisy_evolve_equals_mean_of_rebuilt_draws(tmp_path, monkeypatch,
     scales = json.loads((out / "manifest.json").read_text())[
         "diagnostics"]["noise_scales"]
     assert len(scales) == samples
-    draws = [cli._Dynamics(cfg, jm.scaled(s)).evolve(cfg.patterns, times)
-             for s in scales]
+    draws = [[evolve(dyn.rep(p), p, times) for p in cfg.patterns]
+             for dyn in (cli._Dynamics(cfg, jm.scaled(s)) for s in scales)]
     for p, pattern in enumerate(cfg.patterns):
         mean = np.mean([traces[p].sz for traces in draws], axis=0)
         tag = cli._pattern_tag(pattern)
@@ -612,8 +628,8 @@ def test_dense_patterns_share_the_model_beside_krylov_ones(tmp_path,
     times = default_time_grid(jm.j_max, 1, 5)
     scales = json.loads((out / "manifest.json").read_text())[
         "diagnostics"]["noise_scales"]
-    draws = [cli._Dynamics(cfg, jm.scaled(s)).evolve(cfg.patterns, times)
-             for s in scales]
+    draws = [[evolve(dyn.rep(p), p, times) for p in cfg.patterns]
+             for dyn in (cli._Dynamics(cfg, jm.scaled(s)) for s in scales)]
     assert [tr.meta["method"] for tr in draws[0]] == ["dense", "krylov"]
     for p, pattern in enumerate(cfg.patterns):
         mean = np.mean([traces[p].sz for traces in draws], axis=0)
