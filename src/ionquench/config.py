@@ -85,9 +85,13 @@ def _parse_patterns(spec: str, n_ions: int) -> list[ExcitationPattern]:
             continue
         try:
             sites = tuple(int(tok) for tok in chunk.split(",") if tok.strip())
-            patterns.append(ExcitationPattern(n_ions, sites))
+            pattern = ExcitationPattern(n_ions, sites)
         except ValueError as exc:
             raise ConfigError(f"patterns: {exc}") from None
+        if pattern in patterns:
+            raise ConfigError(f"patterns: {chunk!r} repeats pattern "
+                              f"{pattern.flipped}")
+        patterns.append(pattern)
     if not patterns:
         raise ConfigError("patterns: no pattern given")
     return patterns

@@ -44,20 +44,23 @@ symmetrised.  The halves are never merged into one eigenvector matrix:
 a start state maps to at most one amplitude per half, each half
 propagates in real arithmetic, sz is read from the half amplitudes in
 closed form, and only the levels (which may straddle both halves) sort
-the two spectra together.  One predicate,
-``HamiltonianRep.dense``, allows that spectrum: the full dimension of the
-rep, not the sector's, is at most DENSE_CAP, and it alone picks the
-propagator.  Above the cap the diagonal ensemble and the level gaps
-raise SizeError, and evolution runs inside the block by one real
-Chebyshev expansion of exp(-i H t) that serves every grid time at once
-(method "krylov"): its order, and so its number of block products,
-grows linearly in spectral width x max |t|.  A parity block's product
-is four small dense Hadamard products; an XY block's is a sparse
-product, the only use of scipy in the package.
+the two spectra together.  On a uniform time grid the cos and sin of
+the phases E t come by angle addition from about 2 sqrt(T) phases per
+eigenvalue; any other grid takes cos and sin of every phase.  One
+predicate, ``HamiltonianRep.dense``, allows that spectrum: the full
+dimension of the rep, not the sector's, is at most DENSE_CAP, and it
+alone picks the propagator.  Above the cap the diagonal ensemble and
+the level gaps raise SizeError, and evolution runs inside the block by
+one real Chebyshev expansion of exp(-i H t) that serves every grid time
+at once (method "krylov"): its order, and so its number of block
+products, grows linearly in spectral width x max |t|.  A parity block's
+product is four small dense Hadamard products; an XY block's is a
+sparse product, the only use of scipy in the package.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
@@ -77,6 +80,7 @@ _CHEBYSHEV_TAIL = 1e-16   # largest Bessel coefficient the expansion drops
 _CHEBYSHEV_CHUNK = 64     # Chebyshev vectors held between accumulations
 _TIME_CHUNK = 2**22       # amplitudes propagated at once
 _DRAW_CHUNK = 2**15       # amplitudes per block in one chunk of noise draws
+_UNIFORM_ULPS = 4         # drift of a uniform grid, in ulps of max |t|
 
 
 def _dense_stack(scales: np.ndarray, dz: np.ndarray, rows: np.ndarray,
@@ -525,6 +529,50 @@ def _dense_spectrum(h: HamiltonianRep, pattern: ExcitationPattern
                              in zip(block.half_coords([idx0]), spectrum)]
 
 
+def _uniform_step(times: np.ndarray) -> float | None:
+    """The step dt of a grid of at least two times when every t_k lies
+    within _UNIFORM_ULPS ulps of max |t| of t_0 + k dt, with dt =
+    (t_{T-1} - t_0) / (T - 1); None for any other grid."""
+    if times.size < 2:
+        return None
+    dt = (times[-1] - times[0]) / (times.size - 1)
+    drift = np.abs(times - (times[0] + np.arange(times.size) * dt)).max()
+    tol = _UNIFORM_ULPS * np.spacing(np.abs(times).max())
+    return float(dt) if drift <= tol else None
+
+
+def _cos_sin(tt: np.ndarray, evals: np.ndarray, dt: float | None
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the phases t E, shaped (..., T, n) for the times tt
+    and eigenvalues evals (..., 1, n).
+
+    When tt steps by dt (see _uniform_step), t_k = tt[j T2] + m dt with
+    k = j T2 + m and T2 = ceil(sqrt(T)), so the trig of the T1 =
+    ceil(T / T2) coarse phases tt[j T2] E and of the T2 fine phases
+    m dt E gives every phase by angle addition:
+    cos(a + b) = cos a cos b - sin a sin b and
+    sin(a + b) = sin a cos b + cos a sin b.  At m = 0 (sin b = 0,
+    cos b = 1) that is the direct value bit for bit.  Any other grid
+    takes the trig of every phase.
+    """
+    if dt is None:
+        phase = tt[:, None] * evals
+        return np.cos(phase), np.sin(phase)
+    fine = math.isqrt(tt.size - 1) + 1
+    coarse = tt[::fine, None, None] * evals[..., None, :]
+    step = (np.arange(fine) * dt)[:, None] * evals[..., None, :]
+    cos_a, sin_a = np.cos(coarse), np.sin(coarse)
+    cos_b, sin_b = np.cos(step), np.sin(step)
+    cos = cos_a * cos_b
+    cos -= sin_a * sin_b
+    sin = sin_a * cos_b
+    sin += cos_a * sin_b
+    *lead, rows, _, n = cos.shape
+    shape = (*lead, rows * fine, n)
+    return (cos.reshape(shape)[..., :tt.size, :],
+            sin.reshape(shape)[..., :tt.size, :])
+
+
 def _dense_sz(block: Sector, idx0s: list[int], times: np.ndarray,
               spectra) -> tuple[np.ndarray, np.ndarray]:
     """sz (S, P, T, N) and norm errors (S, P) of the block's basis states
@@ -535,9 +583,13 @@ def _dense_sz(block: Sector, idx0s: list[int], times: np.ndarray,
     Its conjugate, which the readout cannot tell apart, is V (cos(Et) c)
     + i V (sin(Et) c): two real (T, n) by (n, n) products per half,
     state and spectrum.  sz follows from the half amplitudes (_half_sz),
-    so no block-basis amplitude is formed.
+    so no block-basis amplitude is formed.  A uniform grid, checked once
+    for all of its chunks, takes cos and sin by angle addition from
+    about 2 sqrt(T) phases per eigenvalue; any other grid takes them
+    directly (see _cos_sin).
     """
     nf = block.halves[0].size
+    dt = _uniform_step(times)
     starts = [(evals[:, None, None, :], (coords @ evecs)[:, :, None, :],
                evecs[:, None].transpose(0, 1, 3, 2))
               for coords, (evals, evecs)
@@ -546,9 +598,8 @@ def _dense_sz(block: Sector, idx0s: list[int], times: np.ndarray,
     def readout(tt):
         parts = []
         for evals, c, back in starts:
-            phase = tt[:, None] * evals
-            parts.append(((np.cos(phase) * c) @ back,
-                          (np.sin(phase) * c) @ back))
+            cos, sin = _cos_sin(tt, evals, dt)
+            parts.append(((cos * c) @ back, (sin * c) @ back))
         (e_re, e_im), (o_re, o_im) = parts
         p_even, p_odd = e_re**2 + e_im**2, o_re**2 + o_im**2
         coherence = e_re[..., nf:] * o_re + e_im[..., nf:] * o_im

@@ -137,6 +137,19 @@ class TestExitCodes:
         assert "alpha_grid: values must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["evolve", "gge"])
+    @pytest.mark.parametrize("spec, repeated", [("1; 1", "(1,)"),
+                                                ("1,2; 2,1", "(1, 2)")])
+    def test_repeated_pattern_is_2(self, tmp_path, capsys, command, spec,
+                                   repeated):
+        """A pattern given twice, in any site order, would write each of
+        its files twice."""
+        cfg = write_config(tmp_path, BASE + f"patterns = {spec}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"repeats pattern {repeated}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_seed_and_threads_are_2(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
         out = str(tmp_path / "out")

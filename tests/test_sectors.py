@@ -12,17 +12,19 @@ import numpy as np
 import pytest
 
 import ionquench.cli as cli
+import ionquench.exact as exact
 from helpers import (JMAX, dense_ising_oracle, dense_sz_dynamics,
-                     dense_xy_oracle, energy_expectation, product_state,
-                     sz_meta)
+                     dense_xy_oracle, direct_trig_dense_sz,
+                     energy_expectation, product_state, sz_meta)
 from ionquench.cli import main
 from ionquench.config import load_config
 from ionquench.coupling import CouplingMatrix, power_law_couplings
 from ionquench.errors import SizeError
 from ionquench.exact import (DENSE_CAP, Sector, _dense_sz, _IsingBlock,
-                             _chebyshev_states, build_full_ising,
-                             build_xy_sector, default_time_grid,
-                             diagonal_ensemble, evolve, level_gaps)
+                             _chebyshev_states, _uniform_step,
+                             build_full_ising, build_xy_sector,
+                             default_time_grid, diagonal_ensemble, evolve,
+                             level_gaps)
 from ionquench.observables import ExcitationPattern
 from ionquench.stochastic import noise_average
 
@@ -448,6 +450,69 @@ def test_stacked_spectra_equal_rebuilt_models(n, symmetric):
                 for (evals, evecs), (ref_e, ref_v) in zip(halves, ref):
                     assert np.array_equal(evals[d], ref_e)
                     assert np.array_equal(evecs[d], ref_v)
+
+
+def noisy_readout_case():
+    """The odd block of an inversion-symmetric 7-ion chain at B = 2 J_max
+    with both mirror halves filled, its sites 1 and 7, and three draws."""
+    jm, _, _ = mirror_case(7)
+    block, idx0 = build_full_ising(jm, 2.0 * JMAX).sector(
+        ExcitationPattern(7, (1,)))
+    partner = int(block.mirror[idx0])
+    spectra = block.half_spectra(np.array([0.97, 1.0, 1.02]))
+    return block, [idx0, partner], spectra
+
+
+@pytest.mark.parametrize("horizon", [25.0, 5000.0])
+def test_uniform_grid_steps_its_phases_within_their_rounding(horizon):
+    """On a linspace grid the readout takes cos and sin by angle
+    addition.  The direct path rounds each phase t E by up to half an
+    ulp, and so does each of the two phases added here, so the paths
+    differ by up to a few ulps of the largest phase (|d sz| <= 2 |d psi|);
+    4 ulps bound it.  That is 2.3e-13 at the paper's horizon of 25 / J_max
+    (phases up to 361 rad) and 5.8e-11 at 5000 / J_max (7.2e4 rad)."""
+    block, idx0s, spectra = noisy_readout_case()
+    times = np.linspace(0.0, horizon / JMAX, 60)
+    assert _uniform_step(times) == times[1]
+    phase = times[-1] * max(np.abs(evals).max() for evals, _ in spectra)
+    sz, _ = _dense_sz(block, idx0s, times, spectra)
+    ref = direct_trig_dense_sz(block, idx0s, times, spectra)
+    assert np.abs(sz - ref).max() <= 4 * np.spacing(phase)
+
+
+@pytest.mark.parametrize("times", [
+    np.linspace(0.0, 50.0 / JMAX, 60) * (1.0 + 1e-9 * (np.arange(60) == 17)),
+    np.array([-3.0, -1.0, 0.0, 0.0, 2.0, 2.0, 7.0]) / JMAX,
+    np.array([4.0 / JMAX]),
+], ids=["nudged-point", "negative-and-repeated", "one-point"])
+def test_other_grids_take_direct_trig(times):
+    """A grid that does not step evenly, one point of it off by 1e-9, or
+    a single time (the shots callback) takes cos and sin of every phase,
+    bit for bit those of the direct readout."""
+    block, idx0s, spectra = noisy_readout_case()
+    assert _uniform_step(times) is None
+    sz, _ = _dense_sz(block, idx0s, times, spectra)
+    assert np.array_equal(sz, direct_trig_dense_sz(block, idx0s, times,
+                                                   spectra))
+
+
+def test_time_chunks_step_their_own_phases(monkeypatch):
+    """_sz_series hands the readout the grid in chunks; each chunk of a
+    uniform grid steps from its own first time with the grid's step."""
+    block, idx0s, spectra = noisy_readout_case()
+    times = np.linspace(0.0, 25.0 / JMAX, 60)
+    whole, _ = _dense_sz(block, idx0s, times, spectra)
+    chunks = []
+    real_sz_series = exact._sz_series
+    monkeypatch.setattr("ionquench.exact._TIME_CHUNK",
+                        17 * block.dimension * len(idx0s) * 3)
+    monkeypatch.setattr("ionquench.exact._sz_series",
+                        lambda tt, readout, n: real_sz_series(
+                            tt, lambda t: chunks.append(t.size)
+                            or readout(t), n))
+    split, _ = _dense_sz(block, idx0s, times, spectra)
+    assert chunks == [17, 17, 17, 9]
+    assert np.abs(split - whole).max() < 1e-12
 
 
 # At N = 6 no odd-parity state is its own mirror, so the odd block of 32
