@@ -28,9 +28,9 @@ from .errors import ConfigError, SimulationError
 from .exact import (HamiltonianRep, build_full_ising, build_xy_sector,
                     default_time_grid, diagonal_ensemble, evolve_draws,
                     level_gaps)
-from .iocsv import (write_c_summary_csv, write_csv, write_gge_csv,
-                    write_indexed_csv, write_manifest, write_matrix_csv,
-                    write_shot_lines, write_trace_csv)
+from .iocsv import (write_c_summary_csv, write_csv, write_gaps_csv,
+                    write_gge_csv, write_indexed_csv, write_manifest,
+                    write_matrix_csv, write_shot_lines, write_trace_csv)
 from .lattice import equilibrium_positions
 from .observables import ExcitationPattern, assemble_trace
 from .spinwave import (build_spinwave, evolve_spinwave, gge_state,
@@ -175,23 +175,25 @@ def cmd_gge(cfg: RunConfig, out: _OutDir) -> dict:
 
 def cmd_gaps(cfg: RunConfig, out: _OutDir) -> dict:
     pattern = cfg.patterns[0]
-    rows = []
+    jms, scan_range = cfg.grid_couplings()
+    blocks = []
     summary = {}
     fits = {}
-    for alpha in cfg.alpha_grid:
-        jm = cfg.couplings(alpha)[0]
+    for alpha, jm in zip(cfg.alpha_grid, jms, strict=True):
         fits[str(alpha)] = jm.alpha_fit
         pairs = (level_gaps(build_full_ising(jm, cfg.b_field), pattern)
                  if cfg.model == "exact" else
                  pair_gap_spectrum(build_spinwave(jm, cfg.b_field), pattern))
-        resolved = [(g / jm.j_max, w) for g, w in pairs]
-        rows += [(alpha, g, w) for g, w in resolved]
-        heavy = [g for g, w in resolved if w > 1e-3]
-        summary[str(alpha)] = min(heavy) if heavy else None
-    write_csv(out / "gaps.csv", ("alpha", "gap_over_jmax", "weight"),
-              np.array(rows, dtype=float).reshape(-1, 3).T)
-    return {"derived": {"min_weighted_gap_over_jmax": summary,
-                        "alpha_fit": fits}}
+        gaps, weights = np.array(pairs, dtype=float).reshape(-1, 2).T
+        gaps = gaps / jm.j_max
+        blocks.append((alpha, gaps, weights))
+        heavy = gaps[weights > 1e-3]
+        summary[str(alpha)] = float(heavy.min()) if heavy.size else None
+    write_gaps_csv(out / "gaps.csv", blocks)
+    derived = {"min_weighted_gap_over_jmax": summary, "alpha_fit": fits}
+    if scan_range is not None:
+        derived["alpha_scan_range"] = list(scan_range)
+    return {"derived": derived}
 
 
 def cmd_shots(cfg: RunConfig, out: _OutDir) -> dict:

@@ -171,10 +171,10 @@ class RunConfig:
                 "scan_detuning_min: need 0 < min < scan_detuning_max"
             )
         self.patterns = _parse_patterns(r["patterns"], r["n_ions"])
+        tokens = [tok.strip() for tok in str(r["alpha_grid"]).split(",")
+                  if tok.strip()]
         try:
-            self.alpha_grid = [
-                float(tok) for tok in str(r["alpha_grid"]).split(",") if tok.strip()
-            ]
+            self.alpha_grid = [float(tok) for tok in tokens]
         except ValueError:
             raise ConfigError("alpha_grid: cannot parse float list") from None
         if not all(map(math.isfinite, self.alpha_grid)):
@@ -185,6 +185,10 @@ class RunConfig:
                 and not all(0 < a < 3 for a in self.alpha_grid)):
             raise ConfigError("alpha_grid: trap tuning targets must lie "
                               "in (0, 3)")
+        for k, (tok, alpha) in enumerate(zip(tokens, self.alpha_grid)):
+            if alpha in self.alpha_grid[:k]:
+                raise ConfigError(f"alpha_grid: {tok!r} repeats exponent "
+                                  f"{alpha!r}")
 
     # -- derived quantities -------------------------------------------------
 
@@ -200,27 +204,43 @@ class RunConfig:
     def model(self) -> str:
         return self.raw["model"]
 
-    def couplings(self, alpha: float | None = None
-                  ) -> tuple[CouplingMatrix, TrapConfig | None,
-                             PhononModes | None]:
-        """Coupling matrix plus the trap and its modes when they exist.
+    def couplings(self) -> tuple[CouplingMatrix, TrapConfig | None,
+                                 PhononModes | None]:
+        """The configured coupling matrix, plus the trap and its modes
+        when they exist.  A trap tunes mu to target_alpha unless mu_khz
+        is set; see grid_couplings for the rest of the path."""
+        [(jm, trap)], modes, _ = self._couplings(None)
+        return jm, trap, modes
 
-        alpha replaces the configured exponent: power-law couplings take
-        it as alpha, a trap tunes mu to it over the configured detuning
-        scan.  Without it a trap tunes to target_alpha unless mu_khz is
-        set.  The Rabi frequency is then scaled to j_max_khz if set.  One
-        solve of the chain's modes serves the scan, rescale and build.
+    def grid_couplings(self) -> tuple[list[CouplingMatrix],
+                                      tuple[float, float] | None]:
+        """One coupling matrix per alpha_grid exponent, and the [min, max]
+        fitted exponent over the valid points of the trap's detuning
+        scan (None for power-law couplings).
+
+        Power-law couplings take each exponent as alpha.  A trap runs one
+        detuning scan over the configured grid and tunes mu to each
+        exponent's closest point (coupling.tune_mu_for_alpha).
+        """
+        built, _, scan_range = self._couplings(self.alpha_grid)
+        return [jm for jm, _ in built], scan_range
+
+    def _couplings(self, alphas: list[float] | None):
+        """The (jm, trap) of each exponent of alphas (None: the configured
+        one), the trap's modes and its scan's fitted range.
+
+        Every tuned trap then has its Rabi frequency scaled to j_max_khz
+        if set.  One solve of the chain's modes serves the scan, rescale
+        and builds.
         """
         r = self.raw
         if r["coupling_source"] == "power_law":
-            jm = power_law_couplings(
-                r["n_ions"], TWO_PI * 1e3 * r["j_max_khz"],
-                r["alpha"] if alpha is None else alpha,
-            )
-            return jm, None, None
-        if alpha is None and r["mu_khz"] <= 0:
-            alpha = r["target_alpha"]
-        if alpha is not None and r["n_ions"] < 3:
+            j_max = TWO_PI * 1e3 * r["j_max_khz"]
+            return [(power_law_couplings(r["n_ions"], j_max, alpha), None)
+                    for alpha in alphas or [r["alpha"]]], None, None
+        if alphas is None and r["mu_khz"] <= 0:
+            alphas = [r["target_alpha"]]
+        if alphas is not None and r["n_ions"] < 3:
             raise ConfigError("n_ions: tuning mu to an exponent needs at "
                               "least 3 ions for the power-law fit")
         mass = r["mass_amu"] * atomic_mass
@@ -243,21 +263,25 @@ class RunConfig:
             geometry=Geometry(r["geometry"]),
         )
         modes = exact_modes(trap)
-        if alpha is not None:
-            trap = tune_mu_for_alpha(
-                trap, modes, alpha, n_grid=r["scan_points"],
+        traps, scan_range = [trap], None
+        if alphas is not None:
+            traps, scan_range = tune_mu_for_alpha(
+                trap, modes, alphas, n_grid=r["scan_points"],
                 detuning_range=(r["scan_detuning_min"],
                                 r["scan_detuning_max"]),
             )
-        if r["j_max_khz"] > 0:
-            trap = scale_rabi_for_jmax(trap, modes,
-                                       TWO_PI * 1e3 * r["j_max_khz"])
-        jm = ion_couplings(trap, modes)
-        try:
-            jm = with_fitted_alpha(jm)
-        except ValueError:
-            pass  # negative couplings: no power-law fit exists
-        return jm, trap, modes
+        built = []
+        for trap in traps:
+            if r["j_max_khz"] > 0:
+                trap = scale_rabi_for_jmax(trap, modes,
+                                           TWO_PI * 1e3 * r["j_max_khz"])
+            jm = ion_couplings(trap, modes)
+            try:
+                jm = with_fitted_alpha(jm)
+            except ValueError:
+                pass  # negative couplings: no power-law fit exists
+            built.append((jm, trap))
+        return built, modes, scan_range
 
     def noise_model(self) -> NoiseModel:
         r = self.raw

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -55,6 +56,13 @@ class CouplingMatrix:
             raise ValueError("coupling matrix must be square")
         if not np.allclose(j, j.T, rtol=1e-12, atol=1e-12 * np.abs(j).max()):
             raise ValueError("coupling matrix must be symmetric")
+        return cls._from_symmetric(j, alpha_fit)
+
+    @classmethod
+    def _from_symmetric(cls, j: np.ndarray, alpha_fit: float | None = None
+                        ) -> "CouplingMatrix":
+        """from_full without its checks, for a float j the caller built
+        symmetric bit for bit."""
         script = j.copy()
         np.fill_diagonal(script, 0.0)
         j_max = float(np.abs(script).max())
@@ -111,8 +119,8 @@ def ion_couplings(cfg: TrapConfig, modes: PhononModes) -> CouplingMatrix:
     weights = _mode_weights(cfg, modes)
     v = modes.mode_matrix
     j = _prefactor(cfg) * (v * weights) @ v.T
-    j = 0.5 * (j + j.T)  # exact symmetry despite rounding
-    return CouplingMatrix.from_full(j)
+    # j + j.T is symmetric bit for bit, so from_full's check is skipped
+    return CouplingMatrix._from_symmetric(0.5 * (j + j.T))
 
 
 def eigen_spectrum_lambda(cfg: TrapConfig, modes: PhononModes) -> np.ndarray:
@@ -125,21 +133,38 @@ def eigen_spectrum_lambda(cfg: TrapConfig, modes: PhononModes) -> np.ndarray:
     return _prefactor(cfg) * _mode_weights(cfg, modes)
 
 
-def fit_alpha(jm: CouplingMatrix) -> float:
-    """Least-squares power-law exponent of the off-diagonal decay.
-
-    Fits log J_ij against log |i-j| over all pairs; every off-diagonal
-    coupling must be positive for the log to make sense.
+def _alpha_fitter(n: int):
+    """fit_alpha for n-ion couplings, with its least-squares design built
+    once: np.polyfit's column-scaled Vandermonde matrix of log |i-j| and
+    its rcond, so each fit is polyfit's lstsq and its slope bit for bit.
     """
-    n = jm.n_ions
     if n < 3:
         raise ValueError("power-law fit needs at least 3 ions")
     iu, ju = np.triu_indices(n, k=1)
-    vals = jm.j_script[iu, ju]
-    if np.any(vals <= 0):
-        raise ValueError("off-diagonal couplings must be positive to fit alpha")
-    slope = np.polyfit(np.log(ju - iu), np.log(vals), 1)[0]
-    return float(-slope)
+    lhs = np.vander(np.log(ju - iu), 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    rcond = len(iu) * np.finfo(float).eps
+
+    def fit(jm: CouplingMatrix) -> float:
+        vals = jm.j_script[iu, ju]
+        if np.any(vals <= 0):
+            raise ValueError(
+                "off-diagonal couplings must be positive to fit alpha")
+        slope = np.linalg.lstsq(lhs, np.log(vals), rcond)[0][0] / scale[0]
+        return float(-slope)
+
+    return fit
+
+
+def fit_alpha(jm: CouplingMatrix) -> float:
+    """Least-squares power-law exponent of the off-diagonal decay.
+
+    Fits log J_ij against log |i-j| over all pairs, as np.polyfit of
+    degree 1 does; every off-diagonal coupling must be positive for the
+    log to make sense.
+    """
+    return _alpha_fitter(jm.n_ions)(jm)
 
 
 def with_fitted_alpha(jm: CouplingMatrix) -> CouplingMatrix:
@@ -190,41 +215,49 @@ def detuning_scan(cfg: TrapConfig, modes: PhononModes,
 
     The drive runs at mu = omega_x * sqrt(1 + d) with d log-spaced over
     detuning_range, so the mu of cfg is never read; trial is cfg at that
-    mu, jm its couplings on modes and alpha their fitted exponent.
-    Points on a mode or without a power-law fit are skipped.
+    mu, jm its couplings on modes and alpha their fitted exponent, from
+    one fit design for the whole scan.  Points on a mode or without a
+    power-law fit are skipped.
     """
+    if cfg.n_ions < 3:
+        return  # no point has a power-law fit
+    fit = _alpha_fitter(cfg.n_ions)
     for d in np.geomspace(detuning_range[0], detuning_range[1], n_grid):
         trial = cfg.with_mu(cfg.omega_x * math.sqrt(1.0 + d))
         try:
             jm = ion_couplings(trial, modes)
-            alpha = fit_alpha(jm)
+            alpha = fit(jm)
         except (ValueError, ResonanceError):
             continue
         yield d, trial, jm, alpha
 
 
 def tune_mu_for_alpha(cfg: TrapConfig, modes: PhononModes,
-                      target_alpha: float, n_grid: int = 120,
+                      target_alphas: Sequence[float], n_grid: int = 120,
                       detuning_range: tuple[float, float] = (1e-4, 1.0)
-                      ) -> TrapConfig:
-    """Grid-scan the drive detuning until the fitted exponent matches.
+                      ) -> tuple[list[TrapConfig], tuple[float, float]]:
+    """One detuning scan tunes the drive to every target exponent.
 
     Scans mu = omega_x * sqrt(1 + d) on the chain's modes, d log-spaced
     over detuning_range (see detuning_scan); driving above the
     center-of-mass mode keeps every coupling positive so the fit is
-    defined.  Returns cfg tuned to the closest grid point, first on a tie.
+    defined.  Returns cfg tuned to each target's closest grid point,
+    first on a tie, and the [min, max] of the fitted exponent over the
+    scan's valid points.
     """
-    if not 0.0 < target_alpha < 3.0:
+    if not all(0.0 < target < 3.0 for target in target_alphas):
         raise ValueError("target_alpha must lie in (0, 3)")
-    best, best_err = None, np.inf
+    trials, alphas = [], []
     for _, trial, _, alpha in detuning_scan(cfg, modes, detuning_range,
                                             n_grid):
-        err = abs(alpha - target_alpha)
-        if err < best_err:
-            best, best_err = trial, err
-    if best is None:
+        trials.append(trial)
+        alphas.append(alpha)
+    if not alphas:
         raise ValueError("no detuning in range produced a valid power-law fit")
-    return best
+    points = range(len(alphas))
+    tuned = [trials[min(points, key=lambda k: abs(alphas[k] - target))]
+             for target in target_alphas]
+    return tuned, (min(alphas), max(alphas))
 
 
 def scale_rabi_for_jmax(cfg: TrapConfig, modes: PhononModes,

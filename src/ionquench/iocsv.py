@@ -59,6 +59,22 @@ def write_trace_csv(path: Path, trace: QuenchTrace,
                                     trace.sz.tolist(), strict=True)))
 
 
+def write_gaps_csv(path: Path,
+                   blocks: Sequence[tuple[float, np.ndarray, np.ndarray]]
+                   ) -> None:
+    """One row per (alpha, gap, weight), a block of rows per
+    (alpha, gaps, weights) of blocks, in the bytes write_csv gives those
+    columns; each block's alpha is formatted once."""
+    def lines():
+        for alpha, gaps, weights in blocks:
+            a = f"{float(alpha)!r},"
+            yield "".join([a + g + "," + w + "\n" for g, w in
+                           zip(map(repr, gaps.tolist()),
+                               map(repr, weights.tolist()), strict=True)])
+
+    _write_lines(path, ("alpha", "gap_over_jmax", "weight"), lines())
+
+
 def write_c_summary_csv(path: Path, trace: QuenchTrace,
                         n_samples: int | None = None) -> None:
     header = ["t_seconds", "C", "C_cumulative"]

@@ -20,7 +20,7 @@ def make_trap_couplings(target_alpha: float, n_ions: int = 7,
                         j_max: float = TWO_PI * 600.0):
     cfg = make_trap_config(n_ions)
     modes = exact_modes(cfg)
-    cfg = tune_mu_for_alpha(cfg, modes, target_alpha)
+    [cfg], _ = tune_mu_for_alpha(cfg, modes, [target_alpha])
     cfg = scale_rabi_for_jmax(cfg, modes, j_max)
     return with_fitted_alpha(ion_couplings(cfg, modes)), cfg
 

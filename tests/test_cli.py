@@ -12,7 +12,8 @@ import pytest
 from ionquench import __version__
 from ionquench.cli import main
 from ionquench.config import load_config
-from ionquench.coupling import power_law_couplings
+from ionquench.coupling import (detuning_scan, fit_alpha, ion_couplings,
+                                power_law_couplings, tune_mu_for_alpha)
 from ionquench.errors import ConfigError
 
 BASE = """
@@ -150,6 +151,22 @@ class TestExitCodes:
         assert f"repeats pattern {repeated}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", [BASE, "n_ions = 5\ncoupling_source = "
+                                        "trap\nmu_khz = 4900\n"],
+                             ids=["power_law", "trap"])
+    @pytest.mark.parametrize("grid", ["0.55,0.55", "0.55,0.550"])
+    def test_repeated_alpha_grid_value_is_2(self, tmp_path, capsys, source,
+                                            grid):
+        """An exponent given twice would write its block of gaps.csv
+        twice under one manifest key."""
+        cfg = write_config(tmp_path, source + f"alpha_grid = {grid}\n")
+        out = tmp_path / "out"
+        assert main(["gaps", "--config", cfg, "--out", str(out)]) == 2
+        repeated = grid.split(",")[1]
+        assert (f"alpha_grid: {repeated!r} repeats exponent 0.55"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_bad_seed_and_threads_are_2(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
         out = str(tmp_path / "out")
@@ -171,7 +188,8 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")]) == 3
 
     def test_gaps_ignores_a_resonant_mu_it_replaces(self, tmp_path):
-        """gaps tunes mu per exponent, so the configured mu is never used."""
+        """gaps tunes mu to every exponent, so the configured mu is never
+        used."""
         gaps = []
         for mu in ("4800", "4900"):
             text = (f"n_ions = 4\ncoupling_source = trap\nmu_khz = {mu}\n"
@@ -438,9 +456,9 @@ class TestArtifacts:
         cfg = write_config(tmp_path, text)
         assert main(["gaps", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 0
-        assert scans == [((0.001, 1.0), 15)] * 2
+        assert scans == [((0.001, 1.0), 15)]
 
-    def test_gaps_tunes_mu_once_per_exponent(self, tmp_path, monkeypatch):
+    def test_gaps_with_target_alpha_scans_once(self, tmp_path, monkeypatch):
         import ionquench.coupling as coupling
         scans = []
         real = coupling.detuning_scan
@@ -456,7 +474,49 @@ class TestArtifacts:
         cfg = write_config(tmp_path, text)
         assert main(["gaps", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 0
-        assert scans == [((0.001, 1.0), 15)] * 2
+        assert scans == [((0.001, 1.0), 15)]
+
+    def test_gaps_tunes_each_exponent_as_a_scan_for_it_alone(
+            self, tmp_path, monkeypatch):
+        """The one scan of gaps gives every exponent the trap that
+        tune_mu_for_alpha picks for that exponent alone, and the manifest
+        records the fitted range of that scan."""
+        import ionquench.config
+        grid = (0.55, 0.9, 1.33)
+        text = ("n_ions = 5\ncoupling_source = trap\nmu_khz = 4900\n"
+                "j_max_khz = 0\nmodel = spinwave\nscan_points = 15\n"
+                "scan_detuning_min = 0.001\n"
+                f"alpha_grid = {','.join(map(str, grid))}\n")
+        cfg = write_config(tmp_path, text)
+        # mu_khz is set and j_max_khz is 0: the untuned, unscaled trap
+        _, trap, modes = load_config(cfg).couplings()
+        alone = [tune_mu_for_alpha(trap, modes, [alpha], n_grid=15,
+                                   detuning_range=(0.001, 1.0))[0][0]
+                 for alpha in grid]
+        assert len({t.mu for t in alone}) == len(grid)
+        built = []
+
+        def recording(trap, modes):
+            built.append(trap)
+            return ion_couplings(trap, modes)
+
+        monkeypatch.setattr(ionquench.config, "ion_couplings", recording)
+        out = tmp_path / "out"
+        assert main(["gaps", "--config", cfg, "--out", str(out)]) == 0
+        assert built == alone
+        derived = json.loads((out / "manifest.json").read_text())["derived"]
+        assert derived["alpha_fit"] == {
+            str(a): fit_alpha(ion_couplings(t, modes))
+            for a, t in zip(grid, alone)}
+        scan = [a for *_, a in detuning_scan(trap, modes, (0.001, 1.0), 15)]
+        assert derived["alpha_scan_range"] == [min(scan), max(scan)]
+
+    def test_power_law_gaps_record_no_scan_range(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["gaps", "--config", write_config(tmp_path, BASE),
+                     "--out", str(out)]) == 0
+        derived = json.loads((out / "manifest.json").read_text())["derived"]
+        assert "alpha_scan_range" not in derived
 
     def test_gaps_records_reached_exponent_per_grid_value(self, tmp_path):
         text = ("n_ions = 5\ncoupling_source = trap\nmu_khz = 4900\n"
@@ -483,18 +543,20 @@ class TestCouplingPipeline:
                                                    alpha):
         extra = f"j_max_khz = {j_max}\n"
         given = load_config(write_config(
-            tmp_path, TRAP + extra + "mu_khz = 4900\n", "given.cfg"))
+            tmp_path, TRAP + extra + f"mu_khz = 4900\nalpha_grid = {alpha}\n",
+            "given.cfg"))
         target = load_config(write_config(
             tmp_path, TRAP + extra + f"target_alpha = {alpha}\n",
             "target.cfg"))
-        assert np.array_equal(given.couplings(alpha)[0].j,
+        assert np.array_equal(given.grid_couplings()[0][0].j,
                               target.couplings()[0].j)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.55, 3.0])
     def test_power_law_exponent_replaces_alpha(self, tmp_path, alpha):
-        cfg = load_config(write_config(tmp_path, "n_ions = 6\nalpha = 0.9\n"))
+        cfg = load_config(write_config(
+            tmp_path, f"n_ions = 6\nalpha = 0.9\nalpha_grid = {alpha}\n"))
         expect = power_law_couplings(6, 2 * math.pi * 1e3 * 0.6, alpha)
-        assert np.array_equal(cfg.couplings(alpha)[0].j, expect.j)
+        assert np.array_equal(cfg.grid_couplings()[0][0].j, expect.j)
 
     @pytest.fixture
     def mode_solves(self, monkeypatch):
@@ -519,11 +581,12 @@ class TestCouplingPipeline:
         load_config(write_config(tmp_path, text)).couplings()
         assert len(mode_solves) == 1
 
-    def test_gaps_solve_modes_once_per_exponent(self, tmp_path, mode_solves):
+    def test_gaps_solve_modes_once(self, tmp_path, mode_solves):
+        """One solve serves the one scan and every exponent's build."""
         text = TRAP + "target_alpha = 0.55\nmodel = spinwave\n"
         assert main(["gaps", "--config", write_config(tmp_path, text),
                      "--out", str(tmp_path / "out")]) == 0
-        assert len(mode_solves) == 2
+        assert len(mode_solves) == 1
 
     def test_sweep_alpha_scans_the_modes_of_the_build(self, tmp_path,
                                                       mode_solves):

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.constants
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.constants import hbar
 
 import ionquench.constants
@@ -31,6 +34,22 @@ def test_power_law_matrix_values():
 def test_power_law_alpha_recovered_exactly():
     jm = power_law_couplings(9, 1.0, 0.73)
     assert fit_alpha(jm) == pytest.approx(0.73, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fit_alpha_is_polyfit_bit_for_bit(data):
+    """The fit with its design built once is np.polyfit's slope, to the
+    last bit, over random positive symmetric couplings."""
+    n = data.draw(st.integers(3, 40), label="n")
+    iu, ju = np.triu_indices(n, k=1)
+    vals = data.draw(arrays(np.float64, iu.size,
+                            elements=st.floats(1e-6, 1e6)), label="vals")
+    j = np.diag(data.draw(arrays(np.float64, n, elements=st.floats(-1e6, 1e6)),
+                          label="diag"))
+    j[iu, ju] = j[ju, iu] = vals
+    slope = np.polyfit(np.log(ju - iu), np.log(vals), 1)[0]
+    assert fit_alpha(CouplingMatrix.from_full(j)) == float(-slope)
 
 
 def test_fit_alpha_preconditions():
@@ -127,7 +146,7 @@ def test_tune_mu_hits_requested_exponent():
         assert abs(jm.alpha_fit - target) < 0.05
     with pytest.raises(ValueError):
         cfg = make_trap_config(5)
-        tune_mu_for_alpha(cfg, exact_modes(cfg), 3.5)
+        tune_mu_for_alpha(cfg, exact_modes(cfg), [0.55, 3.5])
 
 
 def test_scale_rabi_hits_target_jmax():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ionquench.iocsv import write_csv, write_trace_csv
+from ionquench.iocsv import write_csv, write_gaps_csv, write_trace_csv
 from ionquench.observables import assemble_trace
 
 
@@ -27,3 +27,19 @@ def test_trace_writer_matches_column_composition(tmp_path, n_samples):
     expected = (tmp_path / "columns.csv").read_bytes()
     assert (tmp_path / "trace.csv").read_bytes() == expected
     assert b"\n0.0,2,-0.0" in expected and b"\r" not in expected
+
+
+def test_gaps_writer_matches_column_composition(tmp_path):
+    rng = np.random.default_rng(5)
+    blocks = [(0.55, rng.uniform(0.0, 40.0, 6), rng.uniform(0.0, 1.0, 6)),
+              (0.1 + 0.2, np.array([]), np.array([])),
+              (1.33, np.array([0.0, 5e-324, 1.0 / 3.0]),
+               np.array([1.0, -0.0, 2.220446049250313e-16]))]
+    cols = [np.concatenate([np.full(g.size, a) for a, g, _ in blocks]),
+            np.concatenate([g for _, g, _ in blocks]),
+            np.concatenate([w for _, _, w in blocks])]
+    header = ("alpha", "gap_over_jmax", "weight")
+    write_csv(tmp_path / "columns.csv", header, cols)
+    write_gaps_csv(tmp_path / "gaps.csv", blocks)
+    assert ((tmp_path / "gaps.csv").read_bytes()
+            == (tmp_path / "columns.csv").read_bytes())
