@@ -230,6 +230,7 @@ def cmd_sweep_alpha(cfg: RunConfig, out: _OutDir) -> dict:
     if r["coupling_source"] != "trap":
         raise ConfigError("coupling_source: trap parameters requested "
                           "but source is power_law")
+    cfg.require_fit_ions()
     # the trap comes tuned and Rabi-scaled, so rows read J_max at that Rabi
     _, trap, modes = cfg.couplings()
     scan = detuning_scan(trap, modes, (r["scan_detuning_min"],

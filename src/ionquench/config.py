@@ -204,6 +204,13 @@ class RunConfig:
     def model(self) -> str:
         return self.raw["model"]
 
+    def require_fit_ions(self) -> None:
+        """ConfigError unless the chain has the 3 ions a power-law fit,
+        and so a detuning scan, needs."""
+        if self.n_ions < 3:
+            raise ConfigError("n_ions: tuning mu to an exponent needs at "
+                              "least 3 ions for the power-law fit")
+
     def couplings(self) -> tuple[CouplingMatrix, TrapConfig | None,
                                  PhononModes | None]:
         """The configured coupling matrix, plus the trap and its modes
@@ -240,9 +247,8 @@ class RunConfig:
                     for alpha in alphas or [r["alpha"]]], None, None
         if alphas is None and r["mu_khz"] <= 0:
             alphas = [r["target_alpha"]]
-        if alphas is not None and r["n_ions"] < 3:
-            raise ConfigError("n_ions: tuning mu to an exponent needs at "
-                              "least 3 ions for the power-law fit")
+        if alphas is not None:
+            self.require_fit_ions()
         mass = r["mass_amu"] * atomic_mass
         charge = r["charge_e"] * elementary_charge
         spacing = r["spacing_um"] * 1e-6

@@ -27,7 +27,8 @@ couplings holds.  ``evolve_draws`` is the one quench path, and
 ``Sector.half_spectra`` diagonalises a stack of such blocks, one per
 scale, and every pattern of a block evolves under a chunk of draws in
 one stacked product; on a larger rep, each draw builds its blocks from
-s J on the rep's basis.  Neither rebuilds a basis.  The block's own
+s J on the rep's basis, and the draw s = 1 takes the rep's own blocks.
+Neither rebuilds a basis.  The block's own
 eigendecomposition is the stack of the single scale 1.0 (1.0 J == J):
 it is computed once, is the spectrum ``half_spectra`` hands out for
 scales [1.0], and is shared by dense evolution, the diagonal ensemble
@@ -54,8 +55,9 @@ the level gaps raise SizeError, and evolution runs inside the block by
 one real Chebyshev expansion of exp(-i H t) that serves every grid time
 at once (method "krylov"): its order, and so its number of block
 products, grows linearly in spectral width x max |t|.  A parity block's
-product is four small dense Hadamard products; an XY block's is a
-sparse product, the only use of scipy in the package.
+product is two Walsh-Hadamard transforms of three small dense factors
+each; an XY block's is a sparse product, the only use of scipy in the
+package.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ _DEGENERACY_RTOL = 1e-11  # level tolerance, relative to the spectral spread
 _MIRROR_RTOL = 1e-12      # inversion asymmetry of J, relative to |J| max
 _GAP_WEIGHT_FLOOR = 1e-12  # level pairs at or below this weight are dropped
 _CHEBYSHEV_TAIL = 1e-16   # largest Bessel coefficient the expansion drops
-_CHEBYSHEV_CHUNK = 64     # Chebyshev vectors held between accumulations
+_CHEBYSHEV_CHUNK = 64     # Chebyshev vectors held between accumulations;
+                          # even, so every chunk starts on an even order
 _TIME_CHUNK = 2**22       # amplitudes propagated at once
 _DRAW_CHUNK = 2**15       # amplitudes per block in one chunk of noise draws
 _UNIFORM_ULPS = 4         # drift of a uniform grid, in ulps of max |t|
@@ -117,7 +120,9 @@ class _IsingBlock:
 
     with dz = B (2 popcount(s) - N) and dx(x) = sum_{i<j} J_ij x_i x_j
     over x in {+-1}^(N-1), x_0 = 1, so a pair (0, j) contributes J_0j x_j.
-    W acts as two dense factors on the (2^a, 2^c) reshaped vector.
+    W = H_a (x) H_b (x) H_c acts as three small dense factors, one per
+    axis of the (2^a, 2^b, 2^c) reshaped vector, with a = bits // 3 and
+    b = (bits - a) // 2 of the block's bits = N - 1.
     """
 
     def __init__(self, j_script: np.ndarray, b_field: float, occ: np.ndarray):
@@ -139,11 +144,11 @@ class _IsingBlock:
 
     @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """W's two factors and dx / 2^(N-1) shaped (2^a, 2^c) between them."""
+        """W's three factors H_a, H_b and H_c."""
         bits = self.dim.bit_length() - 1
-        a = bits // 2
-        return (_hadamard(a), (self.dx / self.dim).reshape(1 << a, -1),
-                _hadamard(bits - a))
+        a = bits // 3
+        b = (bits - a) // 2
+        return _hadamard(a), _hadamard(b), _hadamard(bits - a - b)
 
     def stack(self, scales: np.ndarray) -> np.ndarray:
         """The dense blocks (see _dense_stack): pair (i, j) puts J_ij at
@@ -152,11 +157,35 @@ class _IsingBlock:
         return _dense_stack(scales, self.dz, b, b ^ self.masks,
                             self.values[None])
 
+    def product(self, centre: float, half: float):
+        """The product (v, out) -> out = (H - centre) v / half of real
+        (dim,) vectors, out contiguous and apart from v.  The diagonals
+        are scaled here, once, and two scratch vectors serve every call."""
+        ha, hb, hc = self._factors
+        shape = (ha.shape[0], hb.shape[0], hc.shape[0])
+        dz = (self.dz - centre) / half
+        dx = self.dx / (self.dim * half)
+        scratch = np.empty((2, self.dim))
+
+        def transform(src, dst):  # dst = W src, one factor per axis
+            np.matmul(ha, src.reshape(shape[0], -1),
+                      out=dst.reshape(shape[0], -1))
+            np.matmul(hb, dst.reshape(shape), out=scratch[1].reshape(shape))
+            np.matmul(scratch[1].reshape(-1, shape[2]), hc,
+                      out=dst.reshape(-1, shape[2]))
+
+        def apply(v, out):
+            u = scratch[0]
+            transform(v, u)
+            u *= dx
+            transform(u, out)
+            np.multiply(dz, v, out=u)
+            out += u
+
+        return apply
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        wa, dxw, wb = self._factors
-        u = wa @ v.reshape(dxw.shape) @ wb
-        u *= dxw
-        return self.dz * v + (wa @ u @ wb).ravel()
+        return _matvec(self, v)
 
     def bounds(self) -> tuple[float, float]:
         """Spectral bounds by Weyl's inequality on the two diagonal forms."""
@@ -178,18 +207,25 @@ class _TripletBlock:
         return _dense_stack(scales, self.dz, self.rows, self.cols,
                             self.values)
 
-    @cached_property
-    def _csr(self):
+    def product(self, centre: float, half: float):
+        """The product (v, out) -> out = (H - centre) v / half of real
+        (dim,) vectors, by one sparse matrix built here from the scaled
+        triplets."""
         import scipy.sparse  # only Krylov on an XY block needs it
 
         b = np.arange(self.dim)
-        return scipy.sparse.csr_matrix(
-            (np.concatenate((self.dz, self.values)),
+        csr = scipy.sparse.csr_matrix(
+            (np.concatenate(((self.dz - centre) / half, self.values / half)),
              (np.concatenate((b, self.rows)), np.concatenate((b, self.cols)))),
             shape=(self.dim, self.dim))
 
+        def apply(v, out):
+            out[:] = csr @ v
+
+        return apply
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self._csr @ v
+        return _matvec(self, v)
 
     def bounds(self) -> tuple[float, float]:
         """Gershgorin bounds of the rows."""
@@ -199,13 +235,26 @@ class _TripletBlock:
                 float((self.dz + radius).max()))
 
 
+def _matvec(op: _IsingBlock | _TripletBlock, v: np.ndarray) -> np.ndarray:
+    """H v by the block's product at centre 0 and half-width 1; a complex
+    v takes it once per real part."""
+    product = op.product(0.0, 1.0)
+
+    def real(u):
+        out = np.empty(op.dim)
+        product(u, out)
+        return out
+
+    return real(v.real) + 1j * real(v.imag) if np.iscomplexobj(v) else real(v)
+
+
 @dataclass(frozen=True)
 class Sector:
     """One block of a HamiltonianRep that dynamics never leave.
 
     indices are the rep's basis indices of the block in ascending
-    order, op the block's operator (stack, matvec, bounds) and zmat
-    the matching (dim, n_ions) table of sigma^z eigenvalues (+-1).
+    order, op the block's operator (stack, product, matvec, bounds) and
+    zmat the matching (dim, n_ions) table of sigma^z eigenvalues (+-1).
     mirror maps each block index to that of its chain-inverted state, or
     is None when H does not commute with the inversion.
     """
@@ -631,7 +680,8 @@ def evolve_draws(quenches, times: np.ndarray, scales
     product per draw and pattern; a chunk holds about _DRAW_CHUNK
     amplitudes of the widest block.  A Krylov-sized rep evolves each
     draw on blocks built from the couplings s J_ij, the floats a rebuilt
-    model holds, so no basis or occupation table is rebuilt.
+    model holds, so no basis or occupation table is rebuilt; the draw
+    s = 1 takes the rep's own blocks, built once per rep.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     scales = np.asarray(scales, dtype=float)
@@ -660,7 +710,8 @@ def evolve_draws(quenches, times: np.ndarray, scales
                         sz[d, k], _meta(*quenches[pos], "dense", err[d, k]))
     for s, draw in zip(scales, draws):
         for h, where in krylov.values():
-            scaled = replace(h, j_script=h.j_script * s)
+            # 1.0 J == J, so the draw s = 1 runs on h and its cached blocks
+            scaled = h if s == 1.0 else replace(h, j_script=h.j_script * s)
             for pos in where:
                 pattern = quenches[pos][1]
                 sz, err = _krylov_sz_series(*scaled.sector(pattern), times)
@@ -696,6 +747,29 @@ def _chebyshev_order(z: float) -> int:
     return int(np.flatnonzero(np.abs(bessel) >= _CHEBYSHEV_TAIL).max()) + 1
 
 
+def _chebyshev_coefficients(z: np.ndarray, order: int
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """The expansion coefficients of exp(-i z x) in T_k(x), k < order,
+    split by parity: the even table (T, ceil(order / 2)) of c_2m =
+    (2 - delta_m0) (-1)^m J_2m(z) and the odd table (T, floor(order / 2))
+    of Im c_2m+1 = -2 (-1)^m J_2m+1(z), one row per z.
+
+    cos(z cos theta) and sin(z cos theta) are the Fourier cosine series
+    of these coefficients, so one real FFT of each gives them; both
+    functions are even in theta, so only the real parts are kept, and
+    the even orders come from the first, the odd ones from the second.
+    2 * order samples keep the aliased terms below _CHEBYSHEV_TAIL.
+    """
+    n_theta = 2 * order
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    phase = np.outer(z, np.cos(theta))
+    even = np.fft.rfft(np.cos(phase), axis=1)[:, 0:order:2].real / n_theta
+    odd = np.fft.rfft(np.sin(phase), axis=1)[:, 1:order:2].real / n_theta
+    even[:, 1:] *= 2.0
+    odd *= -2.0
+    return even, odd
+
+
 def _chebyshev_states(op: _IsingBlock | _TripletBlock, idx0: int,
                       times: np.ndarray) -> np.ndarray:
     """Rows exp(-i H t) e_idx0 for every t, each up to a phase e^{-i c t}.
@@ -706,11 +780,16 @@ def _chebyshev_states(op: _IsingBlock | _TripletBlock, idx0: int,
         exp(-i H t) = e^{-i c t} sum_k (2 - delta_k0) (-i)^k J_k(R t) T_k(Ht).
 
     The Chebyshev vectors v_k = T_k(Ht) e_idx0 are real, come from the
-    three-term recurrence and serve every time at once; only the
-    coefficients depend on t.  J_k(R t) falls faster than exponentially
-    once k exceeds |R t|, so the order follows from max |R t| and costs
-    one block product per order.  The phase e^{-i c t} is left out
-    because only |psi|^2 is read.
+    three-term recurrence v_k = 2 Ht v_{k-1} - v_{k-2} and serve every
+    time at once; only the coefficients depend on t.  The op's product
+    at half-width R / 2 gives 2 Ht v in one pass per order, halved
+    (exactly) at order 1.  The coefficients are real for even k and
+    imaginary for odd k (_chebyshev_coefficients), so the even vectors
+    feed only the real part of each state and the odd ones only its
+    imaginary part.  J_k(R t) falls faster than exponentially once k
+    exceeds |R t|, so the order follows from max |R t| and costs one
+    block product per order.  The phase e^{-i c t} is left out because
+    only |psi|^2 is read.
     """
     lo, hi = op.bounds()
     centre, half = (hi + lo) / 2.0, (hi - lo) / 2.0
@@ -720,13 +799,8 @@ def _chebyshev_states(op: _IsingBlock | _TripletBlock, idx0: int,
         return psi
     z = half * times
     order = _chebyshev_order(float(np.abs(z).max()))
-    # The Fourier coefficients of e^{-i z cos(theta)} are (-i)^k J_k(z);
-    # 2 * order samples keep the aliased terms below _CHEBYSHEV_TAIL.
-    n_theta = 2 * order
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    coef = np.fft.fft(np.exp(-1j * np.outer(z, np.cos(theta))),
-                      axis=1)[:, :order] / n_theta
-    coef[:, 1:] *= 2.0
+    even, odd = _chebyshev_coefficients(z, order)
+    twice = op.product(centre, half / 2.0)  # v -> 2 Ht v
     rows = np.empty((min(order, _CHEBYSHEV_CHUNK), op.dim))
     for k in range(order):
         row = rows[k % _CHEBYSHEV_CHUNK]
@@ -734,22 +808,24 @@ def _chebyshev_states(op: _IsingBlock | _TripletBlock, idx0: int,
             row[:] = 0.0
             row[idx0] = 1.0
         else:
-            prev = rows[(k - 1) % _CHEBYSHEV_CHUNK]
-            step = (op.matvec(prev) - centre * prev) / half
-            row[:] = step if k == 1 else (
-                2.0 * step - rows[(k - 2) % _CHEBYSHEV_CHUNK])
+            twice(rows[(k - 1) % _CHEBYSHEV_CHUNK], row)
+            if k == 1:
+                row *= 0.5
+            else:
+                row -= rows[(k - 2) % _CHEBYSHEV_CHUNK]
         if (k + 1) % _CHEBYSHEV_CHUNK == 0 or k + 1 == order:
-            first = k - k % _CHEBYSHEV_CHUNK
-            c = coef[:, first:k + 1]
-            psi.real += c.real @ rows[:c.shape[1]]
-            psi.imag += c.imag @ rows[:c.shape[1]]
+            first = k - k % _CHEBYSHEV_CHUNK  # an even order
+            n = k + 1 - first
+            psi.real += even[:, first // 2:(first + n + 1) // 2] @ rows[0:n:2]
+            psi.imag += odd[:, first // 2:(first + n) // 2] @ rows[1:n:2]
     return psi
 
 
 def _krylov_sz_series(block: Sector, idx0: int, times: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     def readout(tt):
-        prob = np.abs(_chebyshev_states(block.op, idx0, tt)) ** 2
+        psi = _chebyshev_states(block.op, idx0, tt)
+        prob = psi.real**2 + psi.imag**2
         return prob.sum(axis=-1), prob @ block.zmat
 
     return _sz_series(times, readout, block.dimension)

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import scipy.linalg as sla
 
+from ionquench.exact import _chebyshev_order
 from ionquench.observables import ExcitationPattern
 
 TWO_PI = 2.0 * math.pi
@@ -87,6 +88,53 @@ def direct_trig_dense_sz(block, idx0s, times, spectra) -> np.ndarray:
     z_even, z_pair, z_diff = block.half_z
     return ((e_re**2 + e_im**2) @ z_even + (o_re**2 + o_im**2) @ z_pair
             + (e_re[..., nf:] * o_re + e_im[..., nf:] * o_im) @ z_diff)
+
+
+def walsh_hadamard(v: np.ndarray) -> np.ndarray:
+    """W v for the Walsh-Hadamard matrix W, entries (-1)^popcount(x & b),
+    by the radix-2 butterfly over one bit at a time."""
+    out = np.array(v, dtype=float)
+    h = 1
+    while h < out.size:
+        pairs = out.reshape(-1, 2, h)
+        a, b = pairs[:, 0].copy(), pairs[:, 1].copy()
+        pairs[:, 0] = a + b
+        pairs[:, 1] = a - b
+        h *= 2
+    return out
+
+
+def hadamard_form_product(op, v: np.ndarray) -> np.ndarray:
+    """H v = dz v + W (dx W v) / 2^(N-1) of a parity block op, with W
+    applied by the butterfly."""
+    return op.dz * v + walsh_hadamard(op.dx * walsh_hadamard(v)) / op.dim
+
+
+def complex_table_chebyshev_states(matvec, dim: int, bounds, idx0: int,
+                                   times) -> np.ndarray:
+    """Rows exp(-i H t) e_idx0 up to the phase e^{-i c t}, from the whole
+    complex coefficient table: the FFT of exp(-i z cos theta) at 2 * order
+    samples gives (2 - delta_k0) (-i)^k J_k(z), and each Chebyshev vector
+    of (H - c) / R, with H v = matvec(v) on dim states and c and R the
+    centre and half-width of bounds, adds its coefficient times itself to
+    every row.  The order is the package's _chebyshev_order."""
+    lo, hi = bounds
+    centre, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+    z = half * np.asarray(times, dtype=float)
+    order = _chebyshev_order(float(np.abs(z).max()))
+    n_theta = 2 * order
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    coef = np.fft.fft(np.exp(-1j * np.outer(z, np.cos(theta))),
+                      axis=1)[:, :order] / n_theta
+    coef[:, 1:] *= 2.0
+    prev, v = None, np.zeros(dim)
+    v[idx0] = 1.0
+    psi = coef[:, 0, None] * v
+    for k in range(1, order):
+        step = (matvec(v) - centre * v) / half
+        prev, v = v, (step if k == 1 else 2.0 * step - prev)
+        psi += coef[:, k, None] * v
+    return psi
 
 
 def product_state(flipped, n: int) -> np.ndarray:

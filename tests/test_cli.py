@@ -215,13 +215,17 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, line", [
         ("couplings", "target_alpha = 0.8"),
         ("gaps", "mu_khz = 4900"),
+        ("sweep-alpha", "mu_khz = 4900"),
     ])
     def test_tuning_two_ions_is_2(self, tmp_path, capsys, command, line):
+        """No power-law fit exists below 3 ions, so neither tuning nor a
+        detuning scan runs, and no file is written."""
         text = f"n_ions = 2\ncoupling_source = trap\n{line}\nmodel = xy\n"
         cfg = write_config(tmp_path, text)
-        assert main([command, "--config", cfg,
-                     "--out", str(tmp_path / "out")]) == 2
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert "n_ions: tuning mu" in capsys.readouterr().err
+        assert not list(out.glob("*"))
 
     def test_sweep_alpha_on_power_law_is_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE)

@@ -11,8 +11,8 @@ from helpers import (B_FIELD, JMAX, dense_ising_oracle, dense_sz_dynamics,
                      product_state)
 from ionquench.coupling import CouplingMatrix, power_law_couplings
 from ionquench.errors import SectorError, SizeError
-from ionquench.exact import (_CHEBYSHEV_TAIL, _chebyshev_order,
-                             build_full_ising, build_xy_sector,
+from ionquench.exact import (_CHEBYSHEV_TAIL, _chebyshev_coefficients,
+                             _chebyshev_order, build_full_ising, build_xy_sector,
                              default_time_grid, diagonal_ensemble, evolve)
 from ionquench.observables import ExcitationPattern
 
@@ -122,6 +122,26 @@ def test_chebyshev_order_matches_the_scipy_bessel_rule():
         expect = np.flatnonzero(np.abs(jv(ks, z)) >= _CHEBYSHEV_TAIL).max()
         assert _chebyshev_order(float(z)) == expect + 1
     assert _chebyshev_order(0.0) == 1
+
+
+def test_chebyshev_coefficients_match_the_scipy_bessel_values():
+    """One call at the order of the largest z, as a grid of times takes
+    it: the even table holds (2 - delta_m0) (-1)^m J_2m(z) and the odd
+    table -2 (-1)^m J_2m+1(z), each to 1e-13.  The t = 0 row is e_0: its
+    odd part is exactly zero, its even part e_0 up to the FFT's rounding."""
+    z = np.concatenate(([0.0], np.geomspace(0.1, 1e3, 50)))
+    order = _chebyshev_order(float(z[-1]))
+    even, odd = _chebyshev_coefficients(z, order)
+    assert even.shape == (z.size, (order + 1) // 2)
+    assert odd.shape == (z.size, order // 2)
+    m = np.arange(even.shape[1])
+    expect = np.where(m == 0, 1.0, 2.0) * (-1.0) ** m * jv(2 * m, z[:, None])
+    assert np.abs(even - expect).max() < 1e-13
+    m = np.arange(odd.shape[1])
+    expect = -2.0 * (-1.0) ** m * jv(2 * m + 1, z[:, None])
+    assert np.abs(odd - expect).max() < 1e-13
+    assert np.all(odd[0] == 0.0)
+    assert np.abs(even[0] - np.eye(1, even.shape[1])[0]).max() < 1e-15
 
 
 def test_krylov_zero_width_block_is_a_pure_phase(monkeypatch):

@@ -13,9 +13,10 @@ import pytest
 
 import ionquench.cli as cli
 import ionquench.exact as exact
-from helpers import (JMAX, dense_ising_oracle, dense_sz_dynamics,
-                     dense_xy_oracle, direct_trig_dense_sz,
-                     energy_expectation, product_state, sz_meta)
+from helpers import (B_FIELD, JMAX, complex_table_chebyshev_states,
+                     dense_ising_oracle, dense_sz_dynamics, dense_xy_oracle,
+                     direct_trig_dense_sz, energy_expectation,
+                     hadamard_form_product, product_state, sz_meta)
 from ionquench.cli import main
 from ionquench.config import load_config
 from ionquench.coupling import CouplingMatrix, power_law_couplings
@@ -146,6 +147,42 @@ def test_block_product_and_bounds_match_the_oracle(n, case):
         field = np.diag(expect)
         assert field.min() - radius - slack <= lo
         assert hi <= field.max() + radius + slack
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_block_product_matches_the_butterfly_at_workload_size(n):
+    """At the Krylov sizes the three Hadamard factors are 2^4 x 2^4 x 2^4
+    (N = 13) and 2^4 x 2^4 x 2^5 (N = 14).  The product H v, and the
+    shifted, scaled product the Chebyshev recurrence runs, equal the
+    butterfly form dz v + W (dx W v) / 2^(N-1) to 1e-12 relative."""
+    h = build_full_ising(power_law_couplings(n, JMAX, 0.55), B_FIELD)
+    rng = np.random.default_rng(n)
+    for key in (0, 1):
+        op = h.block(key).op
+        v = rng.normal(size=op.dim)
+        expect = hadamard_form_product(op, v)
+        assert (np.abs(op.matvec(v) - expect).max()
+                <= 1e-12 * np.abs(expect).max())
+        lo, hi = op.bounds()
+        centre, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+        out = np.empty(op.dim)
+        op.product(centre, half)(v, out)
+        expect = (expect - centre * v) / half
+        assert np.abs(out - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+def test_chebyshev_states_match_the_complex_table_expansion():
+    """The parity-split propagator on the N = 13, alpha = 0.55 odd block
+    against the whole complex coefficient table on the butterfly product,
+    over 21 times up to 5 / J_max, within 1e-12."""
+    h = build_full_ising(power_law_couplings(13, JMAX, 0.55), B_FIELD)
+    block, local = h.sector(ExcitationPattern(13, (1,)))
+    op = block.op
+    times = np.linspace(0.0, 5.0 / JMAX, 21)
+    expect = complex_table_chebyshev_states(
+        lambda v: hadamard_form_product(op, v), op.dim, op.bounds(), local,
+        times)
+    assert np.abs(_chebyshev_states(op, local, times) - expect).max() < 1e-12
 
 
 def test_krylov_builds_no_dense_block(monkeypatch):
@@ -594,6 +631,28 @@ def test_exact_shots_diagonalise_each_sector_once(tmp_path, eigh_sizes,
                  "--out", str(tmp_path / "out")]) == 0
     assert len(builds) == 1
     assert sorted(eigh_sizes) == sorted(ODD_HALVES + EVEN_HALVES)
+
+
+def test_noise_free_krylov_shots_build_each_parity_block_once(tmp_path,
+                                                               monkeypatch):
+    """Preparation errors keep the 7 non-empty subsets of sites 1, 3, 5 at
+    N = 13, a Krylov size; their draws s = 1 run on the command's one
+    model, so its two parity blocks serve all of them."""
+    builds = []
+    real = _IsingBlock.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(_IsingBlock, "__init__", counting)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_ions = 13\nmodel = exact\npatterns = 1,3,5\n"
+                   "prep_fidelity = 0.5\nn_shots = 400\n"
+                   "shot_time_over_jmax = 1\n")
+    assert main(["shots", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(builds) == 2
 
 
 def read_column(path, column):
