@@ -19,11 +19,10 @@ from .errors import (ConfigError, ConvergenceError, EmptySelectionError,
 from .exact import (HamiltonianRep, build_full_ising, build_xy_sector,
                     default_time_grid, diagonal_ensemble, evolve, level_gaps)
 from .lattice import (Geometry, PhononModes, TrapConfig, equilibrium_positions,
-                      exact_modes, k_matrix, perturbative_modes)
-from .observables import ExcitationPattern, QuenchTrace, assemble_trace, observable_c
-from .spinwave import (GgeState, HeisenbergPropagator, SpinWaveSystem,
-                       build_spinwave, evolve_spinwave, gge_lambdas,
-                       gge_magnetization, gge_occupations, gge_state,
-                       pair_gap_spectrum, propagator)
+                      exact_modes, k_matrix)
+from .observables import ExcitationPattern, QuenchTrace, assemble_trace
+from .spinwave import (GgeState, SpinWaveSystem, build_spinwave,
+                       evolve_spinwave, gge_lambdas, gge_magnetization,
+                       gge_occupations, gge_state, pair_gap_spectrum)
 from .stochastic import (NoiseModel, PostselectionResult, noise_average,
                          postselect, shot_pipeline)

@@ -205,9 +205,9 @@ def cmd_shots(cfg: RunConfig, out: _OutDir) -> dict:
     pattern = cfg.patterns[0]
     dyn = _Dynamics(cfg, jm)
 
-    def run_to_sz(pat):
-        [(sz, _)] = next(dyn.evolve_draws([pat], np.array([t_shot]), [1.0]))
-        return sz[0]
+    def run_to_sz(patterns):
+        draw = next(dyn.evolve_draws(patterns, np.array([t_shot]), [1.0]))
+        return np.array([sz[0] for sz, _ in draw])
 
     shots = shot_pipeline(pattern, run_to_sz, cfg.noise_model(),
                           r["n_shots"])

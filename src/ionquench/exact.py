@@ -81,6 +81,7 @@ _GAP_WEIGHT_FLOOR = 1e-12  # level pairs at or below this weight are dropped
 _CHEBYSHEV_TAIL = 1e-16   # largest Bessel coefficient the expansion drops
 _CHEBYSHEV_CHUNK = 64     # Chebyshev vectors held between accumulations;
                           # even, so every chunk starts on an even order
+_CHEBYSHEV_WORK = 2**23   # most times x max |R t| of one expansion
 _TIME_CHUNK = 2**22       # amplitudes propagated at once
 _DRAW_CHUNK = 2**15       # amplitudes per block in one chunk of noise draws
 _UNIFORM_ULPS = 4         # drift of a uniform grid, in ulps of max |t|
@@ -184,9 +185,6 @@ class _IsingBlock:
 
         return apply
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return _matvec(self, v)
-
     def bounds(self) -> tuple[float, float]:
         """Spectral bounds by Weyl's inequality on the two diagonal forms."""
         return (float(self.dz.min() + self.dx.min()),
@@ -224,9 +222,6 @@ class _TripletBlock:
 
         return apply
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return _matvec(self, v)
-
     def bounds(self) -> tuple[float, float]:
         """Gershgorin bounds of the rows."""
         radius = np.bincount(self.rows, np.abs(self.values),
@@ -235,25 +230,12 @@ class _TripletBlock:
                 float((self.dz + radius).max()))
 
 
-def _matvec(op: _IsingBlock | _TripletBlock, v: np.ndarray) -> np.ndarray:
-    """H v by the block's product at centre 0 and half-width 1; a complex
-    v takes it once per real part."""
-    product = op.product(0.0, 1.0)
-
-    def real(u):
-        out = np.empty(op.dim)
-        product(u, out)
-        return out
-
-    return real(v.real) + 1j * real(v.imag) if np.iscomplexobj(v) else real(v)
-
-
 @dataclass(frozen=True)
 class Sector:
     """One block of a HamiltonianRep that dynamics never leave.
 
     indices are the rep's basis indices of the block in ascending
-    order, op the block's operator (stack, product, matvec, bounds) and
+    order, op the block's operator (stack, product, bounds) and
     zmat the matching (dim, n_ions) table of sigma^z eigenvalues (+-1).
     mirror maps each block index to that of its chain-inverted state, or
     is None when H does not commute with the inversion.
@@ -789,16 +771,25 @@ def _chebyshev_states(op: _IsingBlock | _TripletBlock, idx0: int,
     imaginary part.  J_k(R t) falls faster than exponentially once k
     exceeds |R t|, so the order follows from max |R t| and costs one
     block product per order.  The phase e^{-i c t} is left out because
-    only |psi|^2 is read.
+    only |psi|^2 is read.  The order exceeds max |R t|, so times.size x
+    max |R t| bounds the coefficient entries from below; above
+    _CHEBYSHEV_WORK the expansion raises SizeError before any Bessel
+    value or table is formed.
     """
     lo, hi = op.bounds()
     centre, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+    z = half * times
+    reach = float(np.abs(z).max())
+    if times.size * reach > _CHEBYSHEV_WORK:
+        raise SizeError(
+            f"a Chebyshev expansion over {times.size} times to |R t| = "
+            f"{reach:.3g} needs more than {_CHEBYSHEV_WORK} coefficients; "
+            "shorten the horizon or the time grid")
     psi = np.zeros((times.size, op.dim), dtype=complex)
     if half == 0.0:  # H = c: a pure phase
         psi[:, idx0] = 1.0
         return psi
-    z = half * times
-    order = _chebyshev_order(float(np.abs(z).max()))
+    order = _chebyshev_order(reach)
     even, odd = _chebyshev_coefficients(z, order)
     twice = op.product(centre, half / 2.0)  # v -> 2 Ht v
     rows = np.empty((min(order, _CHEBYSHEV_CHUNK), op.dim))

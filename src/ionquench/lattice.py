@@ -138,24 +138,6 @@ def k_matrix(n: int) -> np.ndarray:
     return k
 
 
-def perturbative_modes(n: int) -> PhononModes:
-    """Closed-form cosine-wave modes of the uniform chain.
-
-    Valid to leading order in the dipolar coupling: mode m has profile
-    V_{i,m} = sqrt(2/N) cos[(m pi / N)(i - 1/2)] (sqrt(1/N) for m = 0)
-    and eigenvalue kappa_m = sum_{r=1}^{floor(N/2)} (2 - 2 cos(m r pi / N)) / r^3.
-    """
-    if n < 2:
-        raise ValueError("need at least 2 ions")
-    i = np.arange(1, n + 1)[:, None]
-    m = np.arange(n)[None, :]
-    v = np.sqrt(2.0 / n) * np.cos(m * np.pi / n * (i - 0.5))
-    v[:, 0] = np.sqrt(1.0 / n)
-    r = np.arange(1, n // 2 + 1)[:, None]
-    kappas = ((2.0 - 2.0 * np.cos(m * r * np.pi / n)) / r**3.0).sum(axis=0)
-    return PhononModes(mode_matrix=v, kappas=kappas)
-
-
 def _dimensionless_equilibrium(n: int) -> tuple[np.ndarray, float]:
     """Damped Newton solve of the harmonic-trap force balance.
 

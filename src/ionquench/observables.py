@@ -46,12 +46,6 @@ class ExcitationPattern:
         """Initial <sigma^z_i> values, exactly +-1."""
         return 2.0 * self.occupations() - 1.0
 
-    def mirrored(self) -> "ExcitationPattern":
-        """Pattern reflected through the chain center."""
-        return ExcitationPattern(
-            self.n_ions, tuple(self.n_ions + 1 - i for i in self.flipped)
-        )
-
 
 def _location_weights(n: int) -> np.ndarray:
     """Signed distance of each site from the chain center, in [-1, 1]."""
@@ -61,24 +55,15 @@ def _location_weights(n: int) -> np.ndarray:
     return (2.0 * i - n - 1.0) / (n - 1.0)
 
 
-def observable_c(sz: np.ndarray) -> float:
-    """Mean excitation location, scaled to [-1, 1].
-
-    Weights each site's up-spin probability by its signed distance from
-    the chain center: C = sum_i [(2i - N - 1)/(N - 1)] (sz_i + 1)/2.
-    Negative values mean the excitation sits in the left half.
-    """
-    sz = np.asarray(sz, dtype=float)
-    return float(np.dot(_location_weights(sz.shape[-1]), (sz + 1.0) / 2.0))
-
-
 @dataclass(frozen=True)
 class QuenchTrace:
     """Time-resolved magnetization record of one quench.
 
-    sz has shape (n_times, n_sites).  c_series applies observable_c
-    row-wise and c_cumulative is its running mean over the sampled
-    grid; n_excitations is the expected total up count per time.
+    sz has shape (n_times, n_sites).  c_series is the mean excitation
+    location C = sum_i [(2i - N - 1)/(N - 1)] (sz_i + 1)/2 of each row,
+    in [-1, 1] and negative when the excitation sits in the left half;
+    c_cumulative is its running mean over the sampled grid, and
+    n_excitations is the expected total up count per time.
     """
 
     times: np.ndarray

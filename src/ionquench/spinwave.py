@@ -125,40 +125,12 @@ def gge_state(sys: SpinWaveSystem, pattern: ExcitationPattern) -> GgeState:
                     sz_gge=gge_magnetization(sys, occ))
 
 
-@dataclass(frozen=True)
-class HeisenbergPropagator:
-    """Mode-space evolution a_i(t) = sum_j u_ij a_j + (pair part via w).
-
-    The pair block w vanishes at t = 0 and whenever every Bogoliubov
-    angle is zero; u u^dag - w w^dag = 1 at all times.
-    """
-
-    u: np.ndarray
-    w: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        self.u.setflags(write=False)
-        self.w.setflags(write=False)
-
-
-def propagator(sys: SpinWaveSystem, t: float) -> HeisenbergPropagator:
-    ch2 = np.cosh(sys.thetas) ** 2
-    sh2 = np.sinh(sys.thetas) ** 2
-    chsh = np.cosh(sys.thetas) * np.sinh(sys.thetas)
-    minus = np.exp(-1j * sys.epsilons * t)
-    plus = np.exp(+1j * sys.epsilons * t)
-    v = sys.modes
-    u = (v * (ch2 * minus - sh2 * plus)) @ v.T
-    w = (v * (chsh * (plus - minus))) @ v.T
-    return HeisenbergPropagator(u=u, w=w, time=float(t))
-
-
 def evolve_spinwave(sys: SpinWaveSystem, pattern: ExcitationPattern,
                     times: np.ndarray) -> QuenchTrace:
     """Exact free-boson quench dynamics of the site magnetizations.
 
-    With u = V diag(f) V^T and w = V diag(g) V^T (see propagator), where
+    With the Heisenberg propagators u = V diag(f) V^T and w = V diag(g)
+    V^T, the particle and pair parts of a_i(t), where
     f_k = cos(eps_k t) - i cosh(2 theta_k) sin(eps_k t) and
     g_k = i sinh(2 theta_k) sin(eps_k t), the occupation of site i is
 

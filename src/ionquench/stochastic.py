@@ -211,20 +211,22 @@ def postselect(shots: np.ndarray, k: int) -> PostselectionResult:
 
 
 def shot_pipeline(pattern: ExcitationPattern,
-                  run_to_sz: Callable[[ExcitationPattern], np.ndarray],
+                  run_to_sz: Callable[[list[ExcitationPattern]], np.ndarray],
                   model: NoiseModel, n_shots: int) -> np.ndarray:
     """Full measurement emulation for one nominal preparation.
 
     Each shot first suffers preparation errors: every intended flip
     succeeds independently with prep_flip_fidelity, and a failed flip
     leaves that spin down.  The dynamics of the pattern that was kept
-    then fix the site marginals that the detector reads out.  Dynamics
-    run once per distinct kept pattern, in the lexicographic order of
-    the kept rows (first intended flip first): each row is keyed by an
-    int64 code of its flips (_distinct_rows), the order np.unique(axis=0)
-    gives without sorting rows as records.  The empty pattern
-    short-circuits to all spins down.  Returns the detected bits as an
-    (n_shots, N) uint8 array.
+    then fix the site marginals that the detector reads out.
+    run_to_sz gets every distinct kept non-empty pattern at once, in
+    the lexicographic order of the kept rows (first intended flip
+    first), and returns their sz as a (P, N) array, one row per pattern
+    in that order; each row is keyed by an int64 code of its flips
+    (_distinct_rows), the order np.unique(axis=0) gives without sorting
+    rows as records.  The empty pattern reads all spins down and is
+    never passed on; with no other pattern kept, run_to_sz is not
+    called.  Returns the detected bits as an (n_shots, N) uint8 array.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
@@ -234,8 +236,14 @@ def shot_pipeline(pattern: ExcitationPattern,
             < model.prep_flip_fidelity)
     rows, which = _distinct_rows(kept)
     sz = np.full((len(rows), pattern.n_ions), -1.0)
-    for r, row in enumerate(rows):
-        if row.any():
-            sz[r] = run_to_sz(ExcitationPattern(pattern.n_ions,
-                                                tuple(sites[row])))
+    run = rows.any(axis=1)
+    if run.any():
+        patterns = [ExcitationPattern(pattern.n_ions, tuple(sites[row]))
+                    for row in rows[run]]
+        part = np.asarray(run_to_sz(patterns), dtype=float)
+        if part.shape != (len(patterns), pattern.n_ions):
+            raise ValueError(f"dynamics returned sz of shape {part.shape} "
+                             f"for {len(patterns)} patterns of "
+                             f"{pattern.n_ions} ions")
+        sz[run] = part
     return _readout(sz, which, model)

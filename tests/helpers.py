@@ -1,17 +1,22 @@
 """Shared oracles for the test suite.
 
 Everything here is an independent reference implementation: dense
-Pauli-product Hamiltonians, a truncated-Fock boson propagator,
-Poisson-binomial conditionals and a whole-array shot readout, all built
-from first principles so the package code can be checked against them.
+Pauli-product Hamiltonians, a truncated-Fock boson propagator, the
+spin-wave Heisenberg propagator at one time, closed-form cosine phonon
+modes, the location observable C of one magnetization row, mirrored
+patterns, Poisson-binomial conditionals and a whole-array shot readout,
+all built from first principles so the package code can be checked
+against them.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from ionquench.exact import _chebyshev_order
+from ionquench.lattice import PhononModes
 from ionquench.observables import ExcitationPattern
 
 TWO_PI = 2.0 * math.pi
@@ -137,6 +142,14 @@ def complex_table_chebyshev_states(matvec, dim: int, bounds, idx0: int,
     return psi
 
 
+def block_product(op, v: np.ndarray) -> np.ndarray:
+    """H v of a real v by the block's own product at centre 0 and
+    half-width 1."""
+    out = np.empty(op.dim)
+    op.product(0.0, 1.0)(v, out)
+    return out
+
+
 def product_state(flipped, n: int) -> np.ndarray:
     psi = np.zeros(2**n)
     psi[sum(1 << (i - 1) for i in flipped)] = 1.0
@@ -149,7 +162,9 @@ def energy_expectation(h, psi: np.ndarray) -> float:
     for key in (0, 1) if h.k_excitations is None else (0,):
         block = h.block(key)
         part = psi[block.indices]
-        total += np.vdot(part, block.op.matvec(part))
+        h_part = (block_product(block.op, part.real)
+                  + 1j * block_product(block.op, part.imag))
+        total += np.vdot(part, h_part)
     return float(np.real(total))
 
 
@@ -161,6 +176,73 @@ def excitation_drift(trace) -> float:
 def sz_meta(trace) -> tuple:
     """The (sz, meta) pair of a trace that noise_average reads per draw."""
     return trace.sz, trace.meta
+
+
+# -- patterns, the location observable and phonon modes --------------------
+
+def mirrored(pattern: ExcitationPattern) -> ExcitationPattern:
+    """The pattern reflected through the chain centre, site i to N + 1 - i."""
+    n = pattern.n_ions
+    return ExcitationPattern(n, tuple(n + 1 - i for i in pattern.flipped))
+
+
+def observable_c(sz) -> float:
+    """Mean excitation location of one magnetization row, in [-1, 1]:
+    C = sum_i [(2i - N - 1)/(N - 1)] (sz_i + 1)/2, negative when the
+    excitation sits in the left half."""
+    sz = np.asarray(sz, dtype=float)
+    n = sz.shape[-1]
+    if n < 2:
+        raise ValueError("observable needs at least 2 sites")
+    weights = (2.0 * np.arange(1, n + 1) - n - 1.0) / (n - 1.0)
+    return float(np.dot(weights, (sz + 1.0) / 2.0))
+
+
+def perturbative_modes(n: int) -> PhononModes:
+    """Closed-form cosine-wave modes of the uniform chain.
+
+    Valid to leading order in the dipolar coupling: mode m has profile
+    V_{i,m} = sqrt(2/N) cos[(m pi / N)(i - 1/2)] (sqrt(1/N) for m = 0)
+    and eigenvalue
+    kappa_m = sum_{r=1}^{floor(N/2)} (2 - 2 cos(m r pi / N)) / r^3.
+    """
+    if n < 2:
+        raise ValueError("need at least 2 ions")
+    i = np.arange(1, n + 1)[:, None]
+    m = np.arange(n)[None, :]
+    v = np.sqrt(2.0 / n) * np.cos(m * np.pi / n * (i - 0.5))
+    v[:, 0] = np.sqrt(1.0 / n)
+    r = np.arange(1, n // 2 + 1)[:, None]
+    kappas = ((2.0 - 2.0 * np.cos(m * r * np.pi / n)) / r**3.0).sum(axis=0)
+    return PhononModes(mode_matrix=v, kappas=kappas)
+
+
+# -- spin-wave Heisenberg propagator -----------------------------------------
+
+@dataclass(frozen=True)
+class HeisenbergPropagator:
+    """Mode-space evolution a_i(t) = sum_j u_ij a_j + (pair part via w).
+
+    The pair block w vanishes at t = 0 and whenever every Bogoliubov
+    angle is zero; u u^dag - w w^dag = 1 at all times.
+    """
+
+    u: np.ndarray
+    w: np.ndarray
+    time: float
+
+
+def propagator(sys, t: float) -> HeisenbergPropagator:
+    """The two N x N propagators of a SpinWaveSystem at time t."""
+    ch2 = np.cosh(sys.thetas) ** 2
+    sh2 = np.sinh(sys.thetas) ** 2
+    chsh = np.cosh(sys.thetas) * np.sinh(sys.thetas)
+    minus = np.exp(-1j * sys.epsilons * t)
+    plus = np.exp(+1j * sys.epsilons * t)
+    v = sys.modes
+    u = (v * (ch2 * minus - sh2 * plus)) @ v.T
+    w = (v * (chsh * (plus - minus))) @ v.T
+    return HeisenbergPropagator(u=u, w=w, time=float(t))
 
 
 # -- truncated-Fock boson model ---------------------------------------------
@@ -270,18 +352,20 @@ def detected_probability(p: np.ndarray, err: float) -> np.ndarray:
 
 def whole_array_shots(pattern, run_to_sz, model, n_shots: int) -> np.ndarray:
     """Shots with every draw taken as one array: the distinct kept rows
-    from np.unique(axis=0), one random((n_shots, N)) per stream (1 for
-    preparation, 2 for outcomes, 3 for detection) and the marginals of
-    every shot gathered as p[rows]."""
+    from np.unique(axis=0), their non-empty patterns passed to run_to_sz
+    in one call, one random((n_shots, N)) per stream (1 for preparation,
+    2 for outcomes, 3 for detection) and the marginals of every shot
+    gathered as p[rows]."""
     sites = np.array(pattern.flipped, dtype=int)
     kept = (model.rng(1).random((n_shots, sites.size))
             < model.prep_flip_fidelity)
     rows, which = np.unique(kept, axis=0, return_inverse=True)
     sz = np.full((len(rows), pattern.n_ions), -1.0)
-    for r, row in enumerate(rows):
-        if row.any():
-            sz[r] = run_to_sz(ExcitationPattern(pattern.n_ions,
-                                                tuple(sites[row])))
+    run = rows.any(axis=1)
+    if run.any():
+        sz[run] = run_to_sz([ExcitationPattern(pattern.n_ions,
+                                               tuple(sites[row]))
+                             for row in rows[run]])
     p = np.clip((sz + 1.0) / 2.0, 0.0, 1.0)
     shape = (n_shots, pattern.n_ions)
     bits = (model.rng(2).random(shape) < p[which.reshape(-1)]).astype(np.uint8)

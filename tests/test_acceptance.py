@@ -15,15 +15,14 @@ import pytest
 from helpers import (B_FIELD, JMAX, conditional_marginals,
                      detected_probability, excitation_drift,
                      fock_occupation_dynamics, mixture_conditional_truth,
-                     sz_meta)
+                     observable_c, propagator, sz_meta)
 from ionquench.cli import main
 from ionquench.coupling import effective_potential, power_law_couplings
 from ionquench.exact import (build_full_ising, build_xy_sector,
                              default_time_grid, diagonal_ensemble, evolve)
 from ionquench.lattice import TrapConfig, exact_modes
-from ionquench.observables import ExcitationPattern, observable_c
-from ionquench.spinwave import (build_spinwave, evolve_spinwave, gge_state,
-                                propagator)
+from ionquench.observables import ExcitationPattern
+from ionquench.spinwave import build_spinwave, evolve_spinwave, gge_state
 from ionquench.stochastic import (NoiseModel, noise_average, postselect,
                                   shot_pipeline)
 
@@ -271,11 +270,12 @@ def test_shot_estimates_cover_exact_conditional_truth():
     t_shot = np.array([8.0 / JMAX])
     prep, det = 0.97, 0.05
 
-    def run_to_sz(pat):
-        h = build_xy_sector(jm, B_FIELD, pat.n_excitations)
-        return evolve(h, pat, t_shot).sz[0]
+    def run_to_sz(pats):
+        return np.array([
+            evolve(build_xy_sector(jm, B_FIELD, pat.n_excitations), pat,
+                   t_shot).sz[0] for pat in pats])
 
-    p_intended = (run_to_sz(pattern) + 1.0) / 2.0
+    p_intended = (run_to_sz([pattern])[0] + 1.0) / 2.0
     components = [
         (1.0 - prep, detected_probability(np.zeros(7), det)),
         (prep, detected_probability(p_intended, det)),
@@ -306,7 +306,8 @@ def test_detection_free_postselection_is_unbiased():
     p = (evolve(h, pattern, t_shot).sz[0] + 1.0) / 2.0
     model = NoiseModel(prep_flip_fidelity=1.0, detection_error=0.0, seed=3)
     shots = shot_pipeline(pattern,
-                          lambda pat: evolve(h, pat, t_shot).sz[0],
+                          lambda pats: np.array([evolve(h, pat, t_shot).sz[0]
+                                                 for pat in pats]),
                           model, 30000)
     res = postselect(shots, 1)
     truth = conditional_marginals(p, 1)

@@ -11,13 +11,14 @@ from scipy.constants import hbar
 import ionquench.constants
 
 from conftest import make_trap_config, make_trap_couplings
+from helpers import perturbative_modes
 from ionquench.coupling import (CouplingMatrix, effective_potential,
                                 eigen_spectrum_lambda, fit_alpha,
                                 ion_couplings, power_law_couplings,
                                 scale_rabi_for_jmax, tune_mu_for_alpha,
                                 with_fitted_alpha)
 from ionquench.errors import ResonanceError
-from ionquench.lattice import exact_modes, perturbative_modes
+from ionquench.lattice import exact_modes
 
 TWO_PI = 2.0 * math.pi
 

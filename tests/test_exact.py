@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.special import jv
 from helpers import (B_FIELD, JMAX, dense_ising_oracle, dense_sz_dynamics,
                      dense_xy_oracle, energy_expectation, excitation_drift,
                      product_state)
+from ionquench.cli import main
 from ionquench.coupling import CouplingMatrix, power_law_couplings
 from ionquench.errors import SectorError, SizeError
 from ionquench.exact import (_CHEBYSHEV_TAIL, _chebyshev_coefficients,
@@ -142,6 +144,33 @@ def test_chebyshev_coefficients_match_the_scipy_bessel_values():
     assert np.abs(odd - expect).max() < 1e-13
     assert np.all(odd[0] == 0.0)
     assert np.abs(even[0] - np.eye(1, even.shape[1])[0]).max() < 1e-15
+
+
+def test_krylov_horizon_above_the_work_budget_raises_first(monkeypatch,
+                                                           tmp_path):
+    """N = 13 at 1e7 / J_max reaches |R t| of about 2.2e9, billions of
+    coefficient entries: evolve raises SizeError, and the CLI exits 3,
+    before any Bessel value, coefficient table or state is formed."""
+    def refuse(*args):
+        raise AssertionError("expansion formed above the work budget")
+
+    monkeypatch.setattr("ionquench.exact._bessel_j", refuse)
+    monkeypatch.setattr("ionquench.exact._chebyshev_coefficients", refuse)
+    h = build_full_ising(power_law_couplings(13, JMAX, 0.55), B_FIELD)
+    times = default_time_grid(JMAX, 1e7, 60)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match="Chebyshev expansion"):
+            evolve(h, ExcitationPattern(13, (1,)), times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_ions = 13\nmodel = exact\npatterns = 1\n"
+                   "t_max_over_jmax = 1e7\n")
+    assert main(["evolve", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 3
 
 
 def test_krylov_zero_width_block_is_a_pure_phase(monkeypatch):

@@ -5,12 +5,12 @@ import pytest
 from scipy.constants import elementary_charge, epsilon_0
 
 from conftest import make_trap_config
+from helpers import perturbative_modes
 from ionquench.coupling import ion_couplings
 from ionquench.errors import ResonanceError, StabilityError
 from ionquench.lattice import (Geometry, TrapConfig, YB171_MASS,
                                axial_scale_from_spacing,
-                               equilibrium_positions, exact_modes, k_matrix,
-                               perturbative_modes)
+                               equilibrium_positions, exact_modes, k_matrix)
 
 TWO_PI = 2.0 * math.pi
 

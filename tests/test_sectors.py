@@ -13,10 +13,11 @@ import pytest
 
 import ionquench.cli as cli
 import ionquench.exact as exact
-from helpers import (B_FIELD, JMAX, complex_table_chebyshev_states,
+from helpers import (B_FIELD, JMAX, block_product,
+                     complex_table_chebyshev_states,
                      dense_ising_oracle, dense_sz_dynamics, dense_xy_oracle,
                      direct_trig_dense_sz, energy_expectation,
-                     hadamard_form_product, product_state, sz_meta)
+                     hadamard_form_product, mirrored, product_state, sz_meta)
 from ionquench.cli import main
 from ionquench.config import load_config
 from ionquench.coupling import CouplingMatrix, power_law_couplings
@@ -138,7 +139,7 @@ def test_block_product_and_bounds_match_the_oracle(n, case):
         block = h.block(key)
         expect = ref[np.ix_(block.indices, block.indices)]
         v = rng.normal(size=block.dimension)
-        assert (np.abs(block.op.matvec(v) - expect @ v).max()
+        assert (np.abs(block_product(block.op, v) - expect @ v).max()
                 <= 1e-12 * np.abs(expect @ v).max())
         lo, hi = block.op.bounds()
         evals = np.linalg.eigvalsh(expect)
@@ -161,7 +162,7 @@ def test_block_product_matches_the_butterfly_at_workload_size(n):
         op = h.block(key).op
         v = rng.normal(size=op.dim)
         expect = hadamard_form_product(op, v)
-        assert (np.abs(op.matvec(v) - expect).max()
+        assert (np.abs(block_product(op, v) - expect).max()
                 <= 1e-12 * np.abs(expect).max())
         lo, hi = op.bounds()
         centre, half = (hi + lo) / 2.0, (hi - lo) / 2.0
@@ -245,7 +246,7 @@ def test_mirrored_pattern_has_opposite_c(monkeypatch, n):
     for cap in (DENSE_CAP, 0):  # dense, then Krylov
         monkeypatch.setattr("ionquench.exact.DENSE_CAP", cap)
         c = evolve(h, pattern, times).c_series
-        mirror = evolve(h, pattern.mirrored(), times).c_series
+        mirror = evolve(h, mirrored(pattern), times).c_series
         assert np.abs(c + mirror).max() < 1e-12
 
 
@@ -610,18 +611,28 @@ def test_noise_draws_share_one_spectrum_per_sector(tmp_path, eigh_sizes):
     assert sorted(eigh_sizes) == sorted([n] + ODD_HALVES * (samples + 1))
 
 
-def test_exact_shots_diagonalise_each_sector_once(tmp_path, eigh_sizes,
-                                                  monkeypatch):
-    """Preparation errors keep subsets of sites 1, 3, 5 of both parities;
-    one full model and one spectrum per parity sector serve all of them."""
-    builds = []
-    real = cli.build_full_ising
+def counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that logs one entry per call;
+    returns the log."""
+    calls = []
+    real = getattr(module, name)
 
     def counting(*args, **kwargs):
-        builds.append(1)
+        calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "build_full_ising", counting)
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_exact_shots_diagonalise_each_sector_once(tmp_path, eigh_sizes,
+                                                  monkeypatch):
+    """Preparation errors keep the 7 non-empty subsets of sites 1, 3, 5,
+    of both parities; one quench call on one full model serves all of
+    them, with one spectrum and one stacked readout per parity sector."""
+    builds = counted(monkeypatch, cli, "build_full_ising")
+    quenches = counted(monkeypatch, cli, "evolve_draws")
+    readouts = counted(monkeypatch, exact, "_dense_sz")
     n = 6
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"n_ions = {n}\nmodel = exact\npatterns = 1,3,5\n"
@@ -630,7 +641,22 @@ def test_exact_shots_diagonalise_each_sector_once(tmp_path, eigh_sizes,
     assert main(["shots", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 0
     assert len(builds) == 1
+    assert len(quenches) == 1
+    assert len(readouts) == 2
     assert sorted(eigh_sizes) == sorted(ODD_HALVES + EVEN_HALVES)
+
+
+def test_spinwave_shots_build_one_system(tmp_path, monkeypatch):
+    """The 7 non-empty subsets of sites 1, 3, 5 kept by preparation
+    errors all evolve on one spin-wave system."""
+    builds = counted(monkeypatch, cli, "build_spinwave")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_ions = 6\nmodel = spinwave\npatterns = 1,3,5\n"
+                   "prep_fidelity = 0.5\nn_shots = 200\n"
+                   "shot_time_over_jmax = 5\n")
+    assert main(["shots", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(builds) == 1
 
 
 def test_noise_free_krylov_shots_build_each_parity_block_once(tmp_path,

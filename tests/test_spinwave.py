@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from helpers import (B_FIELD, JMAX, fock_boson_hamiltonian,
-                     fock_occupation_dynamics)
+                     fock_occupation_dynamics, observable_c, propagator)
 from ionquench.coupling import CouplingMatrix, power_law_couplings
 from ionquench.errors import SectorError, StabilityError
-from ionquench.observables import ExcitationPattern, observable_c
+from ionquench.observables import ExcitationPattern
 from ionquench.spinwave import (build_spinwave, evolve_spinwave,
                                 gge_lambdas, gge_occupations, gge_state,
-                                pair_gap_spectrum, propagator)
+                                pair_gap_spectrum)
 
 TWO_PI = 2.0 * math.pi
 

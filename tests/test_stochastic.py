@@ -113,12 +113,22 @@ def test_average_input_validation():
             noise_average(wrong, TIMES, model, n_samples=3)
 
 
+def fixed_sz(sz):
+    """Dynamics that give every pattern the marginals sz."""
+    return lambda patterns: np.tile(sz, (len(patterns), 1))
+
+
+def own_sz(patterns):
+    """Dynamics that leave every pattern as it was prepared."""
+    return np.array([pat.sz() for pat in patterns])
+
+
 def shots_of(sz, n_shots, **noise):
     """Shots of fixed site marginals: preparation never fails and the
     dynamics return sz whatever the pattern."""
     sz = np.asarray(sz, dtype=float)
     model = NoiseModel(prep_flip_fidelity=1.0, **noise)
-    return shot_pipeline(ExcitationPattern(sz.size, (1,)), lambda pat: sz,
+    return shot_pipeline(ExcitationPattern(sz.size, (1,)), fixed_sz(sz),
                          model, n_shots)
 
 
@@ -126,7 +136,7 @@ def test_prep_errors_limits():
     pattern = ExcitationPattern(7, (2, 4))
     keep = NoiseModel(prep_flip_fidelity=1.0, detection_error=0.0)
     drop = NoiseModel(prep_flip_fidelity=0.0, detection_error=0.0)
-    run = ExcitationPattern.sz
+    run = own_sz
     assert np.array_equal(shot_pipeline(pattern, run, keep, 50),
                           np.tile(pattern.occupations(), (50, 1)))
     assert not shot_pipeline(pattern, run, drop, 50).any()
@@ -137,7 +147,7 @@ def test_prep_errors_statistics():
     pattern = ExcitationPattern(7, (2, 4))
     # the dynamics return the kept pattern itself, so the bits show
     # which flips succeeded
-    shots = shot_pipeline(pattern, ExcitationPattern.sz, model, 20000)
+    shots = shot_pipeline(pattern, own_sz, model, 20000)
     assert not shots[:, [0, 2, 4, 5, 6]].any()
     kept2 = shots[:, 1].mean()
     kept4 = shots[:, 3].mean()
@@ -187,8 +197,10 @@ def test_shots_match_per_shot_scalar_oracle():
     model = NoiseModel(prep_flip_fidelity=0.8, detection_error=0.1, seed=17)
     pattern = ExcitationPattern(5, (1, 3, 4))
 
-    def run(pat):
-        return 0.7 * pat.sz() + 0.2 * np.sin(np.arange(5.0) + sum(pat.flipped))
+    def run(patterns):
+        return np.array([0.7 * pat.sz()
+                         + 0.2 * np.sin(np.arange(5.0) + sum(pat.flipped))
+                         for pat in patterns])
 
     shots = shot_pipeline(pattern, run, model, 400)
     prep, outcome, detect = model.rng(1), model.rng(2), model.rng(3)
@@ -196,7 +208,7 @@ def test_shots_match_per_shot_scalar_oracle():
             for _ in range(400)]
     oracle = np.zeros((400, 5), dtype=np.uint8)
     for row, key in enumerate(kept):
-        sz = run(ExcitationPattern(5, key)) if key else np.full(5, -1.0)
+        sz = run([ExcitationPattern(5, key)])[0] if key else np.full(5, -1.0)
         for site in range(5):
             oracle[row, site] = outcome.random() < (sz[site] + 1.0) / 2.0
         for site in range(5):
@@ -207,12 +219,15 @@ def test_shots_match_per_shot_scalar_oracle():
 
 
 def logged_dynamics(n_ions):
-    """Distinct marginals per pattern, and the list of patterns run."""
+    """Distinct marginals per pattern, and the list of calls, each the
+    tuple of the patterns it ran."""
     calls = []
 
-    def run(pat):
-        calls.append(pat.flipped)
-        return 0.9 * np.cos(np.arange(n_ions) + 3.0 * sum(pat.flipped))
+    def run(patterns):
+        calls.append(tuple(pat.flipped for pat in patterns))
+        return np.array([0.9 * np.cos(np.arange(n_ions)
+                                      + 3.0 * sum(pat.flipped))
+                         for pat in patterns])
     return run, calls
 
 
@@ -262,7 +277,7 @@ def test_readout_and_writer_stay_near_the_bit_array(tmp_path):
     sz = 0.9 * np.cos(np.arange(100.0))
     tracemalloc.start()
     try:
-        shots = shot_pipeline(pattern, lambda pat: sz, NoiseModel(seed=4),
+        shots = shot_pipeline(pattern, fixed_sz(sz), NoiseModel(seed=4),
                               50000)
         write_shot_lines(tmp_path / "shots.txt", shots)
         _, peak = tracemalloc.get_traced_memory()
@@ -332,9 +347,11 @@ def test_postselection_matches_conditional_law():
 def test_pipeline_deterministic():
     model = NoiseModel(seed=13)
 
-    def run(pat):
+    def run(patterns):
         sys = build_spinwave(BASE_JM, B_FIELD)
-        return evolve_spinwave(sys, pat, np.array([8.0 / JMAX])).sz[0]
+        return np.array([evolve_spinwave(sys, pat,
+                                         np.array([8.0 / JMAX])).sz[0]
+                         for pat in patterns])
 
     a = shot_pipeline(PATTERN, run, model, 300)
     b = shot_pipeline(PATTERN, run, model, 300)
@@ -346,9 +363,9 @@ def test_pipeline_caches_dynamics_per_pattern():
     model = NoiseModel(prep_flip_fidelity=0.5, detection_error=0.0, seed=1)
     calls = []
 
-    def run(pat):
-        calls.append(pat.flipped)
-        return PATTERN.sz().astype(float)
+    def run(patterns):
+        calls.extend(pat.flipped for pat in patterns)
+        return np.tile(PATTERN.sz(), (len(patterns), 1))
 
     shot_pipeline(PATTERN, run, model, 100)
     # empty corruptions short-circuit, successful ones run once
@@ -358,9 +375,21 @@ def test_pipeline_caches_dynamics_per_pattern():
 def test_pipeline_empty_pattern_short_circuit():
     model = NoiseModel(prep_flip_fidelity=0.0, detection_error=0.0, seed=6)
 
-    def run(pat):
+    def run(patterns):
         raise AssertionError("dynamics must not run for the empty pattern")
 
     shots = shot_pipeline(PATTERN, run, model, 40)
     assert shots.shape == (40, 5)
     assert not shots.any()
+
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (2, 5), (4, 5), (5,), (3, 4)])
+def test_pipeline_rejects_sz_of_the_wrong_shape(shape):
+    """The kept subsets of sites (1, 2) are (1,), (2,) and (1, 2), so the
+    dynamics must return three rows of 5 sites: any other shape raises,
+    one (N,) row for all of them included, instead of broadcasting."""
+    model = NoiseModel(prep_flip_fidelity=0.5, detection_error=0.0, seed=1)
+    with pytest.raises(ValueError, match="for 3 patterns"):
+        shot_pipeline(ExcitationPattern(5, (1, 2)),
+                      lambda patterns: np.zeros(shape), model, 200)
