@@ -24,5 +24,5 @@ from .observables import ExcitationPattern, QuenchTrace, assemble_trace
 from .spinwave import (GgeState, SpinWaveSystem, build_spinwave,
                        evolve_spinwave, gge_lambdas, gge_magnetization,
                        gge_occupations, gge_state, pair_gap_spectrum)
-from .stochastic import (NoiseModel, PostselectionResult, noise_average,
+from .stochastic import (NoiseModel, PostselectionResult, noise_scales,
                          postselect, shot_pipeline)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cached_property, reduce
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +34,9 @@ from .iocsv import (write_c_summary_csv, write_csv, write_gaps_csv,
                     write_matrix_csv, write_shot_lines, write_trace_csv)
 from .lattice import equilibrium_positions
 from .observables import ExcitationPattern, assemble_trace
-from .spinwave import (build_spinwave, evolve_spinwave, gge_state,
-                       pair_gap_spectrum)
-from .stochastic import noise_average, postselect, shot_pipeline
+from .spinwave import (SpinWaveSystem, build_spinwave, evolve_spinwave,
+                       gge_state, pair_gap_spectrum)
+from .stochastic import noise_scales, postselect, shot_pipeline
 
 
 def _pattern_tag(pattern: ExcitationPattern) -> str:
@@ -61,7 +62,8 @@ class _Dynamics:
 
     Patterns of one sector share one HamiltonianRep and so its cached
     spectrum: the full model for exact (both parity sectors), one rep
-    per excitation number for xy.  A noise-free run is the draw s = 1.
+    per excitation number for xy.  Spin waves keep the system of the
+    unscaled couplings.  A noise-free run is the draw s = 1.
     """
 
     def __init__(self, cfg: RunConfig, jm):
@@ -78,19 +80,30 @@ class _Dynamics:
                              build_xy_sector(self.jm, self.cfg.b_field, k))
         return self._reps[k]
 
+    @cached_property
+    def spinwave(self) -> SpinWaveSystem:
+        return build_spinwave(self.jm, self.cfg.b_field)
+
     def evolve_draws(self, patterns, times: np.ndarray, scales):
-        """The (sz, meta) of every pattern for each noise draw J -> s J,
-        in draw order and, within a draw, in the order of patterns.
-        exact and xy run exact.evolve_draws on this model's reps; spin
-        waves build one SpinWaveSystem per draw."""
+        """The mean sz (P, T, N) of the patterns over the noise draws
+        J -> s J and the largest norm error, None for spin waves.
+
+        Draws are summed in draw order, as np.mean does.  exact and xy
+        run exact.evolve_draws on this model's reps; spin waves build one
+        SpinWaveSystem per draw (1.0 J == J, so the draw s = 1 takes
+        self.spinwave) and stream, holding one draw's traces at a time.
+        """
         if self.cfg.model != "spinwave":
-            yield from evolve_draws([(self.rep(p), p) for p in patterns],
-                                    times, scales)
-            return
-        for s in scales:
-            sw = build_spinwave(self.jm.scaled(s), self.cfg.b_field)
-            yield [(tr.sz, tr.meta)
-                   for tr in (evolve_spinwave(sw, p, times) for p in patterns)]
+            sz, err = evolve_draws([(self.rep(p), p) for p in patterns],
+                                   times, scales)
+            return sz.mean(axis=0), float(err.max())
+        systems = (self.spinwave if s == 1.0 else
+                   build_spinwave(self.jm.scaled(s), self.cfg.b_field)
+                   for s in scales)
+        total = reduce(np.add, (np.array([evolve_spinwave(sw, p, times).sz
+                                          for p in patterns])
+                                for sw in systems))
+        return total / len(scales), None
 
 
 def cmd_couplings(cfg: RunConfig, out: _OutDir) -> dict:
@@ -123,35 +136,30 @@ def cmd_evolve(cfg: RunConfig, out: _OutDir) -> dict:
     r = cfg.raw
     times = default_time_grid(jm.j_max, r["t_max_over_jmax"], r["n_times"])
     ns = r["noise_samples"] or None   # the n_samples column when noisy
-    free = _Dynamics(cfg, jm)
-    sw = build_spinwave(jm, cfg.b_field)
+    dyn = _Dynamics(cfg, jm)
+    sw = dyn.spinwave   # built before any write: an unstable one exits 3
     sections = {"derived": {
         "j_max_rad_per_s": jm.j_max,
         "alpha_fit": jm.alpha_fit,
         "t_max_seconds": float(times[-1]),
     }}
+    scales = noise_scales(cfg.noise_model(), ns) if ns else [1.0]
+    mean, norm_error = dyn.evolve_draws(cfg.patterns, times, scales)
     if ns:
-        traces = noise_average(
-            lambda scales: free.evolve_draws(cfg.patterns, times, scales),
-            times, cfg.noise_model(), ns)
-        diagnostics = {"noise_scales": traces[0].meta["noise_scales"]}
-        if cfg.model != "spinwave":  # spin waves propagate no state vector
-            diagnostics["max_norm_error"] = max(t.meta["norm_error"]
-                                                for t in traces)
-        sections["diagnostics"] = diagnostics
-    else:
-        traces = [assemble_trace(times, sz, **meta) for sz, meta
-                  in next(free.evolve_draws(cfg.patterns, times, [1.0]))]
+        sections["diagnostics"] = {"noise_scales": scales}
+        if norm_error is not None:  # spin waves propagate no state vector
+            sections["diagnostics"]["max_norm_error"] = norm_error
     if cfg.model != "spinwave":
         sections["derived"]["method"] = {
-            _pattern_tag(p): t.meta["method"]
-            for p, t in zip(cfg.patterns, traces)}
-    for pattern, trace in zip(cfg.patterns, traces):
+            _pattern_tag(p): "dense" if dyn.rep(p).dense else "krylov"
+            for p in cfg.patterns}
+    for pattern, sz in zip(cfg.patterns, mean):
         tag = _pattern_tag(pattern)
+        trace = assemble_trace(times, sz)
         write_trace_csv(out / f"trace_{cfg.model}_{tag}.csv", trace, ns)
         write_c_summary_csv(out / f"c_{cfg.model}_{tag}.csv", trace, ns)
         write_gge_csv(out / f"gge_{tag}.csv", gge_state(sw, pattern).sz_gge)
-        h = free.rep(pattern) if cfg.model != "spinwave" else None
+        h = dyn.rep(pattern) if cfg.model != "spinwave" else None
         if h is not None and h.dense:
             write_csv(out / f"diag_ensemble_{tag}.csv",
                       ("site", "sz_diag"), (np.arange(1, cfg.n_ions + 1),
@@ -206,8 +214,8 @@ def cmd_shots(cfg: RunConfig, out: _OutDir) -> dict:
     dyn = _Dynamics(cfg, jm)
 
     def run_to_sz(patterns):
-        draw = next(dyn.evolve_draws(patterns, np.array([t_shot]), [1.0]))
-        return np.array([sz[0] for sz, _ in draw])
+        sz, _ = dyn.evolve_draws(patterns, np.array([t_shot]), [1.0])
+        return sz[:, 0]
 
     shots = shot_pipeline(pattern, run_to_sz, cfg.noise_model(),
                           r["n_shots"])

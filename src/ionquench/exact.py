@@ -22,8 +22,9 @@ kept as its field diagonal and its list of coupling entries.  Every
 block thus holds its coupling part X apart from its field diagonal D,
 and a global coupling scale s (J -> s J, one noise draw) gives the block
 s X + D with the same floats s J_ij that a model rebuilt from the scaled
-couplings holds.  ``evolve_draws`` is the one quench path, and
-``evolve`` is its single draw s = 1.  On a dense rep,
+couplings holds.  ``evolve_draws`` is the one quench path: it returns
+the sz of every (draw, quench) as one array, and ``evolve`` is its
+single draw s = 1.  On a dense rep,
 ``Sector.half_spectra`` diagonalises a stack of such blocks, one per
 scale, and every pattern of a block evolves under a chunk of draws in
 one stacked product; on a larger rep, each draw builds its blocks from
@@ -641,21 +642,15 @@ def _dense_sz(block: Sector, idx0s: list[int], times: np.ndarray,
                       block.dimension * len(idx0s) * len(spectra[0][0]))
 
 
-def _meta(h: HamiltonianRep, pattern: ExcitationPattern, method: str,
-          norm_error: float) -> dict:
-    """The meta of a quench: model, pattern, field, method, norm error."""
-    return dict(model=h.kind, pattern=pattern.flipped, b_field=h.b_field,
-                method=method, norm_error=float(norm_error))
-
-
 def evolve_draws(quenches, times: np.ndarray, scales
-                 ) -> list[list[tuple[np.ndarray, dict]]]:
-    """Quenches under global coupling noise, one list per draw.
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Quenches under global coupling noise: sz (S, Q, T, N) and norm
+    errors (S, Q), draw by quench.
 
-    quenches holds (rep, pattern) pairs and scales the draw scales s,
-    each standing for J -> s J.  Draw d's list holds one (sz, meta) pair
-    per quench, in quench order: bit for bit those of the same quench on
-    the reps rebuilt from the couplings scaled by scales[d].
+    quenches holds Q (rep, pattern) pairs and scales the S draw scales
+    s, each standing for J -> s J.  sz[d, q] and err[d, q] are bit for
+    bit those of quench q on the reps rebuilt from the couplings scaled
+    by scales[d].
     The blocks of a dense rep serve every draw: for a chunk of draws
     each block takes one stacked Sector.half_spectra and propagates all
     of its patterns in one stacked product per half and real part, one
@@ -677,28 +672,25 @@ def evolve_draws(quenches, times: np.ndarray, scales
             idx0s.append(idx0)
         else:
             krylov.setdefault(id(h), (h, []))[1].append(pos)
+    sz = np.empty((scales.size, len(quenches), times.size,
+                   quenches[0][0].n_ions))
+    err = np.empty((scales.size, len(quenches)))
     width = max((block.dimension * len(idx0s)
                  for block, _, idx0s in dense.values()), default=1)
     step = max(1, _DRAW_CHUNK // (width * times.size))
-    draws = [[None] * len(quenches) for _ in scales]
     for start in range(0, scales.size, step):
-        chunk = scales[start:start + step]
+        chunk = slice(start, start + step)
         for block, where, idx0s in dense.values():
-            sz, err = _dense_sz(block, idx0s, times,
-                                block.half_spectra(chunk))
-            for k, pos in enumerate(where):
-                for d in range(chunk.size):
-                    draws[start + d][pos] = (
-                        sz[d, k], _meta(*quenches[pos], "dense", err[d, k]))
-    for s, draw in zip(scales, draws):
+            sz[chunk, where], err[chunk, where] = _dense_sz(
+                block, idx0s, times, block.half_spectra(scales[chunk]))
+    for d, s in enumerate(scales):
         for h, where in krylov.values():
             # 1.0 J == J, so the draw s = 1 runs on h and its cached blocks
             scaled = h if s == 1.0 else replace(h, j_script=h.j_script * s)
             for pos in where:
-                pattern = quenches[pos][1]
-                sz, err = _krylov_sz_series(*scaled.sector(pattern), times)
-                draw[pos] = (sz, _meta(h, pattern, "krylov", err))
-    return draws
+                sz[d, pos], err[d, pos] = _krylov_sz_series(
+                    *scaled.sector(quenches[pos][1]), times)
+    return sz, err
 
 
 def _bessel_j(n: int, z: float) -> np.ndarray:
@@ -831,8 +823,11 @@ def evolve(h: HamiltonianRep, pattern: ExcitationPattern, times: np.ndarray
     ("dense"), by a Chebyshev expansion otherwise ("krylov").
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    [(sz, meta)] = evolve_draws([(h, pattern)], times, [1.0])[0]
-    return assemble_trace(times, sz, **meta)
+    sz, err = evolve_draws([(h, pattern)], times, [1.0])
+    return assemble_trace(times, sz[0, 0], model=h.kind,
+                          pattern=pattern.flipped, b_field=h.b_field,
+                          method="dense" if h.dense else "krylov",
+                          norm_error=float(err[0, 0]))
 
 
 def _levels(evals: np.ndarray) -> np.ndarray:

@@ -8,12 +8,12 @@ its index, never on how the draws are grouped for evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import EmptySelectionError
-from .observables import ExcitationPattern, QuenchTrace, assemble_trace
+from .observables import ExcitationPattern
 
 # stream ids for independent random substreams under one seed
 _STREAM_NOISE = 0
@@ -63,58 +63,16 @@ def _draw_scale(rng: np.random.Generator, sigma: float) -> float:
             return float(s)
 
 
-def noise_average(
-        run: Callable[[list[float]],
-                      Iterable[Sequence[tuple[np.ndarray, dict]]]],
-        times: np.ndarray, model: NoiseModel, n_samples: int
-        ) -> list[QuenchTrace]:
-    """Trajectory averages over global coupling-strength noise.
+def noise_scales(model: NoiseModel, n_samples: int) -> list[float]:
+    """The global coupling scales of n_samples noise draws, in draw order.
 
-    run(scales) gets every draw's scale s at once, each standing for
-    J -> s J, and returns an iterable over the draws in scale order; each
-    draw is one (sz, meta) pair per initial pattern, always in the same
-    order, sz of shape (times.size, N).  Magnetizations are summed draw
-    by draw in draw order and divided by n_samples, the summation order
-    of np.mean over the draws, so the grouping of the draws changes no
-    bit.  The location observable and its running mean are built from
-    the averaged magnetizations (both are linear, so this equals
-    averaging them directly).  An averaged trace's meta is that of its
-    first draw plus n_samples, j_relative_sigma and noise_scales (the
-    scales in draw order); a norm_error in the draws' meta becomes its
-    largest value over draws.
+    Draw i, standing for J -> s J, takes its scale from stream
+    (NOISE, i), so the first k of n scales are noise_scales(model, k).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    scales = [
-        _draw_scale(model.rng(_STREAM_NOISE, i), model.j_relative_sigma)
-        for i in range(n_samples)
-    ]
-    sums, metas, n_draws = None, [], 0
-    for draw in run(scales):
-        if sums is None:
-            sums = [np.zeros_like(sz) for sz, _ in draw]
-            metas = [dict(meta) for _, meta in draw]
-        if len(draw) != len(sums):
-            raise ValueError("noise samples returned a different number "
-                             "of traces")
-        for total, meta, (sz, draw_meta) in zip(sums, metas, draw):
-            if sz.shape != total.shape:
-                raise ValueError("noise samples returned mismatched traces")
-            total += sz
-            if "norm_error" in meta:
-                meta["norm_error"] = max(meta["norm_error"],
-                                         draw_meta["norm_error"])
-        n_draws += 1
-    if n_draws != n_samples:
-        raise ValueError(f"noise run returned {n_draws} draws for "
-                         f"{n_samples} scales")
-    averaged = []
-    for total, meta in zip(sums, metas):
-        meta.update(n_samples=n_samples,
-                    j_relative_sigma=model.j_relative_sigma,
-                    noise_scales=scales)
-        averaged.append(assemble_trace(times, total / n_samples, **meta))
-    return averaged
+    return [_draw_scale(model.rng(_STREAM_NOISE, i), model.j_relative_sigma)
+            for i in range(n_samples)]
 
 
 def _readout(sz: np.ndarray, rows: np.ndarray,

@@ -4,9 +4,9 @@ Everything here is an independent reference implementation: dense
 Pauli-product Hamiltonians, a truncated-Fock boson propagator, the
 spin-wave Heisenberg propagator at one time, closed-form cosine phonon
 modes, the location observable C of one magnetization row, mirrored
-patterns, Poisson-binomial conditionals and a whole-array shot readout,
-all built from first principles so the package code can be checked
-against them.
+patterns, Poisson-binomial conditionals, a whole-array shot readout and
+a noise average over rebuilt models, all built from first principles so
+the package code can be checked against them.
 """
 
 import math
@@ -17,7 +17,8 @@ import scipy.linalg as sla
 
 from ionquench.exact import _chebyshev_order
 from ionquench.lattice import PhononModes
-from ionquench.observables import ExcitationPattern
+from ionquench.observables import ExcitationPattern, assemble_trace
+from ionquench.stochastic import noise_scales
 
 TWO_PI = 2.0 * math.pi
 JMAX = TWO_PI * 600.0     # rad/s, default strongest coupling
@@ -176,6 +177,25 @@ def excitation_drift(trace) -> float:
 def sz_meta(trace) -> tuple:
     """The (sz, meta) pair of a trace that noise_average reads per draw."""
     return trace.sz, trace.meta
+
+
+def noise_average(run, times, model, n_samples: int) -> list:
+    """Traces averaged over the noise draws of noise_scales.
+
+    run(scales) yields, per draw in scale order, one (sz, meta) pair per
+    pattern, each from a model rebuilt at that draw's scale.  sz is
+    summed from zeros draw by draw and divided by n_samples; a trace
+    keeps the meta of its first draw.
+    """
+    sums, metas = None, None
+    for draw in run(noise_scales(model, n_samples)):
+        if sums is None:
+            sums = [np.zeros_like(sz) for sz, _ in draw]
+            metas = [meta for _, meta in draw]
+        for total, (sz, _) in zip(sums, draw):
+            total += sz
+    return [assemble_trace(times, total / n_samples, **meta)
+            for total, meta in zip(sums, metas)]
 
 
 # -- patterns, the location observable and phonon modes --------------------

@@ -15,7 +15,7 @@ import pytest
 from helpers import (B_FIELD, JMAX, conditional_marginals,
                      detected_probability, excitation_drift,
                      fock_occupation_dynamics, mixture_conditional_truth,
-                     observable_c, propagator, sz_meta)
+                     noise_average, observable_c, propagator, sz_meta)
 from ionquench.cli import main
 from ionquench.coupling import effective_potential, power_law_couplings
 from ionquench.exact import (build_full_ising, build_xy_sector,
@@ -23,8 +23,7 @@ from ionquench.exact import (build_full_ising, build_xy_sector,
 from ionquench.lattice import TrapConfig, exact_modes
 from ionquench.observables import ExcitationPattern
 from ionquench.spinwave import build_spinwave, evolve_spinwave, gge_state
-from ionquench.stochastic import (NoiseModel, noise_average, postselect,
-                                  shot_pipeline)
+from ionquench.stochastic import NoiseModel, postselect, shot_pipeline
 
 TWO_PI = 2.0 * math.pi
 

@@ -15,6 +15,7 @@ from ionquench.config import load_config
 from ionquench.coupling import (detuning_scan, fit_alpha, ion_couplings,
                                 power_law_couplings, tune_mu_for_alpha)
 from ionquench.errors import ConfigError
+from ionquench.stochastic import noise_scales
 
 BASE = """
 n_ions = 4
@@ -317,6 +318,7 @@ class TestArtifacts:
         assert diags[0] == diags[1]
         scales = diags[0]["noise_scales"]
         assert len(scales) == 4 and min(scales) > 0.0
+        assert scales == noise_scales(load_config(cfg).noise_model(), 4)
         if model == "spinwave":  # no state vector, so no norm to check
             assert "max_norm_error" not in diags[0]
         else:

@@ -17,7 +17,8 @@ from helpers import (B_FIELD, JMAX, block_product,
                      complex_table_chebyshev_states,
                      dense_ising_oracle, dense_sz_dynamics, dense_xy_oracle,
                      direct_trig_dense_sz, energy_expectation,
-                     hadamard_form_product, mirrored, product_state, sz_meta)
+                     hadamard_form_product, mirrored, noise_average,
+                     product_state, sz_meta)
 from ionquench.cli import main
 from ionquench.config import load_config
 from ionquench.coupling import CouplingMatrix, power_law_couplings
@@ -28,7 +29,8 @@ from ionquench.exact import (DENSE_CAP, Sector, _dense_sz, _IsingBlock,
                              default_time_grid, diagonal_ensemble, evolve,
                              level_gaps)
 from ionquench.observables import ExcitationPattern
-from ionquench.stochastic import noise_average
+from ionquench.spinwave import build_spinwave, evolve_spinwave
+from ionquench.stochastic import NoiseModel, noise_scales
 
 SIZES = range(3, 9)
 
@@ -659,6 +661,49 @@ def test_spinwave_shots_build_one_system(tmp_path, monkeypatch):
     assert len(builds) == 1
 
 
+def test_noise_free_spinwave_evolve_builds_one_system(tmp_path, monkeypatch):
+    """The draw s = 1 and the GGE files share the command's one boson
+    system, and the trace is that of a system built for it alone."""
+    builds = counted(monkeypatch, cli, "build_spinwave")
+    path = tmp_path / "run.cfg"
+    path.write_text("n_ions = 6\nmodel = spinwave\npatterns = 1; 2,5\n"
+                    "n_times = 9\nt_max_over_jmax = 4\n")
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+    assert len(builds) == 1
+    cfg = load_config(path)
+    jm, _, _ = cfg.couplings()
+    sw = build_spinwave(jm, cfg.b_field)
+    times = default_time_grid(jm.j_max, 4, 9)
+    for pattern in cfg.patterns:
+        tag = cli._pattern_tag(pattern)
+        assert np.array_equal(
+            read_column(out / f"trace_spinwave_{tag}.csv", "sz"),
+            evolve_spinwave(sw, pattern, times).sz.ravel())
+
+
+def test_noisy_spinwave_draws_stream(tmp_path):
+    """Spin-wave draws are summed one at a time: 64 draws of 2 patterns
+    at N = 30 and T = 100 would stack to 3.1 MB, and the mean stays far
+    below that."""
+    path = tmp_path / "run.cfg"
+    path.write_text("n_ions = 30\nmodel = spinwave\npatterns = 1; 30\n")
+    cfg = load_config(path)
+    jm, _, _ = cfg.couplings()
+    dyn = cli._Dynamics(cfg, jm)
+    times = default_time_grid(jm.j_max, 25, 100)
+    scales = noise_scales(NoiseModel(seed=3), 64)
+    dyn.evolve_draws(cfg.patterns, times, scales[:2])  # one-time setup first
+    tracemalloc.start()
+    try:
+        mean, err = dyn.evolve_draws(cfg.patterns, times, scales)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mean.shape == (2, 100, 30) and err is None
+    assert peak < 1e6
+
+
 def test_noise_free_krylov_shots_build_each_parity_block_once(tmp_path,
                                                                monkeypatch):
     """Preparation errors keep the 7 non-empty subsets of sites 1, 3, 5 at
@@ -723,6 +768,8 @@ def test_noise_averaged_traces_match_per_pattern_oracle(tmp_path):
     ("exact", "1; 6; 2,3"),
     # the k = 3 sector of 20 states holds two patterns: chunks of 4 draws
     ("xy", "1,2,3; 4,5,6; 2"),
+    # one boson system per draw, no stacked spectra
+    ("spinwave", "1; 6; 2,3"),
 ])
 def test_noisy_evolve_equals_mean_of_rebuilt_draws(tmp_path, monkeypatch,
                                                    model, patterns):
@@ -739,15 +786,22 @@ def test_noisy_evolve_equals_mean_of_rebuilt_draws(tmp_path, monkeypatch,
                     f"noise_samples = {samples}\nseed = 23\n")
     out = tmp_path / "out"
     assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
-    assert sorted(set(chunks)) == ([1, 2] if model == "exact" else [1, 4])
+    assert sorted(set(chunks)) == {"exact": [1, 2], "xy": [1, 4],
+                                   "spinwave": []}[model]
     cfg = load_config(path)
     jm, _, _ = cfg.couplings()
     times = default_time_grid(jm.j_max, 6, 200)
     scales = json.loads((out / "manifest.json").read_text())[
         "diagnostics"]["noise_scales"]
     assert len(scales) == samples
-    draws = [[evolve(dyn.rep(p), p, times) for p in cfg.patterns]
-             for dyn in (cli._Dynamics(cfg, jm.scaled(s)) for s in scales)]
+    if model == "spinwave":
+        draws = [[evolve_spinwave(sw, p, times) for p in cfg.patterns]
+                 for sw in (build_spinwave(jm.scaled(s), cfg.b_field)
+                            for s in scales)]
+    else:
+        draws = [[evolve(dyn.rep(p), p, times) for p in cfg.patterns]
+                 for dyn in (cli._Dynamics(cfg, jm.scaled(s))
+                             for s in scales)]
     for p, pattern in enumerate(cfg.patterns):
         mean = np.mean([traces[p].sz for traces in draws], axis=0)
         tag = cli._pattern_tag(pattern)

@@ -3,30 +3,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (B_FIELD, JMAX, conditional_marginals, sz_meta,
-                     whole_array_shots)
+from helpers import B_FIELD, JMAX, conditional_marginals, whole_array_shots
 from ionquench import stochastic
 from ionquench.coupling import power_law_couplings
 from ionquench.errors import EmptySelectionError
 from ionquench.iocsv import write_shot_lines
 from ionquench.observables import ExcitationPattern
 from ionquench.spinwave import build_spinwave, evolve_spinwave
-from ionquench.stochastic import (NoiseModel, noise_average, postselect,
+from ionquench.stochastic import (NoiseModel, noise_scales, postselect,
                                   shot_pipeline)
 
 BASE_JM = power_law_couplings(5, JMAX, 0.55)
 PATTERN = ExcitationPattern(5, (2,))
-TIMES = np.linspace(0.0, 10.0 / JMAX, 12)
-
-
-def run_scaled(scale):
-    sys = build_spinwave(BASE_JM.scaled(scale), B_FIELD)
-    return evolve_spinwave(sys, PATTERN, TIMES)
-
-
-def run_draws(scales):
-    """One (sz, meta) per draw, each rebuilt at its own scale."""
-    return ([sz_meta(run_scaled(s))] for s in scales)
 
 
 def test_model_validation():
@@ -50,67 +38,37 @@ def test_rng_streams_are_independent_and_reproducible():
     assert np.array_equal(a, NoiseModel(seed=11).rng(0, 0).random(6))
 
 
-def test_zero_sigma_average_is_the_bare_run():
-    model = NoiseModel(j_relative_sigma=0.0, seed=4)
-    avg = noise_average(run_draws, TIMES, model, n_samples=3)[0]
-    base = run_scaled(1.0)
-    # every sample reran at scale 1, so only the rounding of the
-    # 3-sample mean separates the two
-    assert np.abs(avg.sz - base.sz).max() < 1e-14
-    assert np.abs(avg.c_series - base.c_series).max() < 1e-14
-    assert avg.meta["n_samples"] == 3
-    assert avg.meta["j_relative_sigma"] == 0.0
+def test_zero_sigma_scales_are_one():
+    assert noise_scales(NoiseModel(j_relative_sigma=0.0, seed=4), 3) == [
+        1.0, 1.0, 1.0]
 
 
-def test_average_is_deterministic():
+def test_noise_scales_are_deterministic():
     model = NoiseModel(seed=7)
-    one = noise_average(run_draws, TIMES, model, n_samples=8)[0]
-    again = noise_average(run_draws, TIMES, model, n_samples=8)[0]
-    assert np.array_equal(one.sz, again.sz)
-    assert one.meta["noise_scales"] == again.meta["noise_scales"]
-    assert len(one.meta["noise_scales"]) == 8
+    one = noise_scales(model, 8)
+    assert one == noise_scales(NoiseModel(seed=7), 8)
+    assert len(one) == 8 and len(set(one)) == 8
+
+
+def test_noise_scales_extend_their_prefix():
+    """Draw i depends only on the seed and i, so more draws keep the
+    scales of fewer."""
+    model = NoiseModel(seed=13)
+    many = noise_scales(model, 10)
+    for k in (1, 4, 9):
+        assert many[:k] == noise_scales(model, k)
 
 
 def test_scale_draws_are_positive_even_at_huge_sigma():
-    seen = []
-
-    def record(scales):
-        seen.extend(scales)
-        return ([sz_meta(run_scaled(1.0))] for _ in scales)
-
-    noise_average(record, TIMES, NoiseModel(j_relative_sigma=5.0, seed=2),
-                  n_samples=64)
+    seen = noise_scales(NoiseModel(j_relative_sigma=5.0, seed=2), 64)
     assert len(seen) == 64
     assert min(seen) > 0.0
     assert max(seen) > 1.0  # sigma=5 certainly produced large draws
 
 
 def test_average_input_validation():
-    model = NoiseModel(seed=0)
     with pytest.raises(ValueError):
-        noise_average(run_draws, TIMES, model, n_samples=0)
-
-    def shapeshifter(scales):
-        for i, s in enumerate(scales):
-            times = TIMES if i == 0 else TIMES[:-1]
-            sys = build_spinwave(BASE_JM.scaled(s), B_FIELD)
-            yield [sz_meta(evolve_spinwave(sys, PATTERN, times))]
-
-    with pytest.raises(ValueError):
-        noise_average(shapeshifter, TIMES, model, n_samples=2)
-
-    # a later draw returns more or fewer traces than the first one
-    for counts in ([1, 2], [2, 1]):
-        with pytest.raises(ValueError):
-            noise_average(lambda scales: ([sz_meta(run_scaled(s))] * n
-                                          for s, n in zip(scales, counts)),
-                          TIMES, model, n_samples=2)
-
-    # the run returns fewer or more draws than it was given scales
-    for wrong in (lambda scales: run_draws(scales[1:]),
-                  lambda scales: run_draws(scales + [1.0])):
-        with pytest.raises(ValueError, match="draws for 3 scales"):
-            noise_average(wrong, TIMES, model, n_samples=3)
+        noise_scales(NoiseModel(seed=0), 0)
 
 
 def fixed_sz(sz):
