@@ -17,12 +17,13 @@ from .errors import (ConfigError, ConvergenceError, EmptySelectionError,
                      ResonanceError, SectorError, SimulationError, SizeError,
                      StabilityError)
 from .exact import (HamiltonianRep, build_full_ising, build_xy_sector,
-                    default_time_grid, diagonal_ensemble, evolve, level_gaps)
+                    default_time_grid, diagonal_ensemble, evolve_draws,
+                    level_gaps)
 from .lattice import (Geometry, PhononModes, TrapConfig, equilibrium_positions,
                       exact_modes, k_matrix)
 from .observables import ExcitationPattern, QuenchTrace, assemble_trace
-from .spinwave import (GgeState, SpinWaveSystem, build_spinwave,
-                       evolve_spinwave, gge_lambdas, gge_magnetization,
-                       gge_occupations, gge_state, pair_gap_spectrum)
+from .spinwave import (GgeState, SpinWaveSystem, build_spinwave, gge_lambdas,
+                       gge_magnetization, gge_occupations, gge_state,
+                       pair_gap_spectrum, quench_sz)
 from .stochastic import (NoiseModel, PostselectionResult, noise_scales,
                          postselect, shot_pipeline)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import cached_property, reduce
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +34,8 @@ from .iocsv import (write_c_summary_csv, write_csv, write_gaps_csv,
                     write_matrix_csv, write_shot_lines, write_trace_csv)
 from .lattice import equilibrium_positions
 from .observables import ExcitationPattern, assemble_trace
-from .spinwave import (SpinWaveSystem, build_spinwave, evolve_spinwave,
-                       gge_state, pair_gap_spectrum)
+from .spinwave import (SpinWaveSystem, build_spinwave, gge_state,
+                       pair_gap_spectrum, quench_sz)
 from .stochastic import noise_scales, postselect, shot_pipeline
 
 
@@ -63,7 +63,9 @@ class _Dynamics:
     Patterns of one sector share one HamiltonianRep and so its cached
     spectrum: the full model for exact (both parity sectors), one rep
     per excitation number for xy.  Spin waves keep the system of the
-    unscaled couplings.  A noise-free run is the draw s = 1.
+    unscaled couplings.  A noise-free run is the draw s = 1.  Every
+    model returns the draw mean of its quenches, adding the draws in
+    draw order, so memory does not grow with the draw count.
     """
 
     def __init__(self, cfg: RunConfig, jm):
@@ -88,21 +90,21 @@ class _Dynamics:
         """The mean sz (P, T, N) of the patterns over the noise draws
         J -> s J and the largest norm error, None for spin waves.
 
-        Draws are summed in draw order, as np.mean does.  exact and xy
-        run exact.evolve_draws on this model's reps; spin waves build one
-        SpinWaveSystem per draw (1.0 J == J, so the draw s = 1 takes
-        self.spinwave) and stream, holding one draw's traces at a time.
+        exact and xy run exact.evolve_draws on this model's reps; spin
+        waves build one SpinWaveSystem per draw (1.0 J == J, so the draw
+        s = 1 takes self.spinwave) and add its quench_sz to a total that
+        starts from zeros, as exact.evolve_draws does.
         """
         if self.cfg.model != "spinwave":
-            sz, err = evolve_draws([(self.rep(p), p) for p in patterns],
-                                   times, scales)
-            return sz.mean(axis=0), float(err.max())
-        systems = (self.spinwave if s == 1.0 else
-                   build_spinwave(self.jm.scaled(s), self.cfg.b_field)
-                   for s in scales)
-        total = reduce(np.add, (np.array([evolve_spinwave(sw, p, times).sz
-                                          for p in patterns])
-                                for sw in systems))
+            mean, err = evolve_draws([(self.rep(p), p) for p in patterns],
+                                     times, scales)
+            return mean, float(err.max())
+        total = np.zeros((len(patterns), times.size, self.jm.n_ions))
+        for s in scales:
+            total += quench_sz(self.spinwave if s == 1.0 else
+                               build_spinwave(self.jm.scaled(s),
+                                              self.cfg.b_field),
+                               patterns, times)
         return total / len(scales), None
 
 

@@ -23,8 +23,8 @@ block thus holds its coupling part X apart from its field diagonal D,
 and a global coupling scale s (J -> s J, one noise draw) gives the block
 s X + D with the same floats s J_ij that a model rebuilt from the scaled
 couplings holds.  ``evolve_draws`` is the one quench path: it returns
-the sz of every (draw, quench) as one array, and ``evolve`` is its
-single draw s = 1.  On a dense rep,
+the draw mean of every quench's sz, adding the draws one chunk at a
+time in draw order.  On a dense rep,
 ``Sector.half_spectra`` diagonalises a stack of such blocks, one per
 scale, and every pattern of a block evolves under a chunk of draws in
 one stacked product; on a larger rep, each draw builds its blocks from
@@ -72,7 +72,7 @@ import numpy as np
 
 from .coupling import CouplingMatrix
 from .errors import SectorError, SimulationError, SizeError
-from .observables import ExcitationPattern, QuenchTrace, assemble_trace
+from .observables import ExcitationPattern
 
 FULL_SPACE_CAP = 16      # spins; 2^16 states is the largest full build
 DENSE_CAP = 4096         # largest full dimension with dense spectra
@@ -370,7 +370,6 @@ class HamiltonianRep:
     whether H commutes with the chain inversion (see _mirror_symmetric).
     """
 
-    kind: str
     n_ions: int
     b_field: float
     j_script: np.ndarray
@@ -466,7 +465,7 @@ def build_full_ising(jm: CouplingMatrix, b_field: float) -> HamiltonianRep:
             "use an XY sector instead"
         )
     states = np.arange(1 << n, dtype=np.int64)
-    return HamiltonianRep(kind="full_ising", n_ions=n, b_field=b_field,
+    return HamiltonianRep(n_ions=n, b_field=b_field,
                           j_script=jm.j_script, basis_states=states,
                           occupations=_occupation_table(states, n),
                           mirror_symmetric=_mirror_symmetric(jm))
@@ -482,7 +481,7 @@ def build_xy_sector(jm: CouplingMatrix, b_field: float, k: int) -> HamiltonianRe
         dtype=np.int64,
     )
     masks.sort()
-    return HamiltonianRep(kind="xy_sector", n_ions=n, b_field=b_field,
+    return HamiltonianRep(n_ions=n, b_field=b_field,
                           j_script=jm.j_script, basis_states=masks,
                           occupations=_occupation_table(masks, n),
                           k_excitations=k,
@@ -644,13 +643,14 @@ def _dense_sz(block: Sector, idx0s: list[int], times: np.ndarray,
 
 def evolve_draws(quenches, times: np.ndarray, scales
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Quenches under global coupling noise: sz (S, Q, T, N) and norm
-    errors (S, Q), draw by quench.
+    """Quenches under global coupling noise: the draw mean of sz (Q, T, N)
+    and each quench's largest norm error (Q,).
 
     quenches holds Q (rep, pattern) pairs and scales the S draw scales
-    s, each standing for J -> s J.  sz[d, q] and err[d, q] are bit for
-    bit those of quench q on the reps rebuilt from the couplings scaled
-    by scales[d].
+    s, each standing for J -> s J.  Each draw's sz is bit for bit that of
+    the quench on the reps rebuilt from the couplings scaled by s, and
+    the draws are added from zeros in draw order, so the mean is bit for
+    bit np.mean over them; memory holds one chunk of draws, not all S.
     The blocks of a dense rep serve every draw: for a chunk of draws
     each block takes one stacked Sector.half_spectra and propagates all
     of its patterns in one stacked product per half and real part, one
@@ -672,25 +672,29 @@ def evolve_draws(quenches, times: np.ndarray, scales
             idx0s.append(idx0)
         else:
             krylov.setdefault(id(h), (h, []))[1].append(pos)
-    sz = np.empty((scales.size, len(quenches), times.size,
-                   quenches[0][0].n_ions))
-    err = np.empty((scales.size, len(quenches)))
+    total = np.zeros((len(quenches), times.size, quenches[0][0].n_ions))
+    err = np.zeros(len(quenches))
     width = max((block.dimension * len(idx0s)
                  for block, _, idx0s in dense.values()), default=1)
     step = max(1, _DRAW_CHUNK // (width * times.size))
     for start in range(0, scales.size, step):
-        chunk = slice(start, start + step)
+        chunk = scales[start:start + step]
         for block, where, idx0s in dense.values():
-            sz[chunk, where], err[chunk, where] = _dense_sz(
-                block, idx0s, times, block.half_spectra(scales[chunk]))
-    for d, s in enumerate(scales):
+            sz, chunk_err = _dense_sz(block, idx0s, times,
+                                      block.half_spectra(chunk))
+            for draw in sz:
+                total[where] += draw
+            err[where] = np.maximum(err[where], chunk_err.max(axis=0))
+    for s in scales:
         for h, where in krylov.values():
             # 1.0 J == J, so the draw s = 1 runs on h and its cached blocks
             scaled = h if s == 1.0 else replace(h, j_script=h.j_script * s)
             for pos in where:
-                sz[d, pos], err[d, pos] = _krylov_sz_series(
+                sz, draw_err = _krylov_sz_series(
                     *scaled.sector(quenches[pos][1]), times)
-    return sz, err
+                total[pos] += sz
+                err[pos] = max(err[pos], draw_err)
+    return total / scales.size, err
 
 
 def _bessel_j(n: int, z: float) -> np.ndarray:
@@ -812,22 +816,6 @@ def _krylov_sz_series(block: Sector, idx0: int, times: np.ndarray
         return prob.sum(axis=-1), prob @ block.zmat
 
     return _sz_series(times, readout, block.dimension)
-
-
-def evolve(h: HamiltonianRep, pattern: ExcitationPattern, times: np.ndarray
-           ) -> QuenchTrace:
-    """Quench from a product state, sampling <sigma^z_i> on a time grid.
-
-    This is the single draw s = 1 of evolve_draws: the state propagates
-    inside its sector by the block's half spectra when h.dense holds
-    ("dense"), by a Chebyshev expansion otherwise ("krylov").
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    sz, err = evolve_draws([(h, pattern)], times, [1.0])
-    return assemble_trace(times, sz[0, 0], model=h.kind,
-                          pattern=pattern.flipped, b_field=h.b_field,
-                          method="dense" if h.dense else "krylov",
-                          norm_error=float(err[0, 0]))
 
 
 def _levels(evals: np.ndarray) -> np.ndarray:

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +56,8 @@ def _location_weights(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuenchTrace:
-    """Time-resolved magnetization record of one quench.
+    """Time-resolved magnetization record of one quench, or of the mean
+    of its noise draws, with the observables derived from it.
 
     sz has shape (n_times, n_sites).  c_series is the mean excitation
     location C = sum_i [(2i - N - 1)/(N - 1)] (sz_i + 1)/2 of each row,
@@ -71,7 +71,6 @@ class QuenchTrace:
     c_series: np.ndarray
     c_cumulative: np.ndarray
     n_excitations: np.ndarray
-    meta: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("times", "sz", "c_series", "c_cumulative", "n_excitations"):
@@ -82,7 +81,7 @@ class QuenchTrace:
         return self.sz.shape[1]
 
 
-def assemble_trace(times: np.ndarray, sz: np.ndarray, **meta: Any) -> QuenchTrace:
+def assemble_trace(times: np.ndarray, sz: np.ndarray) -> QuenchTrace:
     """Build a QuenchTrace from a (n_times, n_sites) magnetization array."""
     times = np.ascontiguousarray(times, dtype=float)
     sz = np.ascontiguousarray(sz, dtype=float)
@@ -92,4 +91,4 @@ def assemble_trace(times: np.ndarray, sz: np.ndarray, **meta: Any) -> QuenchTrac
     c = p_up @ _location_weights(sz.shape[1])
     c_cum = np.cumsum(c) / np.arange(1, len(c) + 1)
     n_exc = p_up.sum(axis=1)
-    return QuenchTrace(times, sz, c, c_cum, n_exc, dict(meta))
+    return QuenchTrace(times, sz, c, c_cum, n_exc)

@@ -6,7 +6,8 @@ spin-wave Heisenberg propagator at one time, closed-form cosine phonon
 modes, the location observable C of one magnetization row, mirrored
 patterns, Poisson-binomial conditionals, a whole-array shot readout and
 a noise average over rebuilt models, all built from first principles so
-the package code can be checked against them.
+the package code can be checked against them.  ``evolve``, one exact
+quench as a trace, is the package's quench at the single draw s = 1.
 """
 
 import math
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ionquench.exact import _chebyshev_order
+from ionquench.exact import _chebyshev_order, evolve_draws
 from ionquench.lattice import PhononModes
 from ionquench.observables import ExcitationPattern, assemble_trace
 from ionquench.stochastic import noise_scales
@@ -174,28 +175,28 @@ def excitation_drift(trace) -> float:
     return float(np.abs(trace.n_excitations - trace.n_excitations[0]).max())
 
 
-def sz_meta(trace) -> tuple:
-    """The (sz, meta) pair of a trace that noise_average reads per draw."""
-    return trace.sz, trace.meta
+def evolve(h, pattern, times):
+    """The trace of one quench on rep h: exact.evolve_draws at the single
+    draw s = 1.  h.dense says whether it ran on the dense spectrum."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    return assemble_trace(times, evolve_draws([(h, pattern)], times,
+                                              [1.0])[0][0])
 
 
 def noise_average(run, times, model, n_samples: int) -> list:
     """Traces averaged over the noise draws of noise_scales.
 
-    run(scales) yields, per draw in scale order, one (sz, meta) pair per
+    run(scales) yields, per draw in scale order, one sz array per
     pattern, each from a model rebuilt at that draw's scale.  sz is
-    summed from zeros draw by draw and divided by n_samples; a trace
-    keeps the meta of its first draw.
+    summed from zeros draw by draw and divided by n_samples.
     """
-    sums, metas = None, None
+    sums = None
     for draw in run(noise_scales(model, n_samples)):
         if sums is None:
-            sums = [np.zeros_like(sz) for sz, _ in draw]
-            metas = [meta for _, meta in draw]
-        for total, (sz, _) in zip(sums, draw):
+            sums = [np.zeros_like(sz) for sz in draw]
+        for total, sz in zip(sums, draw):
             total += sz
-    return [assemble_trace(times, total / n_samples, **meta)
-            for total, meta in zip(sums, metas)]
+    return [assemble_trace(times, total / n_samples) for total in sums]
 
 
 # -- patterns, the location observable and phonon modes --------------------

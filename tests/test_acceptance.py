@@ -13,16 +13,16 @@ import numpy as np
 import pytest
 
 from helpers import (B_FIELD, JMAX, conditional_marginals,
-                     detected_probability, excitation_drift,
+                     detected_probability, evolve, excitation_drift,
                      fock_occupation_dynamics, mixture_conditional_truth,
-                     noise_average, observable_c, propagator, sz_meta)
+                     noise_average, observable_c, propagator)
 from ionquench.cli import main
 from ionquench.coupling import effective_potential, power_law_couplings
 from ionquench.exact import (build_full_ising, build_xy_sector,
-                             default_time_grid, diagonal_ensemble, evolve)
+                             default_time_grid, diagonal_ensemble)
 from ionquench.lattice import TrapConfig, exact_modes
 from ionquench.observables import ExcitationPattern
-from ionquench.spinwave import build_spinwave, evolve_spinwave, gge_state
+from ionquench.spinwave import build_spinwave, gge_state, quench_sz
 from ionquench.stochastic import NoiseModel, postselect, shot_pipeline
 
 TWO_PI = 2.0 * math.pi
@@ -88,9 +88,8 @@ def test_steep_decay_quench_relaxes_to_gge():
 
     model = NoiseModel(j_relative_sigma=0.12, seed=0)
     noisy = noise_average(
-        lambda scales: ([sz_meta(evolve(build_full_ising(jm.scaled(s),
-                                                         B_FIELD),
-                                        pattern, times))] for s in scales),
+        lambda scales: ([evolve(build_full_ising(jm.scaled(s), B_FIELD),
+                                pattern, times).sz] for s in scales),
         times, model, 128,
     )[0]
     assert np.abs(noisy.sz.mean(axis=0) - sz_gge).max() < 0.1
@@ -122,9 +121,8 @@ def test_soft_decay_quench_remembers_initial_side(trap55):
 
     model = NoiseModel(j_relative_sigma=0.12, seed=0)
     noisy = noise_average(
-        lambda scales: ([sz_meta(evolve(build_full_ising(trap55.scaled(s),
-                                                         B_FIELD),
-                                        ExcitationPattern(7, (1,)), times))]
+        lambda scales: ([evolve(build_full_ising(trap55.scaled(s), B_FIELD),
+                                ExcitationPattern(7, (1,)), times).sz]
                         for s in scales),
         times, model, 128,
     )[0]
@@ -145,17 +143,17 @@ def test_model_hierarchy_agrees_at_strong_field():
         jm = power_law_couplings(7, JMAX, alpha)
         full = evolve(build_full_ising(jm, b_strong), pattern, times).sz
         xy = evolve(build_xy_sector(jm, b_strong, 1), pattern, times).sz
-        sw = evolve_spinwave(build_spinwave(jm, b_strong), pattern, times).sz
+        sw = quench_sz(build_spinwave(jm, b_strong), [pattern], times)[0]
         assert np.abs(full - xy).max() <= 0.02
         assert np.abs(full - sw).max() <= 0.05
 
     jm4 = power_law_couplings(4, JMAX, 0.55)
     pat4 = ExcitationPattern(4, (2,))
     t4 = np.linspace(0.0, 10.0 / JMAX, 7)
-    sw4 = evolve_spinwave(build_spinwave(jm4, B_FIELD), pat4, t4)
+    sw4 = quench_sz(build_spinwave(jm4, B_FIELD), [pat4], t4)[0]
     n_ref = fock_occupation_dynamics(jm4.j_script, B_FIELD,
                                      pat4.occupations(), t4, n_max=4)
-    assert np.abs(sw4.sz - (2.0 * n_ref - 1.0)).max() <= 1e-3
+    assert np.abs(sw4 - (2.0 * n_ref - 1.0)).max() <= 1e-3
     assert time.perf_counter() - start < 60.0
 
 
@@ -177,9 +175,9 @@ def test_boson_time_average_matches_gge():
     pattern = ExcitationPattern(5, (1,))
     assert np.unique(sys.epsilons).size == 5  # nondegenerate spectrum
     times = np.linspace(0.0, 500.0 / JMAX, 2001)
-    trace = evolve_spinwave(sys, pattern, times)
+    sz = quench_sz(sys, [pattern], times)[0]
     sz_gge = gge_state(sys, pattern).sz_gge
-    assert np.abs(trace.sz.mean(axis=0) - sz_gge).max() < 0.02
+    assert np.abs(sz.mean(axis=0) - sz_gge).max() < 0.02
     assert time.perf_counter() - start < 30.0
 
 

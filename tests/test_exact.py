@@ -8,14 +8,14 @@ import pytest
 from scipy.special import jv
 
 from helpers import (B_FIELD, JMAX, dense_ising_oracle, dense_sz_dynamics,
-                     dense_xy_oracle, energy_expectation, excitation_drift,
-                     product_state)
+                     dense_xy_oracle, energy_expectation, evolve,
+                     excitation_drift, product_state)
 from ionquench.cli import main
 from ionquench.coupling import CouplingMatrix, power_law_couplings
 from ionquench.errors import SectorError, SizeError
 from ionquench.exact import (_CHEBYSHEV_TAIL, _chebyshev_coefficients,
                              _chebyshev_order, build_full_ising, build_xy_sector,
-                             default_time_grid, diagonal_ensemble, evolve)
+                             default_time_grid, diagonal_ensemble)
 from ionquench.observables import ExcitationPattern
 
 TWO_PI = 2.0 * math.pi
@@ -89,10 +89,10 @@ def test_krylov_agrees_with_dense(monkeypatch):
     pattern = ExcitationPattern(10, (4,))
     times = np.linspace(0.0, 10.0 / JMAX, 21)
     dense = evolve(h, pattern, times)
+    assert h.dense
     monkeypatch.setattr("ionquench.exact.DENSE_CAP", 0)
     kry = evolve(h, pattern, times)
-    assert dense.meta["method"] == "dense"
-    assert kry.meta["method"] == "krylov"
+    assert not h.dense
     assert np.abs(dense.sz - kry.sz).max() < 1e-8
 
 
@@ -112,7 +112,7 @@ def test_krylov_agrees_with_dense_on_any_sorted_grid(monkeypatch, times,
     start = time.perf_counter()
     kry = evolve(h, pattern, times)
     assert time.perf_counter() - start < budget_s
-    assert kry.meta["method"] == "krylov"
+    assert not h.dense
     assert np.abs(dense.sz - kry.sz).max() < 1e-8
 
 
@@ -180,7 +180,7 @@ def test_krylov_zero_width_block_is_a_pure_phase(monkeypatch):
                                         j_max=0.0), 0.0)
     pattern = ExcitationPattern(5, (2, 5))
     trace = evolve(h, pattern, np.linspace(0.0, 3.0, 4))
-    assert trace.meta["method"] == "krylov"
+    assert not h.dense
     assert np.array_equal(trace.sz, np.tile(pattern.sz(), (4, 1)))
 
 
@@ -189,10 +189,11 @@ def test_auto_method_respects_dense_cap(monkeypatch):
     h = build_full_ising(jm, B_FIELD)
     pattern = ExcitationPattern(7, (3,))
     times = np.linspace(0.0, 2.0 / JMAX, 4)
-    assert evolve(h, pattern, times).meta["method"] == "dense"
+    evolve(h, pattern, times)
+    assert h.dense
     monkeypatch.setattr("ionquench.exact.DENSE_CAP", 64)
-    small = evolve(h, pattern, times)
-    assert small.meta["method"] == "krylov"
+    evolve(h, pattern, times)
+    assert not h.dense
 
 
 @pytest.mark.parametrize("cap", [0, 4096])

@@ -55,11 +55,10 @@ def test_observable_c_needs_two_sites():
 def test_assemble_trace_running_mean_and_count():
     times = np.array([0.0, 1.0, 2.0])
     sz = np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, -1.0]])
-    tr = assemble_trace(times, sz, model="unit")
+    tr = assemble_trace(times, sz)
     assert tr.c_series == pytest.approx([-1.0, 1.0, -1.0])
     assert tr.c_cumulative == pytest.approx([-1.0, 0.0, -1.0 / 3.0])
     assert tr.n_excitations == pytest.approx([1.0, 1.0, 1.0])
-    assert tr.meta["model"] == "unit"
     assert tr.n_sites == 2
     with pytest.raises(ValueError):
         assemble_trace(times, sz[:2])

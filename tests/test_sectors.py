@@ -17,8 +17,8 @@ from helpers import (B_FIELD, JMAX, block_product,
                      complex_table_chebyshev_states,
                      dense_ising_oracle, dense_sz_dynamics, dense_xy_oracle,
                      direct_trig_dense_sz, energy_expectation,
-                     hadamard_form_product, mirrored, noise_average,
-                     product_state, sz_meta)
+                     evolve, hadamard_form_product, mirrored,
+                     noise_average, product_state)
 from ionquench.cli import main
 from ionquench.config import load_config
 from ionquench.coupling import CouplingMatrix, power_law_couplings
@@ -26,10 +26,10 @@ from ionquench.errors import SizeError
 from ionquench.exact import (DENSE_CAP, Sector, _dense_sz, _IsingBlock,
                              _chebyshev_states, _uniform_step,
                              build_full_ising, build_xy_sector,
-                             default_time_grid, diagonal_ensemble, evolve,
+                             default_time_grid, diagonal_ensemble,
                              level_gaps)
 from ionquench.observables import ExcitationPattern
-from ionquench.spinwave import build_spinwave, evolve_spinwave
+from ionquench.spinwave import build_spinwave, quench_sz
 from ionquench.stochastic import NoiseModel, noise_scales
 
 SIZES = range(3, 9)
@@ -196,8 +196,9 @@ def test_krylov_builds_no_dense_block(monkeypatch):
     monkeypatch.setattr("ionquench.exact.DENSE_CAP", 0)
     jm, b_field, pattern = random_case(8)
     times = np.linspace(0.0, 2.0 / JMAX, 4)
-    trace = evolve(build_full_ising(jm, b_field), pattern, times)
-    assert trace.meta["method"] == "krylov"
+    h = build_full_ising(jm, b_field)
+    evolve(h, pattern, times)
+    assert not h.dense
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -208,10 +209,10 @@ def test_sector_evolution_matches_full_oracle(monkeypatch, n):
     ref = dense_sz_dynamics(dense_ising_oracle(jm.j_script, b_field),
                             product_state(pattern.flipped, n), times, n)
     dense = evolve(h, pattern, times)
+    assert h.dense
     monkeypatch.setattr("ionquench.exact.DENSE_CAP", 0)
     krylov = evolve(h, pattern, times)
-    assert (dense.meta["method"], krylov.meta["method"]) == ("dense",
-                                                             "krylov")
+    assert not h.dense
     assert np.abs(dense.sz - ref).max() < 1e-10
     assert np.abs(krylov.sz - ref).max() < 1e-8
 
@@ -399,7 +400,7 @@ def test_half_propagation_matches_the_oracle(model, n):
                 ref = dense_sz_dynamics(
                     oracle, product_state(pattern.flipped, n), times, n)
                 trace = evolve(h, pattern, times)
-                assert trace.meta["method"] == "dense"
+                assert h.dense
                 assert np.abs(trace.sz - ref).max() < 1e-10
                 kinds.add(kind)
     assert kinds == {"self", "lo", "hi"}
@@ -679,7 +680,7 @@ def test_noise_free_spinwave_evolve_builds_one_system(tmp_path, monkeypatch):
         tag = cli._pattern_tag(pattern)
         assert np.array_equal(
             read_column(out / f"trace_spinwave_{tag}.csv", "sz"),
-            evolve_spinwave(sw, pattern, times).sz.ravel())
+            quench_sz(sw, [pattern], times)[0].ravel())
 
 
 def test_noisy_spinwave_draws_stream(tmp_path):
@@ -702,6 +703,33 @@ def test_noisy_spinwave_draws_stream(tmp_path):
         tracemalloc.stop()
     assert mean.shape == (2, 100, 30) and err is None
     assert peak < 1e6
+
+
+@pytest.mark.parametrize("model", ["exact", "xy"])
+def test_noisy_exact_draws_stream(tmp_path, model):
+    """exact and xy draws are added into one (P, T, N) total a chunk at a
+    time: 128 draws of 4 patterns at N = 7 and T = 300 would stack to
+    8.6 MB of sz, yet the traced peak stays that of 8 draws."""
+    path = tmp_path / "run.cfg"
+    path.write_text(f"n_ions = 7\nmodel = {model}\n"
+                    "patterns = 1; 7; 2,4; 4,6\n")
+    cfg = load_config(path)
+    jm, _, _ = cfg.couplings()
+    dyn = cli._Dynamics(cfg, jm)
+    times = default_time_grid(jm.j_max, 25, 300)
+    scales = noise_scales(NoiseModel(seed=3), 128)
+    dyn.evolve_draws(cfg.patterns, times, scales[:2])  # one-time setup first
+    peaks = []
+    for n_draws in (8, 128):
+        tracemalloc.start()
+        try:
+            mean, err = dyn.evolve_draws(cfg.patterns, times,
+                                         scales[:n_draws])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert mean.shape == (4, 300, 7) and 0.0 <= err <= 1e-8
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 def test_noise_free_krylov_shots_build_each_parity_block_once(tmp_path,
@@ -749,9 +777,9 @@ def test_noise_averaged_traces_match_per_pattern_oracle(tmp_path):
     times = default_time_grid(jm.j_max, r["t_max_over_jmax"], r["n_times"])
     for pattern in cfg.patterns:
         oracle = noise_average(
-            lambda scales: ([sz_meta(evolve(build_full_ising(jm.scaled(s),
-                                                             cfg.b_field),
-                                            pattern, times))]
+            lambda scales: ([evolve(build_full_ising(jm.scaled(s),
+                                                    cfg.b_field),
+                                   pattern, times).sz]
                             for s in scales),
             times, cfg.noise_model(), samples)[0]
         tag = cli._pattern_tag(pattern)
@@ -795,15 +823,15 @@ def test_noisy_evolve_equals_mean_of_rebuilt_draws(tmp_path, monkeypatch,
         "diagnostics"]["noise_scales"]
     assert len(scales) == samples
     if model == "spinwave":
-        draws = [[evolve_spinwave(sw, p, times) for p in cfg.patterns]
+        draws = [[quench_sz(sw, [p], times)[0] for p in cfg.patterns]
                  for sw in (build_spinwave(jm.scaled(s), cfg.b_field)
                             for s in scales)]
     else:
-        draws = [[evolve(dyn.rep(p), p, times) for p in cfg.patterns]
+        draws = [[evolve(dyn.rep(p), p, times).sz for p in cfg.patterns]
                  for dyn in (cli._Dynamics(cfg, jm.scaled(s))
                              for s in scales)]
     for p, pattern in enumerate(cfg.patterns):
-        mean = np.mean([traces[p].sz for traces in draws], axis=0)
+        mean = np.mean([sz[p] for sz in draws], axis=0)
         tag = cli._pattern_tag(pattern)
         assert np.array_equal(
             read_column(out / f"trace_{model}_{tag}.csv", "sz"), mean.ravel())
@@ -832,9 +860,10 @@ def test_dense_patterns_share_the_model_beside_krylov_ones(tmp_path,
     times = default_time_grid(jm.j_max, 1, 5)
     scales = json.loads((out / "manifest.json").read_text())[
         "diagnostics"]["noise_scales"]
+    dyns = [cli._Dynamics(cfg, jm.scaled(s)) for s in scales]
     draws = [[evolve(dyn.rep(p), p, times) for p in cfg.patterns]
-             for dyn in (cli._Dynamics(cfg, jm.scaled(s)) for s in scales)]
-    assert [tr.meta["method"] for tr in draws[0]] == ["dense", "krylov"]
+             for dyn in dyns]
+    assert [dyns[0].rep(p).dense for p in cfg.patterns] == [True, False]
     for p, pattern in enumerate(cfg.patterns):
         mean = np.mean([traces[p].sz for traces in draws], axis=0)
         tag = cli._pattern_tag(pattern)
@@ -882,7 +911,7 @@ def test_one_dense_cap_governs_every_consumer(tmp_path, monkeypatch):
     pattern = ExcitationPattern(n, (1,))
     assert not h.dense
     times = np.linspace(0.0, 2.0 / JMAX, 4)
-    assert evolve(h, pattern, times).meta["method"] == "krylov"
+    evolve(h, pattern, times)
     with pytest.raises(SizeError):
         diagonal_ensemble(h, pattern)
     with pytest.raises(SizeError):

@@ -9,7 +9,7 @@ from ionquench.coupling import power_law_couplings
 from ionquench.errors import EmptySelectionError
 from ionquench.iocsv import write_shot_lines
 from ionquench.observables import ExcitationPattern
-from ionquench.spinwave import build_spinwave, evolve_spinwave
+from ionquench.spinwave import build_spinwave, quench_sz
 from ionquench.stochastic import (NoiseModel, noise_scales, postselect,
                                   shot_pipeline)
 
@@ -294,7 +294,7 @@ def test_postselection_matches_conditional_law():
     """Sector filtering must reproduce the exact conditional marginals
     of independent site outcomes given the total count."""
     sys = build_spinwave(BASE_JM, B_FIELD)
-    sz = evolve_spinwave(sys, PATTERN, np.array([8.0 / JMAX])).sz[0]
+    sz = quench_sz(sys, [PATTERN], np.array([8.0 / JMAX]))[0, 0]
     p = (sz + 1.0) / 2.0
     res = postselect(shots_of(sz, 40000, detection_error=0.0, seed=21), 1)
     truth = conditional_marginals(p, 1)
@@ -307,8 +307,7 @@ def test_pipeline_deterministic():
 
     def run(patterns):
         sys = build_spinwave(BASE_JM, B_FIELD)
-        return np.array([evolve_spinwave(sys, pat,
-                                         np.array([8.0 / JMAX])).sz[0]
+        return np.array([quench_sz(sys, [pat], np.array([8.0 / JMAX]))[0, 0]
                          for pat in patterns])
 
     a = shot_pipeline(PATTERN, run, model, 300)
