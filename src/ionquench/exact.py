@@ -29,7 +29,9 @@ time in draw order.  On a dense rep,
 scale, and every pattern of a block evolves under a chunk of draws in
 one stacked product; on a larger rep, each draw builds its blocks from
 s J on the rep's basis, and the draw s = 1 takes the rep's own blocks.
-Neither rebuilds a basis.  The block's own
+Neither rebuilds a basis.  With BLAS pinned, the dense blocks run on
+min(blocks, cores // BLAS threads) threads (see _draw_workers), bit for
+bit as on one: each block adds its own draws.  The block's own
 eigendecomposition is the stack of the single scale 1.0 (1.0 J == J):
 it is computed once, is the spectrum ``half_spectra`` hands out for
 scales [1.0], and is shared by dense evolution, the diagonal ensemble
@@ -64,6 +66,8 @@ package.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
@@ -85,6 +89,7 @@ _CHEBYSHEV_CHUNK = 64     # Chebyshev vectors held between accumulations;
 _CHEBYSHEV_WORK = 2**23   # most times x max |R t| of one expansion
 _TIME_CHUNK = 2**22       # amplitudes propagated at once
 _DRAW_CHUNK = 2**15       # amplitudes per block in one chunk of noise draws
+_COEFFICIENT_CHUNK = 8    # times per slice of the Chebyshev coefficient tables
 _UNIFORM_ULPS = 4         # drift of a uniform grid, in ulps of max |t|
 
 
@@ -641,6 +646,51 @@ def _dense_sz(block: Sector, idx0s: list[int], times: np.ndarray,
                       block.dimension * len(idx0s) * len(spectra[0][0]))
 
 
+def _draw_workers(n_blocks: int) -> int:
+    """min(n_blocks, usable cores // BLAS threads), the BLAS threads read
+    from OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, as OpenBLAS does;
+    1 unless one holds a positive integer."""
+    try:
+        blas = int(os.environ.get("OPENBLAS_NUM_THREADS")
+                   or os.environ.get("OMP_NUM_THREADS"))
+    except (TypeError, ValueError):  # unset or not an integer
+        return 1
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return max(1, min(n_blocks, cores // blas)) if blas > 0 else 1
+
+
+def _in_threads(work, jobs: list, workers: int) -> list:
+    """[work(job) for job in jobs]; thread k of `workers` runs jobs k,
+    k + workers, ..., thread 0 being the caller.  After the joins, the
+    caller's exception, else a helper's, is raised."""
+    results = [None] * len(jobs)
+    failed = []
+
+    def share(k):
+        for i in range(k, len(jobs), workers):
+            results[i] = work(jobs[i])
+
+    def helper(k):
+        try:
+            share(k)
+        except BaseException as exc:  # re-raised by the caller
+            failed.append(exc)
+
+    helpers = [threading.Thread(target=helper, args=(k,))
+               for k in range(1, workers)]
+    for thread in helpers:
+        thread.start()
+    try:
+        share(0)
+    finally:
+        for thread in helpers:
+            thread.join()
+    if failed:
+        raise failed[0]
+    return results
+
+
 def evolve_draws(quenches, times: np.ndarray, scales
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Quenches under global coupling noise: the draw mean of sz (Q, T, N)
@@ -650,15 +700,18 @@ def evolve_draws(quenches, times: np.ndarray, scales
     s, each standing for J -> s J.  Each draw's sz is bit for bit that of
     the quench on the reps rebuilt from the couplings scaled by s, and
     the draws are added from zeros in draw order, so the mean is bit for
-    bit np.mean over them; memory holds one chunk of draws, not all S.
-    The blocks of a dense rep serve every draw: for a chunk of draws
-    each block takes one stacked Sector.half_spectra and propagates all
-    of its patterns in one stacked product per half and real part, one
-    product per draw and pattern; a chunk holds about _DRAW_CHUNK
-    amplitudes of the widest block.  A Krylov-sized rep evolves each
-    draw on blocks built from the couplings s J_ij, the floats a rebuilt
-    model holds, so no basis or occupation table is rebuilt; the draw
-    s = 1 takes the rep's own blocks, built once per rep.
+    bit np.mean over them; memory holds one chunk of draws per thread,
+    not all S.  The blocks of a dense rep serve every draw: for a chunk
+    of draws each block takes one stacked Sector.half_spectra and
+    propagates all of its patterns in one stacked product per half and
+    real part, one product per draw and pattern; a chunk holds about
+    _DRAW_CHUNK amplitudes of the widest block.  Each block runs its own
+    chunk loop into its own rows, on _draw_workers threads at once (one
+    unless BLAS is pinned), so the results are bit for bit those of one
+    thread.  A Krylov-sized rep evolves each draw on blocks built from
+    the couplings s J_ij, the floats a rebuilt model holds, so no basis
+    or occupation table is rebuilt; the draw s = 1 takes the rep's own
+    blocks, built once per rep.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     scales = np.asarray(scales, dtype=float)
@@ -677,14 +730,23 @@ def evolve_draws(quenches, times: np.ndarray, scales
     width = max((block.dimension * len(idx0s)
                  for block, _, idx0s in dense.values()), default=1)
     step = max(1, _DRAW_CHUNK // (width * times.size))
-    for start in range(0, scales.size, step):
-        chunk = scales[start:start + step]
-        for block, where, idx0s in dense.values():
-            sz, chunk_err = _dense_sz(block, idx0s, times,
-                                      block.half_spectra(chunk))
+
+    def block_draws(job):
+        block, where, idx0s = job
+        sums, errs = np.zeros((len(where), *total.shape[1:])), 0.0
+        for start in range(0, scales.size, step):
+            sz, chunk_err = _dense_sz(block, idx0s, times, block.half_spectra(
+                scales[start:start + step]))
             for draw in sz:
-                total[where] += draw
-            err[where] = np.maximum(err[where], chunk_err.max(axis=0))
+                sums += draw
+            errs = np.maximum(errs, chunk_err.max(axis=0))
+        return sums, errs
+
+    jobs = list(dense.values())
+    for (_, where, _), (sums, errs) in zip(
+            jobs, _in_threads(block_draws, jobs, _draw_workers(len(jobs)))):
+        total[where] = sums
+        err[where] = errs
     for s in scales:
         for h, where in krylov.values():
             # 1.0 J == J, so the draw s = 1 runs on h and its cached blocks
@@ -737,12 +799,20 @@ def _chebyshev_coefficients(z: np.ndarray, order: int
     functions are even in theta, so only the real parts are kept, and
     the even orders come from the first, the odd ones from the second.
     2 * order samples keep the aliased terms below _CHEBYSHEV_TAIL.
+    The tables are formed _COEFFICIENT_CHUNK times at a time, so their
+    memory does not grow with the times.
     """
     n_theta = 2 * order
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    phase = np.outer(z, np.cos(theta))
-    even = np.fft.rfft(np.cos(phase), axis=1)[:, 0:order:2].real / n_theta
-    odd = np.fft.rfft(np.sin(phase), axis=1)[:, 1:order:2].real / n_theta
+    cos_theta = np.cos(2.0 * np.pi * np.arange(n_theta) / n_theta)
+    even = np.empty((z.size, (order + 1) // 2))
+    odd = np.empty((z.size, order // 2))
+    for start in range(0, z.size, _COEFFICIENT_CHUNK):
+        rows = slice(start, start + _COEFFICIENT_CHUNK)
+        phase = np.outer(z[rows], cos_theta)
+        even[rows] = np.fft.rfft(np.cos(phase), axis=1)[:, 0:order:2].real
+        odd[rows] = np.fft.rfft(np.sin(phase), axis=1)[:, 1:order:2].real
+    even /= n_theta
+    odd /= n_theta
     even[:, 1:] *= 2.0
     odd *= -2.0
     return even, odd

@@ -144,6 +144,20 @@ def complex_table_chebyshev_states(matvec, dim: int, bounds, idx0: int,
     return psi
 
 
+def one_shot_chebyshev_coefficients(z, order: int):
+    """The even and odd Chebyshev coefficient tables of exp(-i z x) (see
+    exact._chebyshev_coefficients), with the phase, trig and FFT tables
+    of every z formed at once."""
+    n_theta = 2 * order
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    phase = np.outer(z, np.cos(theta))
+    even = np.fft.rfft(np.cos(phase), axis=1)[:, 0:order:2].real / n_theta
+    odd = np.fft.rfft(np.sin(phase), axis=1)[:, 1:order:2].real / n_theta
+    even[:, 1:] *= 2.0
+    odd *= -2.0
+    return even, odd
+
+
 def block_product(op, v: np.ndarray) -> np.ndarray:
     """H v of a real v by the block's own product at centre 0 and
     half-width 1."""

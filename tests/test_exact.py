@@ -9,7 +9,8 @@ from scipy.special import jv
 
 from helpers import (B_FIELD, JMAX, dense_ising_oracle, dense_sz_dynamics,
                      dense_xy_oracle, energy_expectation, evolve,
-                     excitation_drift, product_state)
+                     excitation_drift, one_shot_chebyshev_coefficients,
+                     product_state)
 from ionquench.cli import main
 from ionquench.coupling import CouplingMatrix, power_law_couplings
 from ionquench.errors import SectorError, SizeError
@@ -144,6 +145,41 @@ def test_chebyshev_coefficients_match_the_scipy_bessel_values():
     assert np.abs(odd - expect).max() < 1e-13
     assert np.all(odd[0] == 0.0)
     assert np.abs(even[0] - np.eye(1, even.shape[1])[0]).max() < 1e-15
+
+
+@pytest.mark.parametrize("n_times,reach", [(7, 50.0), (21, 224.6),
+                                          (60, 5615.0)])
+def test_chebyshev_coefficients_in_time_chunks_equal_one_table(n_times,
+                                                               reach):
+    """The tables formed a few times at a time equal those formed for all
+    times at once, bit for bit; reach 5615 is the N = 13, alpha = 0.55
+    odd block's Weyl half-width times 25 / J_max."""
+    z = np.linspace(0.0, reach, n_times)
+    order = _chebyshev_order(reach)
+    for got, expect in zip(_chebyshev_coefficients(z, order),
+                           one_shot_chebyshev_coefficients(z, order)):
+        assert np.array_equal(got, expect)
+
+
+def test_chebyshev_coefficient_memory_does_not_grow_with_times():
+    """At the paper horizon of the N = 13 odd block (60 times, order
+    about 5700) the tables of every time at once would peak near 6 times
+    the returned tables; chunked over times the peak stays below twice
+    them, and adding times adds only their rows."""
+    order = _chebyshev_order(5615.0)
+    extra = []
+    for n_times in (60, 240):
+        z = np.linspace(0.0, 5615.0, n_times)
+        tracemalloc.start()
+        try:
+            even, odd = _chebyshev_coefficients(z, order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tables = even.nbytes + odd.nbytes
+        assert peak < 2 * tables
+        extra.append(peak - tables)
+    assert extra[1] < 1.1 * extra[0]
 
 
 def test_krylov_horizon_above_the_work_budget_raises_first(monkeypatch,

@@ -6,7 +6,10 @@ the block where the spectrum is split into its two mirror halves.
 """
 
 import json
+import sys
+import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -927,3 +930,137 @@ def test_one_dense_cap_governs_every_consumer(tmp_path, monkeypatch):
     assert manifest["derived"]["method"] == {"p1": "krylov", "p2-3": "krylov"}
     assert main(["gaps", "--config", str(path),
                  "--out", str(tmp_path / "gaps")]) == 3
+
+
+@pytest.fixture
+def thread_log(monkeypatch):
+    """The threads exact starts while the test runs."""
+    started = []
+
+    class Counting(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(exact, "threading", SimpleNamespace(Thread=Counting))
+    return started
+
+
+@pytest.fixture
+def pinned_two_cores(monkeypatch):
+    """BLAS pinned to one thread on two usable cores: the worker rule then
+    allows two threads."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(exact.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.mark.parametrize("model,flips,blocks,workers", [
+    # the odd and even parity sectors
+    ("exact", ((1,), (7,), (2, 4), (4, 6)), 2, 2),
+    # the k = 1 and k = 2 sectors
+    ("xy", ((1,), (7,), (2, 4), (4, 6)), 2, 2),
+    # the k = 1, 2 and 3 sectors, dealt over two threads and over three
+    ("xy", ((1,), (2, 4), (1, 3, 5), (4, 6), (7,)), 3, 2),
+    ("xy", ((1,), (2, 4), (1, 3, 5), (4, 6), (7,)), 3, 3),
+])
+def test_threaded_draws_equal_one_thread(monkeypatch, thread_log, model,
+                                         flips, blocks, workers):
+    """Blocks run on helper threads, switching every microsecond, give
+    arrays equal to those of one thread, and only the threaded run
+    starts helpers."""
+    jm = power_law_couplings(7, JMAX, 0.55)
+    dyn = cli._Dynamics(SimpleNamespace(model=model, b_field=B_FIELD), jm)
+    patterns = [ExcitationPattern(7, sites) for sites in flips]
+    quenches = [(dyn.rep(p), p) for p in patterns]
+    assert len({id(h.sector(p)[0]) for h, p in quenches}) == blocks
+    times = default_time_grid(JMAX, 25, 60)
+    scales = noise_scales(NoiseModel(seed=5), 37)
+    monkeypatch.setattr(exact, "_draw_workers", lambda n: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = exact.evolve_draws(quenches, times, scales)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(thread_log) == workers - 1
+    monkeypatch.setattr(exact, "_draw_workers", lambda n: 1)
+    alone = exact.evolve_draws(quenches, times, scales)
+    assert len(thread_log) == workers - 1
+    for got, expect in zip(threaded, alone):
+        assert np.array_equal(got, expect)
+
+
+def test_helper_thread_simulation_error_exits_3(tmp_path, monkeypatch):
+    """A unitarity failure in the block a helper thread runs reaches
+    cli.main, which exits 3 once the helper has joined."""
+    raised = []
+
+    def fail_off_main(block, idx0s, *rest):
+        if threading.current_thread() is not threading.main_thread():
+            raised.append(block.dimension)
+            raise exact.SimulationError("propagation lost unitarity")
+        return _dense_sz(block, idx0s, *rest)
+
+    monkeypatch.setattr(exact, "_draw_workers", lambda n: n)
+    monkeypatch.setattr(exact, "_dense_sz", fail_off_main)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_ions = 7\nmodel = exact\npatterns = 1; 2,4\n"
+                   "n_times = 6\nnoise_samples = 3\n")
+    assert main(["evolve", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert raised == [64]
+    assert threading.active_count() == 1
+
+
+@pytest.mark.parametrize("env,cores,blocks,workers", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2, 2),
+    ({}, 2, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, 2, 1),
+    ({"OMP_NUM_THREADS": "1"}, 2, 2, 2),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "one"}, 2, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 2, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, 2, 1),
+    ({"OMP_NUM_THREADS": "2"}, 4, 3, 2),
+])
+def test_draw_workers_divide_the_cores_by_the_blas_threads(
+        monkeypatch, env, cores, blocks, workers):
+    """min(blocks, usable cores // BLAS threads), the BLAS threads taken
+    from OPENBLAS_NUM_THREADS before OMP_NUM_THREADS; one worker when
+    neither holds a positive integer."""
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(exact.os, "sched_getaffinity",
+                        lambda pid: set(range(cores)))
+    assert exact._draw_workers(blocks) == workers
+
+
+@pytest.mark.parametrize("config", [
+    # dense-full's shape: a pattern and its mirror, both in the odd block
+    "n_ions = 9\nmodel = exact\npatterns = 3; 7\nn_times = 6\n",
+    "n_ions = 13\nmodel = exact\npatterns = 3; 2,11\nt_max_over_jmax = 1\n"
+    "n_times = 5\nnoise_samples = 2\n",
+])
+def test_one_block_and_krylov_runs_start_no_thread(tmp_path, thread_log,
+                                                   pinned_two_cores, config):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert exact._draw_workers(2) == 2
+    assert main(["evolve", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert thread_log == []
+
+
+def test_pinned_blas_runs_the_two_parity_blocks_at_once(tmp_path, thread_log,
+                                                        pinned_two_cores):
+    """The headline memory run's patterns lie in both parity blocks, so
+    with BLAS pinned on two cores one helper thread starts."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_ions = 7\nmodel = exact\npatterns = 1; 7; 2,4; 4,6\n"
+                   "n_times = 6\nnoise_samples = 3\n")
+    assert main(["evolve", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(thread_log) == 1
