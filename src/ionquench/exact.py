@@ -715,6 +715,8 @@ def evolve_draws(quenches, times: np.ndarray, scales
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     scales = np.asarray(scales, dtype=float)
+    if not quenches or scales.size == 0 or not np.all(scales > 0):
+        raise ValueError("evolve_draws needs quenches and positive scales")
     dense: dict[int, tuple[Sector, list[int], list[int]]] = {}
     krylov: dict[int, tuple[HamiltonianRep, list[int]]] = {}
     for pos, (h, pattern) in enumerate(quenches):

@@ -16,25 +16,30 @@ import numpy as np
 from .observables import QuenchTrace
 
 
-def _write_lines(path: Path, header: Sequence[str], lines) -> None:
+def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
+    """One row per element of the columns broadcast together by numpy's
+    rules, in C order of the broadcast shape.  Each column is formatted
+    once per element of its own shape, as the repr of its tolist() values
+    (the shortest round trip), so a column of shape (T, 1) beside one of
+    shape (N,) formats T values for T * N rows.  Columns that do not
+    broadcast raise ValueError."""
+    arrays = [np.asarray(c) for c in columns]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    # a row's cells are its values interleaved with "," and a closing "\n"
+    cells = np.full((*shape, 2 * len(arrays)), ",", dtype=object)
+    cells[..., -1] = "\n"
+    for k, a in enumerate(arrays):
+        cells[..., 2 * k] = np.array(list(map(repr, a.ravel().tolist())),
+                                     dtype=object).reshape(a.shape)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write("# " + ",".join(header) + "\n")
-        fh.writelines(lines)
-
-
-def write_csv(path: Path, header: Sequence[str],
-              columns: Sequence[np.ndarray]) -> None:
-    """One row per index of equally long int or float columns, written
-    as the repr of their tolist() values (the shortest round trip)."""
-    text = [map(repr, np.asarray(c).ravel().tolist()) for c in columns]
-    _write_lines(path, header,
-                 (",".join(row) + "\n" for row in zip(*text, strict=True)))
+        fh.write("".join(cells.ravel().tolist()))
 
 
 def write_matrix_csv(path: Path, j: np.ndarray) -> None:
-    i, k = np.indices(j.shape) + 1
-    write_csv(path, ("i", "j", "J_rad_per_s"), (i, k, j))
+    i = np.arange(1, len(j) + 1)
+    write_csv(path, ("i", "j", "J_rad_per_s"), (i[:, None], i, j))
 
 
 def write_indexed_csv(path: Path, values: np.ndarray) -> None:
@@ -43,36 +48,25 @@ def write_indexed_csv(path: Path, values: np.ndarray) -> None:
 
 def write_trace_csv(path: Path, trace: QuenchTrace,
                     n_samples: int | None = None) -> None:
-    """One row per (time, site), time-major, in the bytes write_csv gives
-    the repeated times, tiled sites and sz; each time, each ``,site,``
-    prefix and the constant n_samples suffix are formatted once."""
+    """One row per (time, site), time-major."""
     header = ["t_seconds", "site", "sz"]
-    tail = "\n"
+    cols = [trace.times[:, None], np.arange(1, trace.n_sites + 1), trace.sz]
     if n_samples is not None:
         header.append("n_samples")
-        tail = f",{np.asarray(n_samples).tolist()!r}\n"
-    sites = [f",{i}," for i in range(1, trace.n_sites + 1)]
-    _write_lines(path, header,
-                 ("".join([t + s + v + tail
-                           for s, v in zip(sites, map(repr, row))])
-                  for t, row in zip(map(repr, trace.times.tolist()),
-                                    trace.sz.tolist(), strict=True)))
+        cols.append(n_samples)
+    write_csv(path, header, cols)
 
 
 def write_gaps_csv(path: Path,
                    blocks: Sequence[tuple[float, np.ndarray, np.ndarray]]
                    ) -> None:
     """One row per (alpha, gap, weight), a block of rows per
-    (alpha, gaps, weights) of blocks, in the bytes write_csv gives those
-    columns; each block's alpha is formatted once."""
-    def lines():
-        for alpha, gaps, weights in blocks:
-            a = f"{float(alpha)!r},"
-            yield "".join([a + g + "," + w + "\n" for g, w in
-                           zip(map(repr, gaps.tolist()),
-                               map(repr, weights.tolist()), strict=True)])
-
-    _write_lines(path, ("alpha", "gap_over_jmax", "weight"), lines())
+    (alpha, gaps, weights) of blocks."""
+    alphas, gaps, weights = zip(*blocks)
+    write_csv(path, ("alpha", "gap_over_jmax", "weight"),
+              (np.repeat(np.asarray(alphas, dtype=float),
+                         [g.size for g in gaps]),
+               np.concatenate(gaps), np.concatenate(weights)))
 
 
 def write_c_summary_csv(path: Path, trace: QuenchTrace,
@@ -81,7 +75,7 @@ def write_c_summary_csv(path: Path, trace: QuenchTrace,
     cols = [trace.times, trace.c_series, trace.c_cumulative]
     if n_samples is not None:
         header.append("n_samples")
-        cols.append(np.full(trace.times.size, n_samples))
+        cols.append(n_samples)
     write_csv(path, header, cols)
 
 

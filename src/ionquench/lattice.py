@@ -116,10 +116,6 @@ class PhononModes:
         if self.frequencies is not None:
             self.frequencies.setflags(write=False)
 
-    @property
-    def n_ions(self) -> int:
-        return self.mode_matrix.shape[0]
-
 
 def k_matrix(n: int) -> np.ndarray:
     """Dimensionless dipolar matrix for a uniformly spaced chain.

@@ -37,7 +37,6 @@ class SpinWaveSystem:
     modes: np.ndarray         # matching eigenvectors, one per column
     thetas: np.ndarray
     epsilons: np.ndarray
-    j_max: float
 
     def __post_init__(self):
         for name in ("nus", "modes", "thetas", "epsilons"):
@@ -65,7 +64,7 @@ def build_spinwave(jm: CouplingMatrix, b_field: float) -> SpinWaveSystem:
     thetas = 0.5 * np.arctanh(nus / (nus + 2.0 * b_field))
     epsilons = 2.0 * np.sqrt(b_field * (b_field + nus))
     return SpinWaveSystem(b_field=b_field, nus=nus, modes=vecs,
-                          thetas=thetas, epsilons=epsilons, j_max=jm.j_max)
+                          thetas=thetas, epsilons=epsilons)
 
 
 def _check_pattern(sys: SpinWaveSystem, pattern: ExcitationPattern) -> np.ndarray:

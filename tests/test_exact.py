@@ -16,7 +16,8 @@ from ionquench.coupling import CouplingMatrix, power_law_couplings
 from ionquench.errors import SectorError, SizeError
 from ionquench.exact import (_CHEBYSHEV_TAIL, _chebyshev_coefficients,
                              _chebyshev_order, build_full_ising, build_xy_sector,
-                             default_time_grid, diagonal_ensemble)
+                             default_time_grid, diagonal_ensemble,
+                             evolve_draws)
 from ionquench.observables import ExcitationPattern
 
 TWO_PI = 2.0 * math.pi
@@ -241,6 +242,19 @@ def test_evolve_needs_sorted_times(monkeypatch, cap):
     times = np.array([0.0, 2.0, 1.0]) / JMAX
     with pytest.raises(ValueError):
         evolve(h, ExcitationPattern(4, (1,)), times)
+
+
+@pytest.mark.parametrize("model", ["exact", "xy"])
+@pytest.mark.parametrize("n_quenches, scales", [
+    (1, []), (1, [0.0]), (1, [1.0, -0.5]), (1, [np.nan]), (0, [1.0])])
+def test_evolve_draws_rejects_meaningless_draws(model, n_quenches, scales):
+    """No draw, a scale J -> s J with s <= 0 and no quench all raise."""
+    jm = power_law_couplings(4, JMAX, 1.0)
+    h = (build_full_ising(jm, B_FIELD) if model == "exact"
+         else build_xy_sector(jm, B_FIELD, 1))
+    quenches = [(h, ExcitationPattern(4, (2,)))] * n_quenches
+    with pytest.raises(ValueError):
+        evolve_draws(quenches, np.linspace(0.0, 1.0 / JMAX, 3), scales)
 
 
 def test_full_space_cap():

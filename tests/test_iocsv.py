@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ionquench.iocsv import write_csv, write_gaps_csv, write_trace_csv
+from ionquench.iocsv import (write_csv, write_gaps_csv, write_matrix_csv,
+                             write_trace_csv)
 from ionquench.observables import assemble_trace
 
 
@@ -17,7 +18,7 @@ def test_trace_writer_matches_column_composition(tmp_path, n_samples):
 
     header = ["t_seconds", "site", "sz"]
     cols = [np.repeat(times, n_sites),
-            np.tile(np.arange(1, n_sites + 1), n_times), sz]
+            np.tile(np.arange(1, n_sites + 1), n_times), sz.ravel()]
     if n_samples is not None:
         header.append("n_samples")
         cols.append(np.full(n_times * n_sites, n_samples))
@@ -43,3 +44,26 @@ def test_gaps_writer_matches_column_composition(tmp_path):
     write_gaps_csv(tmp_path / "gaps.csv", blocks)
     assert ((tmp_path / "gaps.csv").read_bytes()
             == (tmp_path / "columns.csv").read_bytes())
+
+
+def test_matrix_writer_matches_index_labels(tmp_path):
+    rng = np.random.default_rng(7)
+    j = rng.normal(size=(5, 5))
+    j[0, :3] = [-0.0, 5e-324, 0.1 + 0.2]
+    i, k = np.indices(j.shape) + 1
+    write_csv(tmp_path / "columns.csv", ("i", "j", "J_rad_per_s"),
+              (i.ravel(), k.ravel(), j.ravel()))
+    write_matrix_csv(tmp_path / "j_matrix.csv", j)
+    assert ((tmp_path / "j_matrix.csv").read_bytes()
+            == (tmp_path / "columns.csv").read_bytes())
+
+
+@pytest.mark.parametrize("columns", [
+    (np.arange(3), np.arange(4)),
+    (np.zeros((2, 3)), np.zeros(2)),
+    (np.arange(2)[:, None], np.zeros(3), np.zeros((3, 3))),
+])
+def test_columns_that_do_not_broadcast_raise(tmp_path, columns):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "bad.csv", ("a",) * len(columns), columns)
+    assert not (tmp_path / "bad.csv").exists()
