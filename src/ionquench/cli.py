@@ -191,10 +191,10 @@ def cmd_gaps(cfg: RunConfig, out: _OutDir) -> dict:
     fits = {}
     for alpha, jm in zip(cfg.alpha_grid, jms, strict=True):
         fits[str(alpha)] = jm.alpha_fit
-        pairs = (level_gaps(build_full_ising(jm, cfg.b_field), pattern)
-                 if cfg.model == "exact" else
-                 pair_gap_spectrum(build_spinwave(jm, cfg.b_field), pattern))
-        gaps, weights = np.array(pairs, dtype=float).reshape(-1, 2).T
+        gaps, weights = (
+            level_gaps(build_full_ising(jm, cfg.b_field), pattern)
+            if cfg.model == "exact" else
+            pair_gap_spectrum(build_spinwave(jm, cfg.b_field), pattern))
         gaps = gaps / jm.j_max
         blocks.append((alpha, gaps, weights))
         heavy = gaps[weights > 1e-3]

@@ -1,7 +1,6 @@
 """Exact quench dynamics of the spin chain.
 
-Two Hamiltonian representations are supported: the full transverse-field
-Ising model
+Two Hamiltonians are supported: the full transverse-field Ising model
 
     H = sum_{i<j} J_ij sx_i sx_j + B sum_i sz_i
 
@@ -9,58 +8,35 @@ on all 2^N basis states, and its excitation-conserving XY reduction
 
     H_XY = sum_{i<j} J_ij (s+_i s-_j + h.c.) + B sum_i sz_i
 
-restricted to a fixed number of up spins.
+restricted to a fixed number k of up spins.
 
-A product-state quench never leaves the block of its initial state.
-The sx_i sx_j couplings flip spins in pairs, so the full model splits
-into its two prod_i sz_i parity sectors; an XY sector is a single block.
-``HamiltonianRep.sector`` hands out the block of a pattern, built on
-first use; no 2^N matrix is ever formed.  A parity block is kept in its
-Walsh-Hadamard form (see _IsingBlock): the coupling part is diagonal in
-the Hadamard basis, the field part in the spin basis.  An XY block is
-kept as its field diagonal and its list of coupling entries.  Every
-block thus holds its coupling part X apart from its field diagonal D,
-and a global coupling scale s (J -> s J, one noise draw) gives the block
-s X + D with the same floats s J_ij that a model rebuilt from the scaled
-couplings holds.  ``evolve_draws`` is the one quench path: it returns
-the draw mean of every quench's sz, adding the draws one chunk at a
-time in draw order.  On a dense rep,
-``Sector.half_spectra`` diagonalises a stack of such blocks, one per
-scale, and every pattern of a block evolves under a chunk of draws in
-one stacked product; on a larger rep, each draw builds its blocks from
-s J on the rep's basis, and the draw s = 1 takes the rep's own blocks.
-Neither rebuilds a basis.  With BLAS pinned, the dense blocks run on
-min(blocks, cores // BLAS threads) threads (see _draw_workers), bit for
-bit as on one: each block adds its own draws.  The block's own
-eigendecomposition is the stack of the single scale 1.0 (1.0 J == J):
-it is computed once, is the spectrum ``half_spectra`` hands out for
-scales [1.0], and is shared by dense evolution, the diagonal ensemble
-and ``level_gaps`` (the exact counterpart of
-``spinwave.pair_gap_spectrum``).  That decomposition is kept in two
-mirror halves.  When J is inversion symmetric
-(|J - J[::-1, ::-1]| max at most _MIRROR_RTOL times |J| max, checked
-once per build; B is uniform, so H then commutes with the chain
-inversion R: i -> N + 1 - i), the even half holds the self-mirror
-states and (|s> + |Rs>)/sqrt(2), the odd half (|s> - |Rs>)/sqrt(2), and
-each half gets its own eigh.  A block without that symmetry is its own
-even half with an empty odd one, so it gets one eigh; J is never
-symmetrised.  The halves are never merged into one eigenvector matrix:
-a start state maps to at most one amplitude per half, each half
-propagates in real arithmetic, sz is read from the half amplitudes in
-closed form, and only the levels (which may straddle both halves) sort
-the two spectra together.  On a uniform time grid the cos and sin of
-the phases E t come by angle addition from about 2 sqrt(T) phases per
-eigenvalue; any other grid takes cos and sin of every phase.  One
-predicate, ``HamiltonianRep.dense``, allows that spectrum: the full
-dimension of the rep, not the sector's, is at most DENSE_CAP, and it
-alone picks the propagator.  Above the cap the diagonal ensemble and
-the level gaps raise SizeError, and evolution runs inside the block by
-one real Chebyshev expansion of exp(-i H t) that serves every grid time
-at once (method "krylov"): its order, and so its number of block
-products, grows linearly in spectral width x max |t|.  A parity block's
-product is two Walsh-Hadamard transforms of three small dense factors
-each; an XY block's is a sparse product, the only use of scipy in the
-package.
+A product-state quench never leaves the block of its initial state: one
+of the two prod_i sz_i parity sectors of the full model (the sx_i sx_j
+couplings flip spins in pairs), or the whole XY sector.  A
+``HamiltonianRep`` holds only J, B and k; ``HamiltonianRep.sector``
+hands out the block of a pattern, built on first use.  The block
+(``Sector``) owns its basis states as ascending bitmasks and its
+sigma^z table, so no 2^N matrix or table is ever formed.  A parity
+block is kept in its Walsh-Hadamard form (_IsingBlock), an XY block as
+its field diagonal and coupling entries (_TripletBlock).  Both keep the
+coupling part X apart from the field diagonal D, so a noise draw J -> s J
+is the operator s X + D (``stack`` for dense blocks, ``scaled`` for
+one op) and holds the same floats s J_ij as a model rebuilt from the
+scaled couplings.
+
+``evolve_draws`` is the one quench path, and ``HamiltonianRep.dense``
+(the rep's dimension, not the block's, is at most DENSE_CAP) alone
+picks its propagator.
+A dense block is diagonalised once per stack of draws; the scale 1.0
+spectrum is cached and also serves ``diagonal_ensemble`` and
+``level_gaps``.  When J is inversion symmetric (within _MIRROR_RTOL of
+|J| max), H commutes with the chain inversion and each spectrum is kept
+in its mirror-even and mirror-odd halves, which are never merged.  Above
+the cap the diagonal ensemble and the level gaps raise SizeError, and
+evolution runs one real Chebyshev expansion of exp(-i H t) inside the
+block (method "krylov").  A parity block's product is two Walsh-Hadamard
+transforms; an XY block's is a sparse product, the only use of scipy in
+the package.
 """
 
 from __future__ import annotations
@@ -68,7 +44,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -132,13 +108,15 @@ class _IsingBlock:
     b = (bits - a) // 2 of the block's bits = N - 1.
     """
 
-    def __init__(self, j_script: np.ndarray, b_field: float, occ: np.ndarray):
-        self.dim = occ.shape[0]
-        self.dz = b_field * (2.0 * occ.sum(axis=1) - j_script.shape[0])
-        self._upper = np.triu(j_script, 1)
-        i, j = np.nonzero(self._upper)
-        self.values = self._upper[i, j]
+    def __init__(self, upper: np.ndarray, dz: np.ndarray):
+        self.dim, self.dz, self._upper = dz.size, dz, upper
+        i, j = np.nonzero(upper)
+        self.values = upper[i, j]
         self.masks = ((1 << i) | (1 << j)) >> 1  # bit 0 of s drops out
+
+    def scaled(self, s: float) -> _IsingBlock:
+        """The block with couplings s J_ij; dx follows on first use."""
+        return _IsingBlock(s * self._upper, self.dz)
 
     @cached_property
     def dx(self) -> np.ndarray:
@@ -206,6 +184,10 @@ class _TripletBlock:
         self.dz, self.rows, self.cols, self.values = dz, rows, cols, values
         self.dim = dz.size
 
+    def scaled(self, s: float) -> _TripletBlock:
+        """The block with couplings s J_ij."""
+        return _TripletBlock(self.dz, self.rows, self.cols, s * self.values)
+
     def stack(self, scales: np.ndarray) -> np.ndarray:
         """The dense blocks (see _dense_stack)."""
         return _dense_stack(scales, self.dz, self.rows, self.cols,
@@ -240,27 +222,28 @@ class _TripletBlock:
 class Sector:
     """One block of a HamiltonianRep that dynamics never leave.
 
-    indices are the rep's basis indices of the block in ascending
-    order, op the block's operator (stack, product, bounds) and
-    zmat the matching (dim, n_ions) table of sigma^z eigenvalues (+-1).
-    mirror maps each block index to that of its chain-inverted state, or
-    is None when H does not commute with the inversion.
+    states are the block's basis states as ascending bitmasks (bit i-1
+    set when site i is up), op the block's operator (stack, product,
+    bounds, scaled) and zmat the matching (dim, n_ions) table of sigma^z
+    eigenvalues (+-1).  mirror maps each block index to that of its
+    chain-inverted state, or is None when H does not commute with the
+    inversion.
     """
 
-    indices: np.ndarray
+    states: np.ndarray
     op: _IsingBlock | _TripletBlock
     zmat: np.ndarray
     mirror: np.ndarray | None = None
 
     def __post_init__(self):
-        self.indices.setflags(write=False)
+        self.states.setflags(write=False)
         self.zmat.setflags(write=False)
         if self.mirror is not None:
             self.mirror.setflags(write=False)
 
     @property
     def dimension(self) -> int:
-        return self.indices.size
+        return self.states.size
 
     @cached_property
     def halves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -366,11 +349,9 @@ def _half_eigh(op: _IsingBlock | _TripletBlock, scales: np.ndarray,
 
 @dataclass(frozen=True)
 class HamiltonianRep:
-    """A Hamiltonian with its basis bookkeeping; blocks come on demand.
+    """A Hamiltonian whose blocks come on demand.
 
     j_script holds the couplings J_ij (zero diagonal) and b_field B.
-    basis_states holds one bitmask per basis vector (bit i-1 set when
-    site i is up); occupations is the matching (dim, n_ions) 0/1 array.
     k_excitations is None for the full model.  mirror_symmetric says
     whether H commutes with the chain inversion (see _mirror_symmetric).
     """
@@ -378,28 +359,24 @@ class HamiltonianRep:
     n_ions: int
     b_field: float
     j_script: np.ndarray
-    basis_states: np.ndarray
-    occupations: np.ndarray
     k_excitations: int | None = None
     mirror_symmetric: bool = False
     _sectors: dict[int, Sector] = field(default_factory=dict, init=False,
                                         repr=False, compare=False)
 
-    def __post_init__(self):
-        self.basis_states.setflags(write=False)
-        self.occupations.setflags(write=False)
-
     @property
     def dimension(self) -> int:
-        return self.basis_states.size
+        if self.k_excitations is None:
+            return 1 << self.n_ions
+        return math.comb(self.n_ions, self.k_excitations)
 
     @property
     def dense(self) -> bool:
         """Whether the rep is small enough for dense spectra (DENSE_CAP)."""
         return self.dimension <= DENSE_CAP
 
-    def state_index(self, pattern: ExcitationPattern) -> int:
-        """Basis index of a product state, validating the sector."""
+    def sector(self, pattern: ExcitationPattern) -> tuple[Sector, int]:
+        """The block holding a product state and the state's index in it."""
         if pattern.n_ions != self.n_ions:
             raise ValueError(
                 f"pattern is for {pattern.n_ions} ions, chain has {self.n_ions}"
@@ -410,44 +387,43 @@ class HamiltonianRep:
                 f"pattern has {pattern.n_excitations} excitations, "
                 f"sector holds {self.k_excitations}"
             )
+        block = self.block(pattern.n_excitations % 2
+                           if self.k_excitations is None else 0)
         mask = sum(1 << (i - 1) for i in pattern.flipped)
-        idx = int(np.searchsorted(self.basis_states, mask))
-        if idx >= len(self.basis_states) or self.basis_states[idx] != mask:
-            raise SectorError("pattern is not a basis state of this sector")
-        return idx
-
-    def sector(self, pattern: ExcitationPattern) -> tuple[Sector, int]:
-        """The block holding a product state and the state's index in it."""
-        idx = self.state_index(pattern)
-        key = pattern.n_excitations % 2 if self.k_excitations is None else 0
-        block = self.block(key)
-        return block, int(np.searchsorted(block.indices, idx))
+        return block, int(np.searchsorted(block.states, mask))
 
     def block(self, key: int) -> Sector:
         """Block key, built on first use and kept with the rep: the prod
-        sz parity sector key (0 or 1) for the full model, the whole rep
-        (key 0) for an XY sector.  The inversion maps each block onto
-        itself.
+        sz parity sector key (0 or 1) for the full model, whose state s
+        sits at index s >> 1, or the whole XY sector (key 0).  The
+        inversion maps each block onto itself.
         """
         block = self._sectors.get(key)
         if block is None:
-            if self.k_excitations is None:
-                parity = self.occupations.sum(axis=1) % 2
-                indices = np.flatnonzero(parity == key)
-                occ = self.occupations[indices]
-                op = _IsingBlock(self.j_script, self.b_field, occ)
+            n, k = self.n_ions, self.k_excitations
+            if k is None:
+                b = np.arange(1 << (n - 1))
+                states = 2 * b + (_bits(b, n - 1).sum(axis=1) + key) % 2
             else:
-                indices = np.arange(self.dimension)
-                occ = self.occupations
-                op = _xy_block(self.j_script, self.b_field,
-                               self.basis_states, self.k_excitations)
-            zmat = 2.0 * occ.astype(float) - 1.0
+                states = np.array(sorted(
+                    sum(1 << i for i in combo)
+                    for combo in combinations(range(n), k)))
+            occ = _bits(states, n)
+            dz = self.b_field * (2.0 * occ.sum(axis=1) - n)
+            op = (_IsingBlock(np.triu(self.j_script, 1), dz) if k is None
+                  else _xy_block(self.j_script, states, dz))
             mirror = None
             if self.mirror_symmetric:
-                masks = occ[:, ::-1] @ (1 << np.arange(self.n_ions))
-                mirror = np.searchsorted(self.basis_states[indices], masks)
-            block = self._sectors[key] = Sector(indices, op, zmat, mirror)
+                mirror = np.searchsorted(
+                    states, occ[:, ::-1] @ (1 << np.arange(n)))
+            block = self._sectors[key] = Sector(states, op, 2.0 * occ - 1.0,
+                                                mirror)
         return block
+
+
+def _bits(states: np.ndarray, n: int) -> np.ndarray:
+    """The (len(states), n) table of the states' bits 0 .. n-1."""
+    return (states[:, None] >> np.arange(n)) & 1
 
 
 def _mirror_symmetric(jm: CouplingMatrix) -> bool:
@@ -455,10 +431,6 @@ def _mirror_symmetric(jm: CouplingMatrix) -> bool:
     j = jm.j_script
     return bool(np.abs(j - j[::-1, ::-1]).max()
                 <= _MIRROR_RTOL * np.abs(j).max())
-
-
-def _occupation_table(states: np.ndarray, n: int) -> np.ndarray:
-    return ((states[:, None] >> np.arange(n)[None, :]) & 1).astype(np.uint8)
 
 
 def build_full_ising(jm: CouplingMatrix, b_field: float) -> HamiltonianRep:
@@ -469,10 +441,7 @@ def build_full_ising(jm: CouplingMatrix, b_field: float) -> HamiltonianRep:
             f"{n} spins exceed the full-space cap of {FULL_SPACE_CAP}; "
             "use an XY sector instead"
         )
-    states = np.arange(1 << n, dtype=np.int64)
-    return HamiltonianRep(n_ions=n, b_field=b_field,
-                          j_script=jm.j_script, basis_states=states,
-                          occupations=_occupation_table(states, n),
+    return HamiltonianRep(n_ions=n, b_field=b_field, j_script=jm.j_script,
                           mirror_symmetric=_mirror_symmetric(jm))
 
 
@@ -481,23 +450,15 @@ def build_xy_sector(jm: CouplingMatrix, b_field: float, k: int) -> HamiltonianRe
     n = jm.n_ions
     if not 0 <= k <= n:
         raise SectorError(f"k = {k} outside 0..{n}")
-    masks = np.array(
-        [sum(1 << i for i in combo) for combo in combinations(range(n), k)],
-        dtype=np.int64,
-    )
-    masks.sort()
-    return HamiltonianRep(n_ions=n, b_field=b_field,
-                          j_script=jm.j_script, basis_states=masks,
-                          occupations=_occupation_table(masks, n),
+    return HamiltonianRep(n_ions=n, b_field=b_field, j_script=jm.j_script,
                           k_excitations=k,
                           mirror_symmetric=_mirror_symmetric(jm))
 
 
-def _xy_block(j_script: np.ndarray, b_field: float, masks: np.ndarray,
-              k: int) -> _TripletBlock:
+def _xy_block(j_script: np.ndarray, masks: np.ndarray, dz: np.ndarray
+              ) -> _TripletBlock:
     """The XY sector over the ascending bitmasks masks as triplets: the
-    field on the diagonal and J_ij wherever site i is up and j down."""
-    n = j_script.shape[0]
+    field dz on the diagonal and J_ij wherever site i is up and j down."""
     none = np.zeros(0, dtype=np.int64)  # so that J = 0 concatenates too
     rows, cols, values = [none], [none], [np.zeros(0)]
     for i, j in zip(*np.nonzero(j_script)):
@@ -506,8 +467,7 @@ def _xy_block(j_script: np.ndarray, b_field: float, masks: np.ndarray,
         rows.append(a)
         cols.append(np.searchsorted(masks, masks[a] ^ ((1 << i) | (1 << j))))
         values.append(np.full(a.size, j_script[i, j]))
-    return _TripletBlock(np.full(masks.size, b_field * (2.0 * k - n)),
-                         np.concatenate(rows), np.concatenate(cols),
+    return _TripletBlock(dz, np.concatenate(rows), np.concatenate(cols),
                          np.concatenate(values))
 
 
@@ -701,36 +661,33 @@ def evolve_draws(quenches, times: np.ndarray, scales
     the quench on the reps rebuilt from the couplings scaled by s, and
     the draws are added from zeros in draw order, so the mean is bit for
     bit np.mean over them; memory holds one chunk of draws per thread,
-    not all S.  The blocks of a dense rep serve every draw: for a chunk
-    of draws each block takes one stacked Sector.half_spectra and
-    propagates all of its patterns in one stacked product per half and
-    real part, one product per draw and pattern; a chunk holds about
-    _DRAW_CHUNK amplitudes of the widest block.  Each block runs its own
-    chunk loop into its own rows, on _draw_workers threads at once (one
-    unless BLAS is pinned), so the results are bit for bit those of one
-    thread.  A Krylov-sized rep evolves each draw on blocks built from
-    the couplings s J_ij, the floats a rebuilt model holds, so no basis
-    or occupation table is rebuilt; the draw s = 1 takes the rep's own
-    blocks, built once per rep.
+    not all S.  The quenches are grouped by block once, and each block
+    serves every draw.  For a chunk of draws a dense block takes one
+    stacked Sector.half_spectra and propagates all of its patterns in
+    one stacked product per half and real part; a chunk holds about
+    _DRAW_CHUNK amplitudes of the widest block.  Each dense block runs
+    its own chunk loop into its own rows, on _draw_workers threads at
+    once (one unless BLAS is pinned), so the results are bit for bit
+    those of one thread.  A Krylov-sized block evolves each draw on its
+    op.scaled(s), and the draw s = 1 on its own op.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     scales = np.asarray(scales, dtype=float)
     if not quenches or scales.size == 0 or not np.all(scales > 0):
         raise ValueError("evolve_draws needs quenches and positive scales")
     dense: dict[int, tuple[Sector, list[int], list[int]]] = {}
-    krylov: dict[int, tuple[HamiltonianRep, list[int]]] = {}
+    krylov: dict[int, tuple[Sector, list[int], list[int]]] = {}
     for pos, (h, pattern) in enumerate(quenches):
-        if h.dense:
-            block, idx0 = h.sector(pattern)
-            _, where, idx0s = dense.setdefault(id(block), (block, [], []))
-            where.append(pos)
-            idx0s.append(idx0)
-        else:
-            krylov.setdefault(id(h), (h, []))[1].append(pos)
+        block, idx0 = h.sector(pattern)
+        _, where, idx0s = (dense if h.dense else krylov).setdefault(
+            id(block), (block, [], []))
+        where.append(pos)
+        idx0s.append(idx0)
+    jobs = list(dense.values())
     total = np.zeros((len(quenches), times.size, quenches[0][0].n_ions))
     err = np.zeros(len(quenches))
     width = max((block.dimension * len(idx0s)
-                 for block, _, idx0s in dense.values()), default=1)
+                 for block, _, idx0s in jobs), default=1)
     step = max(1, _DRAW_CHUNK // (width * times.size))
 
     def block_draws(job):
@@ -744,18 +701,16 @@ def evolve_draws(quenches, times: np.ndarray, scales
             errs = np.maximum(errs, chunk_err.max(axis=0))
         return sums, errs
 
-    jobs = list(dense.values())
     for (_, where, _), (sums, errs) in zip(
             jobs, _in_threads(block_draws, jobs, _draw_workers(len(jobs)))):
         total[where] = sums
         err[where] = errs
     for s in scales:
-        for h, where in krylov.values():
-            # 1.0 J == J, so the draw s = 1 runs on h and its cached blocks
-            scaled = h if s == 1.0 else replace(h, j_script=h.j_script * s)
-            for pos in where:
-                sz, draw_err = _krylov_sz_series(
-                    *scaled.sector(quenches[pos][1]), times)
+        for block, where, idx0s in krylov.values():
+            # 1.0 J == J, so the draw s = 1 runs on the block's own op
+            op = block.op if s == 1.0 else block.op.scaled(s)
+            for pos, idx0 in zip(where, idx0s):
+                sz, draw_err = _krylov_sz_series(op, block.zmat, idx0, times)
                 total[pos] += sz
                 err[pos] = max(err[pos], draw_err)
     return total / scales.size, err
@@ -880,14 +835,15 @@ def _chebyshev_states(op: _IsingBlock | _TripletBlock, idx0: int,
     return psi
 
 
-def _krylov_sz_series(block: Sector, idx0: int, times: np.ndarray
+def _krylov_sz_series(op: _IsingBlock | _TripletBlock, zmat: np.ndarray,
+                      idx0: int, times: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     def readout(tt):
-        psi = _chebyshev_states(block.op, idx0, tt)
+        psi = _chebyshev_states(op, idx0, tt)
         prob = psi.real**2 + psi.imag**2
-        return prob.sum(axis=-1), prob @ block.zmat
+        return prob.sum(axis=-1), prob @ zmat
 
-    return _sz_series(times, readout, block.dimension)
+    return _sz_series(times, readout, op.dim)
 
 
 def _levels(evals: np.ndarray) -> np.ndarray:
@@ -948,8 +904,9 @@ def diagonal_ensemble(h: HamiltonianRep, pattern: ExcitationPattern
 
 
 def level_gaps(h: HamiltonianRep, pattern: ExcitationPattern
-               ) -> list[tuple[float, float]]:
-    """Pair gaps between the energy levels a quench populates.
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Pair gaps and their weights between the energy levels a quench
+    populates.
 
     The exact counterpart of spinwave.pair_gap_spectrum.  Only the
     sector of the pattern carries weight, so only its levels pair up.
@@ -966,8 +923,7 @@ def level_gaps(h: HamiltonianRep, pattern: ExcitationPattern
     m, n = np.triu_indices(len(p), k=1)
     w = p[m] * p[n]
     keep = w > _GAP_WEIGHT_FLOOR
-    gaps = np.abs(energies[m] - energies[n])[keep]
-    return list(zip(gaps.tolist(), w[keep].tolist()))
+    return np.abs(energies[m] - energies[n])[keep], w[keep]
 
 
 def default_time_grid(j_max: float, horizon: float = 25.0,

@@ -126,7 +126,12 @@ def k_matrix(n: int) -> np.ndarray:
     if n < 2:
         raise ValueError("need at least 2 ions")
     idx = np.arange(n)
-    dist = np.abs(idx[:, None] - idx[None, :]).astype(float)
+    return _laplacian(np.abs(idx[:, None] - idx[None, :]).astype(float))
+
+
+def _laplacian(dist: np.ndarray) -> np.ndarray:
+    """-dist^-3 off the diagonal, minus the row sum on it (dist is
+    overwritten)."""
     np.fill_diagonal(dist, np.inf)
     k = -dist**-3.0
     np.fill_diagonal(k, 0.0)
@@ -201,11 +206,7 @@ def exact_modes(cfg: TrapConfig) -> PhononModes:
     else:
         # general positions: same Laplacian with distances in units of
         # the Coulomb length so that omega_z^2 stays the prefactor
-        d = np.abs(z[:, None] - z[None, :]) / cfg.coulomb_length()
-        np.fill_diagonal(d, np.inf)
-        k = -d**-3.0
-        np.fill_diagonal(k, 0.0)
-        np.fill_diagonal(k, -k.sum(axis=1))
+        k = _laplacian(np.abs(z[:, None] - z[None, :]) / cfg.coulomb_length())
     kappas, vecs = np.linalg.eigh(k)
     omega_sq = cfg.omega_x**2 - cfg.omega_z**2 * kappas
     if np.any(omega_sq <= 0):

@@ -160,7 +160,7 @@ def quench_sz(sys: SpinWaveSystem, patterns, times: np.ndarray
 
 
 def pair_gap_spectrum(sys: SpinWaveSystem, pattern: ExcitationPattern
-                      ) -> list[tuple[float, float]]:
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Beat frequencies of a single excitation, weighted by overlap.
 
     Restricted to the one-excitation sector: the initial spin-up site j
@@ -177,6 +177,4 @@ def pair_gap_spectrum(sys: SpinWaveSystem, pattern: ExcitationPattern
     site = pattern.flipped[0] - 1
     p = sys.modes[site, :] ** 2
     m, n = np.triu_indices(sys.n_ions, k=1)
-    gaps = np.abs(sys.epsilons[m] - sys.epsilons[n])
-    weights = p[m] * p[n]
-    return list(zip(gaps.tolist(), weights.tolist()))
+    return np.abs(sys.epsilons[m] - sys.epsilons[n]), p[m] * p[n]

@@ -173,11 +173,12 @@ def product_state(flipped, n: int) -> np.ndarray:
 
 
 def energy_expectation(h, psi: np.ndarray) -> float:
-    """<psi|H|psi> of a state on the basis of rep h, one block at a time."""
+    """<psi|H|psi> of a state psi on all 2^N bitmasks that lies in rep
+    h, one block at a time."""
     total = 0.0
     for key in (0, 1) if h.k_excitations is None else (0,):
         block = h.block(key)
-        part = psi[block.indices]
+        part = psi[block.states]
         h_part = (block_product(block.op, part.real)
                   + 1j * block_product(block.op, part.imag))
         total += np.vdot(part, h_part)

@@ -34,14 +34,15 @@ def test_full_matrix_matches_kron_oracle(n):
     jm = power_law_couplings(n, JMAX, 0.7)
     h = build_full_ising(jm, B_FIELD)
     ref = dense_ising_oracle(jm.j_script, B_FIELD)
-    assert np.array_equal(np.sort(h.basis_states), h.basis_states)
     blocks = [h.block(key) for key in (0, 1)]
-    even, odd = (block.indices for block in blocks)
+    even, odd = (block.states for block in blocks)
+    for idx in (even, odd):
+        assert np.array_equal(np.sort(idx), idx)
     assert np.array_equal(np.sort(np.concatenate((even, odd))),
                           np.arange(h.dimension))
     assert np.all(ref[np.ix_(even, odd)] == 0.0)
     for block in blocks:
-        idx = block.indices
+        idx = block.states
         dense = block.op.stack(np.ones(1))[0]
         assert np.abs(dense - ref[np.ix_(idx, idx)]).max() == 0.0
 
@@ -51,7 +52,7 @@ def test_xy_sector_matches_restricted_oracle():
     jm = power_law_couplings(n, JMAX, 1.33)
     h = build_xy_sector(jm, B_FIELD, k)
     ref = dense_xy_oracle(jm.j_script, B_FIELD)
-    masks = h.basis_states
+    masks = h.block(0).states
     assert h.dimension == math.comb(n, k)
     block = h.block(0).op.stack(np.ones(1))[0]
     assert np.abs(block - ref[np.ix_(masks, masks)]).max() < 1e-9
@@ -266,15 +267,17 @@ def test_full_space_cap():
 def test_state_index_validation():
     jm = power_law_couplings(5, JMAX, 1.0)
     full = build_full_ising(jm, B_FIELD)
-    assert full.state_index(ExcitationPattern(5, ())) == 0
-    assert full.state_index(ExcitationPattern(5, (1, 3))) == 0b101
+    block, idx = full.sector(ExcitationPattern(5, ()))
+    assert block.states[idx] == 0
+    block, idx = full.sector(ExcitationPattern(5, (1, 3)))
+    assert block.states[idx] == 0b101
     with pytest.raises(ValueError):
-        full.state_index(ExcitationPattern(4, (1,)))
+        full.sector(ExcitationPattern(4, (1,)))
     sector = build_xy_sector(jm, B_FIELD, 1)
     with pytest.raises(SectorError):
-        sector.state_index(ExcitationPattern(5, (1, 2)))
-    idx = sector.state_index(ExcitationPattern(5, (3,)))
-    assert sector.basis_states[idx] == 0b100
+        sector.sector(ExcitationPattern(5, (1, 2)))
+    block, idx = sector.sector(ExcitationPattern(5, (3,)))
+    assert block.states[idx] == 0b100
 
 
 def test_diagonal_ensemble_matches_long_time_average():
@@ -296,8 +299,8 @@ def test_diagonal_ensemble_keeps_degenerate_coherences():
     assert de[1] == pytest.approx(de[2], abs=1e-12)
 
     evals, evecs = np.linalg.eigh(dense_ising_oracle(h.j_script, B_FIELD))
-    amps = evecs[h.state_index(pattern), :]
-    zmat = 2.0 * h.occupations.astype(float) - 1.0
+    amps = evecs[sum(1 << (i - 1) for i in pattern.flipped), :]
+    zmat = 2.0 * ((np.arange(8)[:, None] >> np.arange(3)) & 1) - 1.0
     naive = (np.abs(amps) ** 2) @ ((np.abs(evecs.T) ** 2) @ zmat)
     assert np.abs(naive - de).max() > 0.1
 
@@ -317,8 +320,7 @@ def test_diagonal_ensemble_guards(monkeypatch):
 def test_energy_expectation_of_basis_state():
     jm = power_law_couplings(3, JMAX, 1.0)
     h = build_full_ising(jm, B_FIELD)
-    psi = np.zeros(h.dimension)
-    psi[h.state_index(ExcitationPattern(3, (2,)))] = 1.0
+    psi = product_state((2,), 3)
     assert energy_expectation(h, psi) == pytest.approx(-B_FIELD)
 
 

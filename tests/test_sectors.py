@@ -9,6 +9,7 @@ import json
 import sys
 import threading
 import tracemalloc
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -75,6 +76,20 @@ def eigh_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def sector_builds(monkeypatch):
+    """The dimension of every Sector built during the test."""
+    dims = []
+    real = Sector.__post_init__
+
+    def counting(self):
+        dims.append(self.dimension)
+        real(self)
+
+    monkeypatch.setattr(Sector, "__post_init__", counting)
+    return dims
+
+
 def merged_spectrum(block):
     """The block's half spectra as one ascending spectrum in the block
     basis: eigenvalues (dim,) and eigenvectors (dim, dim)."""
@@ -90,7 +105,7 @@ def assert_block_matches_oracle(block, ref):
     """Every entry of the block against the 2^N oracle restricted to it:
     couplings exactly, the field to the rounding of the oracle's sum."""
     dense = block.op.stack(np.ones(1))[0]
-    expect = ref[np.ix_(block.indices, block.indices)]
+    expect = ref[np.ix_(block.states, block.states)]
     off = ~np.eye(block.dimension, dtype=bool)
     assert np.abs(dense - expect)[off].max(initial=0.0) == 0.0
     assert (np.abs(np.diag(dense) - np.diag(expect)).max()
@@ -104,9 +119,14 @@ def test_full_model_is_hermitian_and_parity_block_diagonal(n):
     assert h.dimension == 2**n
     ref = dense_ising_oracle(jm.j_script, b_field)
     even, odd = (h.block(key) for key in (0, 1))
-    assert np.all(parity(h.basis_states[even.indices]) == 0)
-    assert np.all(parity(h.basis_states[odd.indices]) == 1)
-    assert np.all(ref[np.ix_(even.indices, odd.indices)] == 0.0)
+    assert np.all(parity(even.states) == 0)
+    assert np.all(parity(odd.states) == 1)
+    for block in (even, odd):
+        assert np.all(np.diff(block.states) > 0)
+        assert np.array_equal(block.states >> 1, np.arange(2**(n - 1)))
+    assert np.array_equal(np.sort(np.concatenate((even.states, odd.states))),
+                          np.arange(2**n))
+    assert np.all(ref[np.ix_(even.states, odd.states)] == 0.0)
     for block in (even, odd):
         dense = block.op.stack(np.ones(1))[0]
         assert np.array_equal(dense, dense.T)
@@ -119,9 +139,8 @@ def test_sector_holds_the_pattern_parity(n):
     h = build_full_ising(jm, b_field)
     block, local = h.sector(pattern)
     assert block.dimension == 2**(n - 1)
-    assert np.all(parity(h.basis_states[block.indices])
-                  == pattern.n_excitations % 2)
-    assert block.indices[local] == h.state_index(pattern)
+    assert np.all(parity(block.states) == pattern.n_excitations % 2)
+    assert block.states[local] == sum(1 << (i - 1) for i in pattern.flipped)
     assert block is h.block(pattern.n_excitations % 2)
     assert_block_matches_oracle(block, dense_ising_oracle(jm.j_script,
                                                           b_field))
@@ -142,7 +161,7 @@ def test_block_product_and_bounds_match_the_oracle(n, case):
     rng = np.random.default_rng(n)
     for key in (0, 1):
         block = h.block(key)
-        expect = ref[np.ix_(block.indices, block.indices)]
+        expect = ref[np.ix_(block.states, block.states)]
         v = rng.normal(size=block.dimension)
         assert (np.abs(block_product(block.op, v) - expect @ v).max()
                 <= 1e-12 * np.abs(expect @ v).max())
@@ -153,6 +172,29 @@ def test_block_product_and_bounds_match_the_oracle(n, case):
         field = np.diag(expect)
         assert field.min() - radius - slack <= lo
         assert hi <= field.max() + radius + slack
+
+
+@pytest.mark.parametrize("model", ["full", "xy"])
+@pytest.mark.parametrize("n", SIZES)
+def test_scaled_block_equals_the_rebuilt_block(model, n):
+    """op.scaled(s) holds the floats s J_ij of a block rebuilt from the
+    scaled couplings: its stack, bounds and product match bit for bit."""
+    jm, b_field, _ = random_case(n)
+    pattern = ExcitationPattern(n, tuple(range(1, n // 2 + 1)))
+    block, _ = build(model, jm, b_field, pattern).sector(pattern)
+    v = np.random.default_rng(n).normal(size=block.dimension)
+    for s in noise_scales(NoiseModel(seed=n), 3):
+        op = block.op.scaled(s)
+        rebuilt = build(model, jm.scaled(s), b_field, pattern).sector(
+            pattern)[0].op
+        assert np.array_equal(op.stack(np.ones(1)), rebuilt.stack(np.ones(1)))
+        assert op.bounds() == rebuilt.bounds()
+        lo, hi = op.bounds()
+        for centre, half in ((0.0, 1.0), ((hi + lo) / 2.0, (hi - lo) / 4.0)):
+            out, expect = np.empty(op.dim), np.empty(op.dim)
+            op.product(centre, half)(v, out)
+            rebuilt.product(centre, half)(v, expect)
+            assert np.array_equal(out, expect)
 
 
 @pytest.mark.parametrize("n", [13, 14])
@@ -277,8 +319,8 @@ def test_gap_weights_are_level_weights_of_the_full_oracle(flipped):
                                  w[keep])))
 
     pattern = ExcitationPattern(n, flipped)
-    pairs = np.array(sorted(level_gaps(build_full_ising(jm, b_field),
-                                       pattern)))
+    pairs = np.array(sorted(zip(*level_gaps(build_full_ising(jm, b_field),
+                                            pattern))))
     assert pairs.shape == oracle.shape
     assert np.abs(pairs[:, 0] - oracle[:, 0]).max() < 1e-10 * JMAX
     assert np.abs(pairs[:, 1] - oracle[:, 1]).max() < 1e-12
@@ -289,8 +331,10 @@ def test_xy_sector_is_one_block():
     h = build_xy_sector(jm, 10.0 * JMAX, 2)
     block, local = h.sector(ExcitationPattern(5, (2, 4)))
     assert block is h.block(0)
-    assert np.array_equal(block.indices, np.arange(h.dimension))
-    assert local == h.state_index(ExcitationPattern(5, (2, 4)))
+    expect = sorted(sum(1 << i for i in c) for c in combinations(range(5), 2))
+    assert block.dimension == h.dimension
+    assert np.array_equal(block.states, expect)
+    assert block.states[local] == 0b1010
     again, _ = h.sector(ExcitationPattern(5, (1, 5)))
     assert again is block
 
@@ -307,12 +351,11 @@ def test_quench_conserves_energy(model, n):
     block, local = h.sector(pattern)
     evals, evecs = merged_spectrum(block)
     times = np.linspace(0.0, 20.0 / JMAX, 9)
-    psi = np.zeros((2, times.size, h.dimension), dtype=complex)
-    psi[0][:, block.indices] = (np.exp(-1j * np.outer(times, evals))
+    psi = np.zeros((2, times.size, 2**n), dtype=complex)
+    psi[0][:, block.states] = (np.exp(-1j * np.outer(times, evals))
                                 * evecs[local]) @ evecs.T
-    psi[1][:, block.indices] = _chebyshev_states(block.op, local, times)
-    e0 = energy_expectation(h, product_state(pattern.flipped, n)
-                            [h.basis_states])
+    psi[1][:, block.states] = _chebyshev_states(block.op, local, times)
+    e0 = energy_expectation(h, product_state(pattern.flipped, n))
     scale = np.abs(evals).max()
     for states in psi:
         drift = [energy_expectation(h, p) - e0 for p in states]
@@ -351,12 +394,12 @@ def assert_matches_unsplit(h, pattern):
     m, k = np.triu_indices(len(levels), k=1)
     w = weight[m] * weight[k]
     keep = w > 1e-12
-    pairs = np.array(level_gaps(h, pattern)).reshape(-1, 2)
-    assert pairs.shape == (keep.sum(), 2)
-    assert np.abs(pairs[:, 0]
+    gaps, weights = level_gaps(h, pattern)
+    assert gaps.shape == weights.shape == (keep.sum(),)
+    assert np.abs(gaps
                   - np.abs(energy[m] - energy[k])[keep]).max(initial=0.0) \
         <= 1e-10 * spread
-    assert np.abs(pairs[:, 1] - w[keep]).max(initial=0.0) < 1e-10
+    assert np.abs(weights - w[keep]).max(initial=0.0) < 1e-10
     return levels
 
 
@@ -397,7 +440,7 @@ def test_half_propagation_matches_the_oracle(model, n):
             for kind, states in zip(("self", "lo", "hi"), block.halves):
                 if not states.size:
                     continue
-                mask = int(h.basis_states[block.indices[states[-1]]])
+                mask = int(block.states[states[-1]])
                 pattern = ExcitationPattern(n, tuple(
                     i + 1 for i in range(n) if mask >> i & 1))
                 ref = dense_sz_dynamics(
@@ -841,11 +884,12 @@ def test_noisy_evolve_equals_mean_of_rebuilt_draws(tmp_path, monkeypatch,
 
 
 def test_dense_patterns_share_the_model_beside_krylov_ones(tmp_path,
-                                                          monkeypatch):
+                                                          monkeypatch,
+                                                          sector_builds):
     """A Krylov-sized xy sector (k = 7 of 15 ions, 6435 states) and the
-    dense k = 1 sector both stay on the command's one model: each is
-    built once for all draws, and the CSVs still equal np.mean over
-    per-draw models rebuilt from J -> s J."""
+    dense k = 1 sector both stay on the command's one model: each and
+    its block are built once for all draws, and the CSVs still equal
+    np.mean over per-draw models rebuilt from J -> s J."""
     built = []
     real = cli.build_xy_sector
     monkeypatch.setattr(cli, "build_xy_sector", lambda jm, b, k: (
@@ -858,6 +902,7 @@ def test_dense_patterns_share_the_model_beside_krylov_ones(tmp_path,
     assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
     assert built.count(1) == 1
     assert built.count(7) == 1
+    assert sorted(sector_builds) == [15, 6435]
     cfg = load_config(path)
     jm, _, _ = cfg.couplings()
     times = default_time_grid(jm.j_max, 1, 5)
@@ -874,10 +919,12 @@ def test_dense_patterns_share_the_model_beside_krylov_ones(tmp_path,
             read_column(out / f"trace_xy_{tag}.csv", "sz"), mean.ravel())
 
 
-def test_noisy_krylov_draws_share_the_full_model(tmp_path, monkeypatch):
-    """Krylov-sized full-model draws evolve on blocks built from s J on
-    the command's one rep: build_full_ising runs once, and the CSVs
-    equal np.mean over per-draw models rebuilt from J -> s J."""
+def test_noisy_krylov_draws_share_the_full_model(tmp_path, monkeypatch,
+                                                sector_builds):
+    """Krylov-sized full-model draws evolve on the scaled ops of the
+    command's one rep: build_full_ising runs once, each parity block is
+    built once for all draws, and the CSVs equal np.mean over per-draw
+    models rebuilt from J -> s J."""
     monkeypatch.setattr("ionquench.exact.DENSE_CAP", 16)
     built = []
     real = cli.build_full_ising
@@ -890,6 +937,7 @@ def test_noisy_krylov_draws_share_the_full_model(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
     assert len(built) == 1
+    assert sector_builds == [16, 16]
     cfg = load_config(path)
     jm, _, _ = cfg.couplings()
     times = default_time_grid(jm.j_max, 2, 6)

@@ -158,9 +158,8 @@ def test_pair_gap_spectrum_single_excitation_only():
     sys = build_spinwave(power_law_couplings(7, JMAX, 0.55), B_FIELD)
     with pytest.raises(SectorError):
         pair_gap_spectrum(sys, ExcitationPattern(7, (2, 4)))
-    gaps = pair_gap_spectrum(sys, ExcitationPattern(7, (1,)))
-    assert len(gaps) == 21
-    weights = np.array([w for _, w in gaps])
+    gaps, weights = pair_gap_spectrum(sys, ExcitationPattern(7, (1,)))
+    assert gaps.shape == weights.shape == (21,)
     assert np.all(weights >= 0) and np.all(weights <= 1)
     probs = sys.modes[0, :] ** 2
     assert weights.sum() == pytest.approx((1.0 - np.sum(probs**2)) / 2.0)
