@@ -3,11 +3,14 @@
 Subcommands map onto the library layers: couplings, evolve, gge, gaps,
 shots and sweep-alpha.  Every run reads one flat key-value config file,
 writes CSV/JSON artifacts into the output directory and is bytewise
-reproducible for a fixed config and seed.  A ``cmd_*`` handler writes
-its files through ``out / name`` and returns its manifest sections
+reproducible for a fixed config and seed.  A ``cmd_*`` handler lays
+out each file's header and columns itself, writes it through
+``out / name`` and the iocsv encoders, and returns its manifest sections
 (``derived``, ``diagnostics``); ``main`` then writes manifest.json with
 the command, version, config, those sections and ``outputs``, the names
-of the files written, in write order.
+of the files written, in write order.  ``main`` creates the output
+directory before any command runs; one that cannot be created is a
+configuration error.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical or stability
 failure.
@@ -29,9 +32,7 @@ from .errors import ConfigError, SimulationError
 from .exact import (HamiltonianRep, build_full_ising, build_xy_sector,
                     default_time_grid, diagonal_ensemble, evolve_draws,
                     level_gaps)
-from .iocsv import (write_c_summary_csv, write_csv, write_gaps_csv,
-                    write_gge_csv, write_indexed_csv, write_manifest,
-                    write_matrix_csv, write_shot_lines, write_trace_csv)
+from .iocsv import write_csv, write_manifest, write_shot_lines
 from .lattice import equilibrium_positions
 from .observables import ExcitationPattern, assemble_trace
 from .spinwave import (SpinWaveSystem, build_spinwave, gge_state,
@@ -110,19 +111,23 @@ class _Dynamics:
 
 def cmd_couplings(cfg: RunConfig, out: _OutDir) -> dict:
     jm, trap, modes = cfg.couplings()
-    write_matrix_csv(out / "j_matrix.csv", jm.j)
+    sites = np.arange(1, jm.n_ions + 1)
+    write_csv(out / "j_matrix.csv", ("i", "j", "J_rad_per_s"),
+              (sites[:, None], sites, jm.j))
     derived = {
         "j_max_rad_per_s": jm.j_max,
         "alpha_fit": jm.alpha_fit,
         "n_ions": jm.n_ions,
     }
     if trap is not None:
-        write_indexed_csv(out / "positions.csv", equilibrium_positions(trap))
-        write_indexed_csv(out / "mode_kappas.csv", modes.kappas)
-        write_indexed_csv(out / "mode_frequencies.csv", modes.frequencies)
+        for name, values in (("positions", equilibrium_positions(trap)),
+                             ("mode_kappas", modes.kappas),
+                             ("mode_frequencies", modes.frequencies)):
+            write_csv(out / f"{name}.csv", ("index", "value"),
+                      (np.arange(values.size), values))
         pot = effective_potential(jm)
         write_csv(out / "potential.csv", ("site", "U_rad_per_s"),
-                  (np.arange(1, jm.n_ions + 1), pot.u))
+                  (sites, pot.u))
         derived.update(
             mu_rad_per_s=trap.mu,
             rabi_rad_per_s=trap.rabi,
@@ -137,7 +142,10 @@ def cmd_evolve(cfg: RunConfig, out: _OutDir) -> dict:
     jm, _, _ = cfg.couplings()
     r = cfg.raw
     times = default_time_grid(jm.j_max, r["t_max_over_jmax"], r["n_times"])
-    ns = r["noise_samples"] or None   # the n_samples column when noisy
+    ns = r["noise_samples"]
+    # a noisy run's trace and C files end in the scalar column n_samples
+    tail = {"n_samples": ns} if ns else {}
+    sites = np.arange(1, cfg.n_ions + 1)
     dyn = _Dynamics(cfg, jm)
     sw = dyn.spinwave   # built before any write: an unstable one exits 3
     sections = {"derived": {
@@ -158,14 +166,19 @@ def cmd_evolve(cfg: RunConfig, out: _OutDir) -> dict:
     for pattern, sz in zip(cfg.patterns, mean):
         tag = _pattern_tag(pattern)
         trace = assemble_trace(times, sz)
-        write_trace_csv(out / f"trace_{cfg.model}_{tag}.csv", trace, ns)
-        write_c_summary_csv(out / f"c_{cfg.model}_{tag}.csv", trace, ns)
-        write_gge_csv(out / f"gge_{tag}.csv", gge_state(sw, pattern).sz_gge)
+        write_csv(out / f"trace_{cfg.model}_{tag}.csv",
+                  ("t_seconds", "site", "sz", *tail),
+                  (trace.times[:, None], sites, trace.sz, *tail.values()))
+        write_csv(out / f"c_{cfg.model}_{tag}.csv",
+                  ("t_seconds", "C", "C_cumulative", *tail),
+                  (trace.times, trace.c_series, trace.c_cumulative,
+                   *tail.values()))
+        write_csv(out / f"gge_{tag}.csv", ("site", "sz_gge"),
+                  (sites, gge_state(sw, pattern).sz_gge))
         h = dyn.rep(pattern) if cfg.model != "spinwave" else None
         if h is not None and h.dense:
-            write_csv(out / f"diag_ensemble_{tag}.csv",
-                      ("site", "sz_diag"), (np.arange(1, cfg.n_ions + 1),
-                                            diagonal_ensemble(h, pattern)))
+            write_csv(out / f"diag_ensemble_{tag}.csv", ("site", "sz_diag"),
+                      (sites, diagonal_ensemble(h, pattern)))
     return sections
 
 
@@ -175,7 +188,8 @@ def cmd_gge(cfg: RunConfig, out: _OutDir) -> dict:
     for pattern in cfg.patterns:
         tag = _pattern_tag(pattern)
         state = gge_state(sw, pattern)
-        write_gge_csv(out / f"gge_{tag}.csv", state.sz_gge)
+        write_csv(out / f"gge_{tag}.csv", ("site", "sz_gge"),
+                  (np.arange(1, cfg.n_ions + 1), state.sz_gge))
         write_csv(out / f"gge_modes_{tag}.csv",
                   ("mode", "occupation", "lambda"),
                   (np.arange(len(state.lambdas)), state.d_occupations,
@@ -186,7 +200,7 @@ def cmd_gge(cfg: RunConfig, out: _OutDir) -> dict:
 def cmd_gaps(cfg: RunConfig, out: _OutDir) -> dict:
     pattern = cfg.patterns[0]
     jms, scan_range = cfg.grid_couplings()
-    blocks = []
+    blocks = []   # the (3, gaps) alpha, gap and weight columns per exponent
     summary = {}
     fits = {}
     for alpha, jm in zip(cfg.alpha_grid, jms, strict=True):
@@ -196,10 +210,11 @@ def cmd_gaps(cfg: RunConfig, out: _OutDir) -> dict:
             if cfg.model == "exact" else
             pair_gap_spectrum(build_spinwave(jm, cfg.b_field), pattern))
         gaps = gaps / jm.j_max
-        blocks.append((alpha, gaps, weights))
+        blocks.append(np.stack(np.broadcast_arrays(alpha, gaps, weights)))
         heavy = gaps[weights > 1e-3]
         summary[str(alpha)] = float(heavy.min()) if heavy.size else None
-    write_gaps_csv(out / "gaps.csv", blocks)
+    write_csv(out / "gaps.csv", ("alpha", "gap_over_jmax", "weight"),
+              np.concatenate(blocks, axis=1))
     derived = {"min_weighted_gap_over_jmax": summary, "alpha_fit": fits}
     if scan_range is not None:
         derived["alpha_scan_range"] = list(scan_range)
@@ -285,15 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ConfigError("seed: must fit in an unsigned 64-bit integer")
-            cfg.raw["seed"] = args.seed
-        if args.model is not None:
-            cfg.raw["model"] = args.model
+        # the flags override the file's keys and pass the same checks
+        overrides = {key: getattr(args, key) for key in ("seed", "model")
+                     if getattr(args, key) is not None}
+        cfg = RunConfig({**load_config(args.config).raw, **overrides})
         out = _OutDir(Path(args.out or str(cfg.raw["out_dir"])))
-        out.path.mkdir(parents=True, exist_ok=True)
+        try:
+            out.path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"out: cannot create {out.path}: {exc}") from None
         sections = _COMMANDS[args.command](cfg, out)
         write_manifest(out.path / "manifest.json",
                        {"command": args.command, "version": __version__,

@@ -446,10 +446,16 @@ def build_full_ising(jm: CouplingMatrix, b_field: float) -> HamiltonianRep:
 
 
 def build_xy_sector(jm: CouplingMatrix, b_field: float, k: int) -> HamiltonianRep:
-    """Number-conserving XY model in the k-up-spin sector."""
+    """Number-conserving XY model in the k-up-spin sector.  A sector of
+    more than _TIME_CHUNK states cannot fit one state at one time in the
+    amplitudes _sz_series propagates at once, so it raises SizeError
+    before any state is enumerated."""
     n = jm.n_ions
     if not 0 <= k <= n:
         raise SectorError(f"k = {k} outside 0..{n}")
+    if math.comb(n, k) > _TIME_CHUNK:
+        raise SizeError(f"XY sector of {math.comb(n, k)} states exceeds "
+                        f"the {_TIME_CHUNK} amplitudes propagated at once")
     return HamiltonianRep(n_ions=n, b_field=b_field, j_script=jm.j_script,
                           k_excitations=k,
                           mirror_symmetric=_mirror_symmetric(jm))

@@ -168,11 +168,15 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    def test_bad_seed_and_threads_are_2(self, tmp_path):
+    def test_bad_seed_and_threads_are_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE)
         out = str(tmp_path / "out")
-        assert main(["evolve", "--config", cfg, "--out", out,
-                     "--seed", "-1"]) == 2
+        for seed in ("-1", str(2**64)):
+            assert main(["evolve", "--config", cfg, "--out", out,
+                         "--seed", seed]) == 2
+            assert capsys.readouterr().err == (
+                "config error: seed: must fit in an unsigned 64-bit "
+                "integer\n")
         # threads is gone: the flag is unknown to argparse, the key to
         # the config parser
         with pytest.raises(SystemExit) as exc:
@@ -212,6 +216,24 @@ class TestExitCodes:
         cfg = write_config(tmp_path, text)
         assert main(["evolve", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 3
+
+    def test_oversized_xy_sector_is_3(self, tmp_path, capsys):
+        """C(40, 20) states are refused before any is enumerated."""
+        flips = ",".join(str(i) for i in range(1, 21))
+        text = f"n_ions = 40\nmodel = xy\npatterns = {flips}\nn_times = 2\n"
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", write_config(tmp_path, text),
+                     "--out", str(out)]) == 3
+        assert "XY sector of 137846528820 states" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("where", ["file", "file/sub"])
+    def test_out_that_cannot_be_created_is_2(self, tmp_path, capsys, where):
+        (tmp_path / "file").write_text("")
+        assert main(["couplings", "--config", write_config(tmp_path, BASE),
+                     "--out", str(tmp_path / where)]) == 2
+        assert (f"config error: out: cannot create {tmp_path / where}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command, line", [
         ("couplings", "target_alpha = 0.8"),

@@ -14,7 +14,8 @@ from helpers import (B_FIELD, JMAX, dense_ising_oracle, dense_sz_dynamics,
 from ionquench.cli import main
 from ionquench.coupling import CouplingMatrix, power_law_couplings
 from ionquench.errors import SectorError, SizeError
-from ionquench.exact import (_CHEBYSHEV_TAIL, _chebyshev_coefficients,
+from ionquench.exact import (_CHEBYSHEV_TAIL, _TIME_CHUNK,
+                             _chebyshev_coefficients,
                              _chebyshev_order, build_full_ising, build_xy_sector,
                              default_time_grid, diagonal_ensemble,
                              evolve_draws)
@@ -262,6 +263,19 @@ def test_full_space_cap():
     jm = power_law_couplings(17, JMAX, 1.0)
     with pytest.raises(SizeError):
         build_full_ising(jm, B_FIELD)
+
+
+@pytest.mark.parametrize("n, k", [(24, 12), (25, 12), (40, 20)])
+def test_xy_sector_cap(n, k):
+    """An XY sector of at most _TIME_CHUNK states builds; a larger one
+    raises SizeError before any state is enumerated."""
+    assert math.comb(24, 12) <= _TIME_CHUNK < math.comb(25, 12)
+    jm = power_law_couplings(n, JMAX, 1.0)
+    if math.comb(n, k) <= _TIME_CHUNK:
+        assert build_xy_sector(jm, B_FIELD, k).dimension == math.comb(n, k)
+    else:
+        with pytest.raises(SizeError, match=f"{math.comb(n, k)} states"):
+            build_xy_sector(jm, B_FIELD, k)
 
 
 def test_state_index_validation():
