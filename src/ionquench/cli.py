@@ -9,8 +9,8 @@ out each file's header and columns itself, writes it through
 (``derived``, ``diagnostics``); ``main`` then writes manifest.json with
 the command, version, config, those sections and ``outputs``, the names
 of the files written, in write order.  ``main`` creates the output
-directory before any command runs; one that cannot be created is a
-configuration error.
+directory before any command runs; one that cannot be created, or an
+output file that cannot be written, is a configuration error.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical or stability
 failure.
@@ -175,10 +175,9 @@ def cmd_evolve(cfg: RunConfig, out: _OutDir) -> dict:
                    *tail.values()))
         write_csv(out / f"gge_{tag}.csv", ("site", "sz_gge"),
                   (sites, gge_state(sw, pattern).sz_gge))
-        h = dyn.rep(pattern) if cfg.model != "spinwave" else None
-        if h is not None and h.dense:
+        if cfg.model != "spinwave" and dyn.rep(pattern).dense:
             write_csv(out / f"diag_ensemble_{tag}.csv", ("site", "sz_diag"),
-                      (sites, diagonal_ensemble(h, pattern)))
+                      (sites, diagonal_ensemble(dyn.rep(pattern), pattern)))
     return sections
 
 
@@ -305,15 +304,16 @@ def main(argv=None) -> int:
                      if getattr(args, key) is not None}
         cfg = RunConfig({**load_config(args.config).raw, **overrides})
         out = _OutDir(Path(args.out or str(cfg.raw["out_dir"])))
-        try:
+        try:  # making the directory and its files is the only I/O here
             out.path.mkdir(parents=True, exist_ok=True)
+            sections = _COMMANDS[args.command](cfg, out)
+            write_manifest(out.path / "manifest.json",
+                           {"command": args.command, "version": __version__,
+                            "config": dict(cfg.raw), **sections,
+                            "outputs": out.names})
         except OSError as exc:
-            raise ConfigError(f"out: cannot create {out.path}: {exc}") from None
-        sections = _COMMANDS[args.command](cfg, out)
-        write_manifest(out.path / "manifest.json",
-                       {"command": args.command, "version": __version__,
-                        "config": dict(cfg.raw), **sections,
-                        "outputs": out.names})
+            raise ConfigError(f"out: cannot create {exc.filename or out.path}"
+                              f": {exc.strerror}") from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

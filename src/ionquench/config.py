@@ -117,16 +117,10 @@ class RunConfig:
             raise ConfigError("n_ions: need at least 2")
         if r["b_khz"] <= 0:
             raise ConfigError("b_khz: must be positive")
-        if r["model"] not in MODELS:
-            raise ConfigError(f"model: {r['model']!r} not one of {MODELS}")
-        if r["coupling_source"] not in SOURCES:
-            raise ConfigError(
-                f"coupling_source: {r['coupling_source']!r} not one of {SOURCES}"
-            )
-        if r["geometry"] not in GEOMETRIES:
-            raise ConfigError(
-                f"geometry: {r['geometry']!r} not one of {GEOMETRIES}"
-            )
+        for key, choices in (("model", MODELS), ("coupling_source", SOURCES),
+                             ("geometry", GEOMETRIES)):
+            if r[key] not in choices:
+                raise ConfigError(f"{key}: {r[key]!r} not one of {choices}")
         if r["coupling_source"] == "power_law":
             if r["j_max_khz"] <= 0:
                 raise ConfigError("j_max_khz: must be positive for power_law")
@@ -154,14 +148,12 @@ class RunConfig:
             raise ConfigError("n_times: need at least 2 points")
         if not 0 <= r["seed"] < 2**64:
             raise ConfigError("seed: must fit in an unsigned 64-bit integer")
-        if r["noise_samples"] < 0:
-            raise ConfigError("noise_samples: must be non-negative")
-        if r["j_noise_sigma"] < 0:
-            raise ConfigError("j_noise_sigma: must be non-negative")
-        if not 0 <= r["prep_fidelity"] <= 1:
-            raise ConfigError("prep_fidelity: must be a probability")
-        if not 0 <= r["detection_error"] <= 1:
-            raise ConfigError("detection_error: must be a probability")
+        for key in ("noise_samples", "j_noise_sigma"):
+            if r[key] < 0:
+                raise ConfigError(f"{key}: must be non-negative")
+        for key in ("prep_fidelity", "detection_error"):
+            if not 0 <= r[key] <= 1:
+                raise ConfigError(f"{key}: must be a probability")
         if r["n_shots"] < 1:
             raise ConfigError("n_shots: must be >= 1")
         if r["scan_points"] < 2:
@@ -271,11 +263,12 @@ class RunConfig:
         modes = exact_modes(trap)
         traps, scan_range = [trap], None
         if alphas is not None:
-            traps, scan_range = tune_mu_for_alpha(
-                trap, modes, alphas, n_grid=r["scan_points"],
-                detuning_range=(r["scan_detuning_min"],
-                                r["scan_detuning_max"]),
-            )
+            try:
+                traps, scan_range = tune_mu_for_alpha(
+                    trap, modes, alphas, r["scan_points"],
+                    (r["scan_detuning_min"], r["scan_detuning_max"]))
+            except ValueError as exc:  # the targets passed _validate
+                raise ConfigError(f"scan_detuning_min/_max: {exc}") from None
         built = []
         for trap in traps:
             if r["j_max_khz"] > 0:

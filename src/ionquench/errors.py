@@ -30,7 +30,8 @@ class SectorError(SimulationError):
 
 
 class SizeError(SimulationError):
-    """Problem dimension exceeds a hard cap for the chosen method."""
+    """A block or an expansion fails the size rule, or a dense spectrum
+    is asked of a rep above DENSE_CAP."""
 
 
 class EmptySelectionError(SimulationError):

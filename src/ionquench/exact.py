@@ -37,6 +37,14 @@ evolution runs one real Chebyshev expansion of exp(-i H t) inside the
 block (method "krylov").  A parity block's product is two Walsh-Hadamard
 transforms; an XY block's is a sparse product, the only use of scipy in
 the package.
+
+One size rule, HamiltonianRep.check_size, decides what runs besides
+DENSE_CAP: the floats a block and one time chunk of its expansion
+hold at once, and the work time chunks x dimension x Chebyshev order,
+each against one budget.  A rep is checked when made, again with the
+time grid before evolve_draws enumerates a Krylov-sized block, and
+once per draw with the block's own spectral width before its
+expansion forms any Bessel value or table.
 """
 
 from __future__ import annotations
@@ -54,15 +62,15 @@ from .coupling import CouplingMatrix
 from .errors import SectorError, SimulationError, SizeError
 from .observables import ExcitationPattern
 
-FULL_SPACE_CAP = 16      # spins; 2^16 states is the largest full build
 DENSE_CAP = 4096         # largest full dimension with dense spectra
+_FLOAT_BUDGET = 2**26    # floats one block and its expansion hold at once
+_WORK_BUDGET = 2**32     # time chunks x block dimension x Chebyshev order
 _DEGENERACY_RTOL = 1e-11  # level tolerance, relative to the spectral spread
 _MIRROR_RTOL = 1e-12      # inversion asymmetry of J, relative to |J| max
 _GAP_WEIGHT_FLOOR = 1e-12  # level pairs at or below this weight are dropped
 _CHEBYSHEV_TAIL = 1e-16   # largest Bessel coefficient the expansion drops
 _CHEBYSHEV_CHUNK = 64     # Chebyshev vectors held between accumulations;
                           # even, so every chunk starts on an even order
-_CHEBYSHEV_WORK = 2**23   # most times x max |R t| of one expansion
 _TIME_CHUNK = 2**22       # amplitudes propagated at once
 _DRAW_CHUNK = 2**15       # amplitudes per block in one chunk of noise draws
 _COEFFICIENT_CHUNK = 8    # times per slice of the Chebyshev coefficient tables
@@ -354,6 +362,7 @@ class HamiltonianRep:
     j_script holds the couplings J_ij (zero diagonal) and b_field B.
     k_excitations is None for the full model.  mirror_symmetric says
     whether H commutes with the chain inversion (see _mirror_symmetric).
+    A rep whose block fails the size rule raises SizeError when made.
     """
 
     n_ions: int
@@ -364,11 +373,58 @@ class HamiltonianRep:
     _sectors: dict[int, Sector] = field(default_factory=dict, init=False,
                                         repr=False, compare=False)
 
+    def __post_init__(self):
+        self.check_size()
+
+    def check_size(self, times=(), half_width=None) -> None:
+        """The one size rule: SizeError unless a block of the rep and one
+        Chebyshev expansion of it over times fit both budgets.
+
+        Memory counts the floats held at once: per block state the
+        sigma^z and bit tables (N each), the _CHEBYSHEV_CHUNK recurrence
+        rows and, in an XY sector, k (N - k) coupling entries; and one
+        time chunk of _sz_series, its complex states and its coefficient
+        tables of order entries per time.  Work counts time chunks x
+        dimension x order, since each chunk reruns the recurrence.  The
+        order exceeds max |R t|, which stands in for it, R being
+        half_width, the half-width of the block's spectral bounds.
+        Without it, as before the block exists, a lower bound takes its
+        place, so the check only admits more: the popcounts of a parity
+        sector spread over at least m = 2 floor((N - 1) / 2), so its
+        field energies B (2 popcount - N) span 2 |B| m and R >= |B| m;
+        an XY sector's field energies are all equal, so 0.  Sizes are
+        Python ints: 2^99 states do not overflow.
+
+        Boundaries of the CLI's default power-law chain, one BLAS thread,
+        2 vCPU: _FLOAT_BUDGET = 2^26 floats (512 MiB) admits the N = 20
+        parity sector at 1/J_max with 5 times (6.0e7 floats: 9.3 s, 461
+        MB peak RSS) and refuses N = 21 (1.1e8).  _WORK_BUDGET = 2^32
+        admits N = 18 at 25/J_max with 60 times (2 chunks, 2.0e9: 48 s,
+        267 MB) and refuses N = 19 there (7.9e9 before the block is
+        built).  An XY sector peaks near 4x its counted floats (int64
+        indices, the CSR copy): C(20, 10) at 1/J_max, 3.8e7 floats, took
+        6.3 s and 1.3 GB.
+        """
+        n, k = self.n_ions, self.k_excitations
+        dim = self.dimension // 2 if k is None else self.dimension
+        entries = 0 if k is None else dim * k * (n - k)
+        if half_width is None and k is None:  # R >= |B| m, as above
+            half_width = abs(self.b_field) * 2 * ((n - 1) // 2)
+        reach = (half_width or 0.0) * float(np.abs(times).max(initial=0.0))
+        step = max(1, _TIME_CHUNK // dim)  # times per chunk of _sz_series
+        floats = (dim * (2 * n + _CHEBYSHEV_CHUNK) + entries
+                  + min(len(times), step) * (2 * dim + reach))
+        work = -(-len(times) // step) * dim * reach
+        if floats > _FLOAT_BUDGET or work > _WORK_BUDGET:
+            raise SizeError(f"{'parity' if k is None else 'XY'} sector of "
+                            f"{dim} states: {floats:.3g} floats and {work:.3g}"
+                            f" Chebyshev expansion updates over {len(times)}"
+                            f" times; budgets {_FLOAT_BUDGET}, {_WORK_BUDGET}")
+
     @property
     def dimension(self) -> int:
-        if self.k_excitations is None:
-            return 1 << self.n_ions
-        return math.comb(self.n_ions, self.k_excitations)
+        k = self.k_excitations
+        return 1 << self.n_ions if k is None else math.comb(self.n_ions, k)
 
     @property
     def dense(self) -> bool:
@@ -434,28 +490,19 @@ def _mirror_symmetric(jm: CouplingMatrix) -> bool:
 
 
 def build_full_ising(jm: CouplingMatrix, b_field: float) -> HamiltonianRep:
-    """Full 2^N model; only the off-diagonal couplings enter."""
-    n = jm.n_ions
-    if n > FULL_SPACE_CAP:
-        raise SizeError(
-            f"{n} spins exceed the full-space cap of {FULL_SPACE_CAP}; "
-            "use an XY sector instead"
-        )
-    return HamiltonianRep(n_ions=n, b_field=b_field, j_script=jm.j_script,
+    """Full 2^N model; only the off-diagonal couplings enter.  SizeError
+    when a parity sector fails the size rule."""
+    return HamiltonianRep(n_ions=jm.n_ions, b_field=b_field,
+                          j_script=jm.j_script,
                           mirror_symmetric=_mirror_symmetric(jm))
 
 
 def build_xy_sector(jm: CouplingMatrix, b_field: float, k: int) -> HamiltonianRep:
-    """Number-conserving XY model in the k-up-spin sector.  A sector of
-    more than _TIME_CHUNK states cannot fit one state at one time in the
-    amplitudes _sz_series propagates at once, so it raises SizeError
-    before any state is enumerated."""
+    """Number-conserving XY model in the k-up-spin sector.  SizeError
+    when the sector fails the size rule."""
     n = jm.n_ions
     if not 0 <= k <= n:
         raise SectorError(f"k = {k} outside 0..{n}")
-    if math.comb(n, k) > _TIME_CHUNK:
-        raise SizeError(f"XY sector of {math.comb(n, k)} states exceeds "
-                        f"the {_TIME_CHUNK} amplitudes propagated at once")
     return HamiltonianRep(n_ions=n, b_field=b_field, j_script=jm.j_script,
                           k_excitations=k,
                           mirror_symmetric=_mirror_symmetric(jm))
@@ -681,23 +728,25 @@ def evolve_draws(quenches, times: np.ndarray, scales
     scales = np.asarray(scales, dtype=float)
     if not quenches or scales.size == 0 or not np.all(scales > 0):
         raise ValueError("evolve_draws needs quenches and positive scales")
-    dense: dict[int, tuple[Sector, list[int], list[int]]] = {}
-    krylov: dict[int, tuple[Sector, list[int], list[int]]] = {}
+    dense: dict[int, tuple[HamiltonianRep, Sector, list, list]] = {}
+    krylov: dict[int, tuple[HamiltonianRep, Sector, list, list]] = {}
     for pos, (h, pattern) in enumerate(quenches):
+        if not h.dense:  # refused before the block is enumerated
+            h.check_size(times)
         block, idx0 = h.sector(pattern)
-        _, where, idx0s = (dense if h.dense else krylov).setdefault(
-            id(block), (block, [], []))
+        _, _, where, idx0s = (dense if h.dense else krylov).setdefault(
+            id(block), (h, block, [], []))
         where.append(pos)
         idx0s.append(idx0)
     jobs = list(dense.values())
     total = np.zeros((len(quenches), times.size, quenches[0][0].n_ions))
     err = np.zeros(len(quenches))
     width = max((block.dimension * len(idx0s)
-                 for block, _, idx0s in jobs), default=1)
+                 for _, block, _, idx0s in jobs), default=1)
     step = max(1, _DRAW_CHUNK // (width * times.size))
 
     def block_draws(job):
-        block, where, idx0s = job
+        _, block, where, idx0s = job
         sums, errs = np.zeros((len(where), *total.shape[1:])), 0.0
         for start in range(0, scales.size, step):
             sz, chunk_err = _dense_sz(block, idx0s, times, block.half_spectra(
@@ -707,14 +756,16 @@ def evolve_draws(quenches, times: np.ndarray, scales
             errs = np.maximum(errs, chunk_err.max(axis=0))
         return sums, errs
 
-    for (_, where, _), (sums, errs) in zip(
+    for (_, _, where, _), (sums, errs) in zip(
             jobs, _in_threads(block_draws, jobs, _draw_workers(len(jobs)))):
         total[where] = sums
         err[where] = errs
     for s in scales:
-        for block, where, idx0s in krylov.values():
+        for h, block, where, idx0s in krylov.values():
             # 1.0 J == J, so the draw s = 1 runs on the block's own op
             op = block.op if s == 1.0 else block.op.scaled(s)
+            lo, hi = op.bounds()  # the size rule at this draw's own R
+            h.check_size(times, (hi - lo) / 2.0)
             for pos, idx0 in zip(where, idx0s):
                 sz, draw_err = _krylov_sz_series(op, block.zmat, idx0, times)
                 total[pos] += sz
@@ -800,25 +851,16 @@ def _chebyshev_states(op: _IsingBlock | _TripletBlock, idx0: int,
     imaginary part.  J_k(R t) falls faster than exponentially once k
     exceeds |R t|, so the order follows from max |R t| and costs one
     block product per order.  The phase e^{-i c t} is left out because
-    only |psi|^2 is read.  The order exceeds max |R t|, so times.size x
-    max |R t| bounds the coefficient entries from below; above
-    _CHEBYSHEV_WORK the expansion raises SizeError before any Bessel
-    value or table is formed.
+    only |psi|^2 is read.
     """
     lo, hi = op.bounds()
     centre, half = (hi + lo) / 2.0, (hi - lo) / 2.0
     z = half * times
-    reach = float(np.abs(z).max())
-    if times.size * reach > _CHEBYSHEV_WORK:
-        raise SizeError(
-            f"a Chebyshev expansion over {times.size} times to |R t| = "
-            f"{reach:.3g} needs more than {_CHEBYSHEV_WORK} coefficients; "
-            "shorten the horizon or the time grid")
     psi = np.zeros((times.size, op.dim), dtype=complex)
     if half == 0.0:  # H = c: a pure phase
         psi[:, idx0] = 1.0
         return psi
-    order = _chebyshev_order(reach)
+    order = _chebyshev_order(float(np.abs(z).max()))
     even, odd = _chebyshev_coefficients(z, order)
     twice = op.product(centre, half / 2.0)  # v -> 2 Ht v
     rows = np.empty((min(order, _CHEBYSHEV_CHUNK), op.dim))

@@ -211,11 +211,23 @@ class TestExitCodes:
         assert main(["gaps", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 3
 
-    def test_oversized_exact_chain_is_3(self, tmp_path):
-        text = "n_ions = 17\nmodel = exact\nn_times = 2\n"
-        cfg = write_config(tmp_path, text)
-        assert main(["evolve", "--config", cfg,
-                     "--out", str(tmp_path / "out")]) == 3
+    def test_oversized_exact_chain_is_3(self, tmp_path, capsys,
+                                        monkeypatch):
+        """The size rule refuses 21 spins for their tables and 20 spins
+        for their expansion to 25/J_max over 60 times, before any block
+        state is enumerated."""
+        def refuse(*args):
+            raise AssertionError("block states enumerated")
+
+        monkeypatch.setattr("ionquench.exact._bits", refuse)
+        for text, states in (("n_ions = 21\nn_times = 2\n", 2**20),
+                             ("n_ions = 20\n", 2**19)):
+            out = tmp_path / str(states)
+            assert main(["evolve", "--config", write_config(tmp_path, text),
+                         "--out", str(out)]) == 3
+            assert (f"parity sector of {states} states"
+                    in capsys.readouterr().err)
+            assert not list(out.iterdir())
 
     def test_oversized_xy_sector_is_3(self, tmp_path, capsys):
         """C(40, 20) states are refused before any is enumerated."""
@@ -234,6 +246,28 @@ class TestExitCodes:
                      "--out", str(tmp_path / where)]) == 2
         assert (f"config error: out: cannot create {tmp_path / where}"
                 in capsys.readouterr().err)
+
+    def test_output_file_that_cannot_be_opened_is_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "j_matrix.csv").mkdir(parents=True)
+        assert main(["couplings", "--config", write_config(tmp_path, BASE),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: out: cannot create {out / 'j_matrix.csv'}: "
+            "Is a directory\n")
+
+    @pytest.mark.parametrize("command", ["couplings", "evolve", "gaps"])
+    def test_detuning_scan_without_a_valid_point_is_2(self, tmp_path, capsys,
+                                                      command):
+        text = ("n_ions = 7\ncoupling_source = trap\ntarget_alpha = 0.55\n"
+                "scan_detuning_min = 1e-9\nscan_detuning_max = 2e-9\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, text),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: scan_detuning_min/_max: no detuning in range "
+            "produced a valid power-law fit\n")
+        assert not list(out.iterdir())
 
     @pytest.mark.parametrize("command, line", [
         ("couplings", "target_alpha = 0.8"),

@@ -14,8 +14,7 @@ from helpers import (B_FIELD, JMAX, dense_ising_oracle, dense_sz_dynamics,
 from ionquench.cli import main
 from ionquench.coupling import CouplingMatrix, power_law_couplings
 from ionquench.errors import SectorError, SizeError
-from ionquench.exact import (_CHEBYSHEV_TAIL, _TIME_CHUNK,
-                             _chebyshev_coefficients,
+from ionquench.exact import (_CHEBYSHEV_TAIL, _chebyshev_coefficients,
                              _chebyshev_order, build_full_ising, build_xy_sector,
                              default_time_grid, diagonal_ensemble,
                              evolve_draws)
@@ -259,23 +258,84 @@ def test_evolve_draws_rejects_meaningless_draws(model, n_quenches, scales):
         evolve_draws(quenches, np.linspace(0.0, 1.0 / JMAX, 3), scales)
 
 
-def test_full_space_cap():
-    jm = power_law_couplings(17, JMAX, 1.0)
-    with pytest.raises(SizeError):
-        build_full_ising(jm, B_FIELD)
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """Fails a test that enumerates any block state."""
+    def refuse(*args):
+        raise AssertionError("block states enumerated")
+
+    monkeypatch.setattr("ionquench.exact._bits", refuse)
 
 
-@pytest.mark.parametrize("n, k", [(24, 12), (25, 12), (40, 20)])
-def test_xy_sector_cap(n, k):
-    """An XY sector of at most _TIME_CHUNK states builds; a larger one
-    raises SizeError before any state is enumerated."""
-    assert math.comb(24, 12) <= _TIME_CHUNK < math.comb(25, 12)
+def refused_before_enumeration(build, label):
+    """build() raises SizeError naming label, with a traced peak under
+    8 MB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match=label):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+# model, N, k, horizon in 1/J_max, times, admitted
+SIZE_TABLE = [
+    ("exact", 17, None, 25.0, 60, True),
+    ("exact", 18, None, 25.0, 60, True),
+    ("exact", 20, None, 1.0, 5, True),
+    ("xy", 20, 10, 1.0, 2, True),
+    ("exact", 13, None, 1e7, 60, False),
+    ("exact", 20, None, 25.0, 60, False),
+    ("exact", 30, None, 25.0, 60, False),
+    ("xy", 40, 20, 25.0, 60, False),
+    ("xy", 25, 12, 25.0, 60, False),
+    ("exact", 100, None, 25.0, 60, False),
+]
+
+
+@pytest.mark.parametrize("model, n, k, horizon, n_times, admitted",
+                         SIZE_TABLE)
+def test_size_rule_admits_and_refuses(no_enumeration, model, n, k,
+                                      horizon, n_times, admitted):
+    """The size rule on the default power-law chain, from the rep alone:
+    no block state is enumerated and no state propagates."""
+    jm = power_law_couplings(n, JMAX, 0.55)
+
+    def check():
+        h = (build_full_ising(jm, B_FIELD) if model == "exact"
+             else build_xy_sector(jm, B_FIELD, k))
+        h.check_size(default_time_grid(JMAX, horizon, n_times))
+
+    if admitted:
+        check()
+    else:
+        with pytest.raises(SizeError):
+            check()
+
+
+def test_full_space_cap(no_enumeration):
+    """The N = 20 parity sectors fit the float budget; those of N = 21, 30
+    and 100 spins are refused before any state is enumerated."""
+    jm = power_law_couplings(20, JMAX, 1.0)
+    assert build_full_ising(jm, B_FIELD).dimension == 2**20
+    for n in (21, 30, 100):
+        jm = power_law_couplings(n, JMAX, 1.0)
+        refused_before_enumeration(lambda: build_full_ising(jm, B_FIELD),
+                                   f"parity sector of {2**(n - 1)} states")
+
+
+@pytest.mark.parametrize("n, k", [(20, 10), (24, 12), (25, 12), (40, 20)])
+def test_xy_sector_cap(no_enumeration, n, k):
+    """The XY sector C(20, 10) fits the float budget; the larger ones are
+    refused before any state is enumerated."""
     jm = power_law_couplings(n, JMAX, 1.0)
-    if math.comb(n, k) <= _TIME_CHUNK:
+    if n == 20:
         assert build_xy_sector(jm, B_FIELD, k).dimension == math.comb(n, k)
     else:
-        with pytest.raises(SizeError, match=f"{math.comb(n, k)} states"):
-            build_xy_sector(jm, B_FIELD, k)
+        refused_before_enumeration(lambda: build_xy_sector(jm, B_FIELD, k),
+                                   f"XY sector of {math.comb(n, k)} states")
 
 
 def test_state_index_validation():
