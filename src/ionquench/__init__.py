@@ -25,5 +25,5 @@ from .observables import ExcitationPattern, QuenchTrace, assemble_trace
 from .spinwave import (GgeState, SpinWaveSystem, build_spinwave, gge_lambdas,
                        gge_magnetization, gge_occupations, gge_state,
                        pair_gap_spectrum, quench_sz)
-from .stochastic import (NoiseModel, PostselectionResult, noise_scales,
-                         postselect, shot_pipeline)
+from .stochastic import (NoiseModel, PostselectionResult, ShotCounts,
+                         noise_scales, postselect, shot_blocks, shot_pipeline)

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .config import MODELS, RunConfig, load_config
 from .coupling import detuning_scan, effective_potential
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, EmptySelectionError, SimulationError
 from .exact import (HamiltonianRep, build_full_ising, build_xy_sector,
                     default_time_grid, diagonal_ensemble, evolve_draws,
                     level_gaps)
@@ -37,7 +37,7 @@ from .lattice import equilibrium_positions
 from .observables import ExcitationPattern, assemble_trace
 from .spinwave import (SpinWaveSystem, build_spinwave, gge_state,
                        pair_gap_spectrum, quench_sz)
-from .stochastic import noise_scales, postselect, shot_pipeline
+from .stochastic import ShotCounts, noise_scales, shot_blocks
 
 
 def _pattern_tag(pattern: ExcitationPattern) -> str:
@@ -233,10 +233,15 @@ def cmd_shots(cfg: RunConfig, out: _OutDir) -> dict:
         sz, _ = dyn.evolve_draws(patterns, np.array([t_shot]), [1.0])
         return sz[:, 0]
 
-    shots = shot_pipeline(pattern, run_to_sz, cfg.noise_model(),
-                          r["n_shots"])
-    result = postselect(shots, pattern.n_excitations)
-    write_shot_lines(out / "shots.txt", shots)
+    counts = ShotCounts(pattern.n_excitations)
+    blocks = shot_blocks(pattern, run_to_sz, cfg.noise_model(), r["n_shots"])
+    path = out / "shots.txt"
+    write_shot_lines(path, counts.tally(blocks))
+    try:
+        result = counts.result()
+    except EmptySelectionError:
+        path.unlink()  # a selection that kept no shot leaves no shots.txt
+        raise
     write_csv(out / "shot_estimates.csv",
               ("site", "p_up", "p_err", "sz", "sz_err"),
               (np.arange(1, cfg.n_ions + 1), result.p_up, result.p_err,

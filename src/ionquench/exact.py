@@ -376,7 +376,7 @@ class HamiltonianRep:
     def __post_init__(self):
         self.check_size()
 
-    def check_size(self, times=(), half_width=None) -> None:
+    def check_size(self, times=(), half_width=None, scale=1.0) -> None:
         """The one size rule: SizeError unless a block of the rep and one
         Chebyshev expansion of it over times fit both budgets.
 
@@ -388,12 +388,10 @@ class HamiltonianRep:
         dimension x order, since each chunk reruns the recurrence.  The
         order exceeds max |R t|, which stands in for it, R being
         half_width, the half-width of the block's spectral bounds.
-        Without it, as before the block exists, a lower bound takes its
-        place, so the check only admits more: the popcounts of a parity
-        sector spread over at least m = 2 floor((N - 1) / 2), so its
-        field energies B (2 popcount - N) span 2 |B| m and R >= |B| m;
-        an XY sector's field energies are all equal, so 0.  Sizes are
-        Python ints: 2^99 states do not overflow.
+        Without it, as before the block exists, _half_width_floor(scale)
+        takes its place, a lower bound on R for every draw J -> s J with
+        s >= scale, so the check only admits more.  Sizes are Python
+        ints: 2^99 states do not overflow.
 
         Boundaries of the CLI's default power-law chain, one BLAS thread,
         2 vCPU: _FLOAT_BUDGET = 2^26 floats (512 MiB) admits the N = 20
@@ -408,9 +406,9 @@ class HamiltonianRep:
         n, k = self.n_ions, self.k_excitations
         dim = self.dimension // 2 if k is None else self.dimension
         entries = 0 if k is None else dim * k * (n - k)
-        if half_width is None and k is None:  # R >= |B| m, as above
-            half_width = abs(self.b_field) * 2 * ((n - 1) // 2)
-        reach = (half_width or 0.0) * float(np.abs(times).max(initial=0.0))
+        if half_width is None:
+            half_width = self._half_width_floor(scale)
+        reach = half_width * float(np.abs(times).max(initial=0.0))
         step = max(1, _TIME_CHUNK // dim)  # times per chunk of _sz_series
         floats = (dim * (2 * n + _CHEBYSHEV_CHUNK) + entries
                   + min(len(times), step) * (2 * dim + reach))
@@ -420,6 +418,26 @@ class HamiltonianRep:
                             f"{dim} states: {floats:.3g} floats and {work:.3g}"
                             f" Chebyshev expansion updates over {len(times)}"
                             f" times; budgets {_FLOAT_BUDGET}, {_WORK_BUDGET}")
+
+    def _half_width_floor(self, scale: float = 1.0) -> float:
+        """A lower bound on the spectral half-width R of a block, with the
+        couplings scaled by scale, from the rep alone.
+
+        R is at least the spectrum's standard deviation (Popoviciu's
+        inequality).  With S = sum_{i != j} J_ij^2: an XY sector's field
+        energy is one constant and each ordered pair (i, j) couples the
+        fraction k (N - k) / (N (N - 1)) of its states, so its variance
+        is that fraction of S; a parity sector's couplings add S / 2 to
+        a variance of the field energies.  The popcounts of a parity
+        sector also spread over at least m = 2 floor((N - 1) / 2), so its
+        field energies B (2 popcount - N) span 2 |B| m and R >= |B| m.
+        """
+        n, k, j = self.n_ions, self.k_excitations, self.j_script
+        s2 = scale**2 * float((j**2).sum() - (np.diag(j)**2).sum())
+        if k is None:
+            return max(abs(self.b_field) * 2 * ((n - 1) // 2),
+                       math.sqrt(s2 / 2.0))
+        return math.sqrt(s2 * k * (n - k) / (n * (n - 1))) if n > 1 else 0.0
 
     @property
     def dimension(self) -> int:
@@ -732,7 +750,7 @@ def evolve_draws(quenches, times: np.ndarray, scales
     krylov: dict[int, tuple[HamiltonianRep, Sector, list, list]] = {}
     for pos, (h, pattern) in enumerate(quenches):
         if not h.dense:  # refused before the block is enumerated
-            h.check_size(times)
+            h.check_size(times, scale=float(scales.min()))
         block, idx0 = h.sector(pattern)
         _, _, where, idx0s = (dense if h.dense else krylov).setdefault(
             id(block), (h, block, [], []))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,15 +35,18 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
         fh.write("".join(cells.ravel().tolist()))
 
 
-def write_shot_lines(path: Path, shots: np.ndarray) -> None:
-    """One line of 0/1 characters per row of an (n_shots, N) bit array.
-
-    The character matrix is filled in place and written as it stands,
-    without a bytes copy."""
-    lines = np.empty((shots.shape[0], shots.shape[1] + 1), dtype=np.uint8)
-    np.add(shots, ord("0"), out=lines[:, :-1])
-    lines[:, -1] = ord("\n")
-    path.write_bytes(lines)
+def write_shot_lines(path: Path, blocks: Iterable[np.ndarray]) -> None:
+    """One line of 0/1 characters per shot, from (rows, N) bit blocks in
+    shot order.  Each block's lines are filled into one character matrix
+    and written as the block comes, so memory holds one block's lines,
+    never the whole file."""
+    with open(path, "wb") as fh:
+        for bits in blocks:
+            lines = np.empty((bits.shape[0], bits.shape[1] + 1),
+                             dtype=np.uint8)
+            np.add(bits, ord("0"), out=lines[:, :-1])
+            lines[:, -1] = ord("\n")
+            fh.write(lines)
 
 
 def write_manifest(path: Path, manifest: dict) -> None:

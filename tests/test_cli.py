@@ -4,18 +4,21 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ionquench import __version__
+from ionquench import __version__, stochastic
 from ionquench.cli import main
 from ionquench.config import load_config
 from ionquench.coupling import (detuning_scan, fit_alpha, ion_couplings,
                                 power_law_couplings, tune_mu_for_alpha)
 from ionquench.errors import ConfigError
-from ionquench.stochastic import noise_scales
+from ionquench.iocsv import write_csv, write_shot_lines
+from ionquench.spinwave import build_spinwave, quench_sz
+from ionquench.stochastic import noise_scales, postselect, shot_pipeline
 
 BASE = """
 n_ions = 4
@@ -597,6 +600,80 @@ class TestArtifacts:
 TRAP = ("n_ions = 5\ncoupling_source = trap\nscan_points = 15\n"
         "scan_detuning_min = 0.001\n")
 
+
+
+SHOT_BLOCK = stochastic._READOUT_CHUNK // 13   # readout rows of 13 ions
+
+
+class TestShotStream:
+    """The shots command streams the readout block by block into
+    shots.txt and the post-selection counts."""
+
+    @pytest.mark.parametrize("n_shots", [SHOT_BLOCK - 1, SHOT_BLOCK,
+                                         SHOT_BLOCK + 1, 3 * SHOT_BLOCK + 7])
+    @pytest.mark.parametrize("detection_error", [0.0, 0.05])
+    def test_streamed_files_equal_the_whole_array(self, tmp_path, n_shots,
+                                                  detection_error):
+        """shots.txt and shot_estimates.csv equal write_shot_lines and
+        postselect of the whole-array shot_pipeline, for any remainder
+        of the last block."""
+        text = ("n_ions = 13\nmodel = spinwave\npatterns = 2,5,9\n"
+                f"prep_fidelity = 0.6\ndetection_error = {detection_error}\n"
+                f"n_shots = {n_shots}\nshot_time_over_jmax = 4\n")
+        path = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["shots", "--config", path, "--out", str(out)]) == 0
+        cfg = load_config(path)
+        jm, _, _ = cfg.couplings()
+        sw = build_spinwave(jm, cfg.b_field)
+        t_shot = np.array([4.0 / jm.j_max])
+        shots = shot_pipeline(cfg.patterns[0],
+                              lambda pats: quench_sz(sw, pats, t_shot)[:, 0],
+                              cfg.noise_model(), n_shots)
+        result = postselect(shots, 3)
+        write_shot_lines(tmp_path / "shots.txt", [shots])
+        write_csv(tmp_path / "shot_estimates.csv",
+                  ("site", "p_up", "p_err", "sz", "sz_err"),
+                  (np.arange(1, 14), result.p_up, result.p_err, result.sz,
+                   result.sz_err))
+        for name in ("shots.txt", "shot_estimates.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["derived"]["n_accepted"] == result.n_accepted
+
+    def test_memory_does_not_grow_with_the_shot_count(self, tmp_path):
+        """The traced peak of the command on 100 ions grows by less than
+        1 MB from 50 000 to 200 000 shots (whole (n_shots, N) bit and
+        line arrays would add 30 MB).  A first run of 1000 shots, not
+        measured, makes the one-time allocations of a process."""
+        peaks = []
+        for n_shots in (1000, 50_000, 200_000):
+            text = ("n_ions = 100\nmodel = spinwave\npatterns = 50\n"
+                    f"n_shots = {n_shots}\n")
+            path = write_config(tmp_path, text, f"{n_shots}.cfg")
+            out = tmp_path / str(n_shots)
+            tracemalloc.start()
+            try:
+                assert main(["shots", "--config", path,
+                             "--out", str(out)]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len((out / "shots.txt").read_bytes()) == n_shots * 101
+            peaks.append(peak)
+        assert peaks[2] - peaks[1] < 1e6
+
+    def test_empty_selection_leaves_no_shots_file(self, tmp_path, capsys):
+        """A post-selection that keeps no shot exits 3 with its message
+        and leaves the output directory empty."""
+        text = ("n_ions = 7\npatterns = 2\nprep_fidelity = 0\n"
+                "detection_error = 0\nn_shots = 50\n")
+        out = tmp_path / "out"
+        assert main(["shots", "--config", write_config(tmp_path, text),
+                     "--out", str(out)]) == 3
+        assert ("post-selection on 1 excitations rejected all 50 shots"
+                in capsys.readouterr().err)
+        assert not list(out.iterdir())
 
 class TestCouplingPipeline:
     @pytest.mark.parametrize("j_max", ["0", "0.6"])

@@ -280,32 +280,40 @@ def refused_before_enumeration(build, label):
     assert peak < 8e6
 
 
-# model, N, k, horizon in 1/J_max, times, admitted
+# model, N, k, horizon in 1/J_max, times, admitted, field in units of B_FIELD
 SIZE_TABLE = [
-    ("exact", 17, None, 25.0, 60, True),
-    ("exact", 18, None, 25.0, 60, True),
-    ("exact", 20, None, 1.0, 5, True),
-    ("xy", 20, 10, 1.0, 2, True),
-    ("exact", 13, None, 1e7, 60, False),
-    ("exact", 20, None, 25.0, 60, False),
-    ("exact", 30, None, 25.0, 60, False),
-    ("xy", 40, 20, 25.0, 60, False),
-    ("xy", 25, 12, 25.0, 60, False),
-    ("exact", 100, None, 25.0, 60, False),
+    ("exact", 17, None, 25.0, 60, True, 1.0),
+    ("exact", 18, None, 25.0, 60, True, 1.0),
+    ("exact", 20, None, 1.0, 5, True, 1.0),
+    ("xy", 20, 10, 1.0, 2, True, 1.0),
+    ("exact", 13, None, 1e7, 60, False, 1.0),
+    ("exact", 13, None, 1e7, 60, False, 0.0),
+    ("xy", 16, 8, 1e7, 60, False, 1.0),
+    ("exact", 20, None, 25.0, 60, False, 1.0),
+    ("exact", 30, None, 25.0, 60, False, 1.0),
+    ("xy", 40, 20, 25.0, 60, False, 1.0),
+    ("xy", 25, 12, 25.0, 60, False, 1.0),
+    ("exact", 100, None, 25.0, 60, False, 1.0),
 ]
 
 
-@pytest.mark.parametrize("model, n, k, horizon, n_times, admitted",
-                         SIZE_TABLE)
+@pytest.mark.parametrize(
+    "model, n, k, horizon, n_times, admitted, field", SIZE_TABLE,
+    ids=["-".join(map(str, row[:6]))
+         + ("" if row[6] == 1.0 else f"-field{row[6]:g}")
+         for row in SIZE_TABLE])
 def test_size_rule_admits_and_refuses(no_enumeration, model, n, k,
-                                      horizon, n_times, admitted):
+                                      horizon, n_times, admitted, field):
     """The size rule on the default power-law chain, from the rep alone:
-    no block state is enumerated and no state propagates."""
+    no block state is enumerated and no state propagates.  A long
+    horizon is refused on an XY sector, whose field energies are all
+    equal, and on a parity sector without a field, by the couplings'
+    spread alone."""
     jm = power_law_couplings(n, JMAX, 0.55)
 
     def check():
-        h = (build_full_ising(jm, B_FIELD) if model == "exact"
-             else build_xy_sector(jm, B_FIELD, k))
+        h = (build_full_ising(jm, field * B_FIELD) if model == "exact"
+             else build_xy_sector(jm, field * B_FIELD, k))
         h.check_size(default_time_grid(JMAX, horizon, n_times))
 
     if admitted:
@@ -313,6 +321,33 @@ def test_size_rule_admits_and_refuses(no_enumeration, model, n, k,
     else:
         with pytest.raises(SizeError):
             check()
+
+
+@pytest.mark.parametrize("model, n, k, field", [
+    ("xy", 8, 3, 1.0), ("xy", 10, 5, 1.0), ("xy", 7, 1, 1.0),
+    ("xy", 6, 0, 1.0), ("exact", 6, None, 0.0), ("exact", 7, None, 1.0),
+    ("exact", 8, None, 0.3 * JMAX / B_FIELD)])
+def test_half_width_floor_bounds_the_spectrum(model, n, k, field):
+    """The size rule's bound before enumeration lies below each block's
+    half spread, for the couplings and for a draw 0.8 J; on an XY sector
+    it is the spectrum's standard deviation."""
+    jm = power_law_couplings(n, JMAX, 0.55)
+
+    def rep(couplings):
+        return (build_full_ising(couplings, field * B_FIELD)
+                if model == "exact" else
+                build_xy_sector(couplings, field * B_FIELD, k))
+
+    for scale in (1.0, 0.8):
+        bound = rep(jm)._half_width_floor(scale)
+        draw = rep(jm.scaled(scale))
+        for key in ((0,) if model == "xy" else (0, 1)):
+            evals = np.concatenate(
+                [e for e, _ in draw.block(key).half_spectrum])
+            assert bound <= (evals.max() - evals.min()) / 2.0 * (1 + 1e-12)
+            if model == "xy":
+                assert bound == pytest.approx(evals.std(), rel=1e-12,
+                                              abs=1e-9 * JMAX)
 
 
 def test_full_space_cap(no_enumeration):

@@ -213,18 +213,32 @@ def test_streamed_readout_equals_whole_array_draws(n_shots, flipped,
     assert calls == ref_calls
 
 
-@pytest.mark.parametrize("width", [0, 1, 5, 52, 53, 70, 130])
+def test_wide_preparations_stream_as_whole_array_draws():
+    """70 intended flips, more than one int64 code holds, key their
+    preparations by records across readout blocks and change no bit."""
+    pattern = ExcitationPattern(80, tuple(range(1, 71)))
+    model = NoiseModel(prep_flip_fidelity=0.97, detection_error=0.05, seed=3)
+    run, calls = logged_dynamics(80)
+    ref_run, ref_calls = logged_dynamics(80)
+    shots = shot_pipeline(pattern, run, model, 900)
+    assert np.array_equal(shots, whole_array_shots(pattern, ref_run, model,
+                                                   900))
+    assert calls == ref_calls and len(calls[0]) > 100
+
+
+@pytest.mark.parametrize("width", [0, 1, 5, 52, 53, 63, 64, 70, 130])
 def test_distinct_rows_equal_unique_rows(width):
-    """Rows wider than one int64 code (52 bits at 1000 rows) sort and
-    invert as np.unique(axis=0) does."""
+    """Rows wider than one int64 code (63 columns), streamed in blocks
+    that share rows, sort and invert as np.unique(axis=0) does."""
     rng = np.random.default_rng(width)
     base = rng.random((40, width)) < 0.5
     base[1:4, :width // 2] = base[0, :width // 2]
     kept = base[rng.integers(0, 40, 1000)]
-    rows, which = stochastic._distinct_rows(kept)
+    rows, codes = stochastic._distinct_rows(np.array_split(kept, 3))
     ref_rows, ref_which = np.unique(kept, axis=0, return_inverse=True)
     assert np.array_equal(rows, ref_rows)
-    assert np.array_equal(which, ref_which.reshape(-1))
+    assert np.array_equal(np.searchsorted(codes, stochastic._row_codes(kept)),
+                          ref_which.reshape(-1))
 
 
 def test_readout_and_writer_stay_near_the_bit_array(tmp_path):
@@ -237,7 +251,7 @@ def test_readout_and_writer_stay_near_the_bit_array(tmp_path):
     try:
         shots = shot_pipeline(pattern, fixed_sz(sz), NoiseModel(seed=4),
                               50000)
-        write_shot_lines(tmp_path / "shots.txt", shots)
+        write_shot_lines(tmp_path / "shots.txt", [shots])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
