@@ -198,6 +198,9 @@ def cmd_gge(cfg: RunConfig, out: _OutDir) -> dict:
 
 def cmd_gaps(cfg: RunConfig, out: _OutDir) -> dict:
     pattern = cfg.patterns[0]
+    if cfg.model == "spinwave" and pattern.n_excitations != 1:
+        raise ConfigError("patterns: spin-wave gaps need a pattern of one "
+                          f"flip, got {pattern.n_excitations}")
     jms, scan_range = cfg.grid_couplings()
     blocks = []   # the (3, gaps) alpha, gap and weight columns per exponent
     summary = {}
@@ -205,9 +208,9 @@ def cmd_gaps(cfg: RunConfig, out: _OutDir) -> dict:
     for alpha, jm in zip(cfg.alpha_grid, jms, strict=True):
         fits[str(alpha)] = jm.alpha_fit
         gaps, weights = (
-            level_gaps(build_full_ising(jm, cfg.b_field), pattern)
-            if cfg.model == "exact" else
-            pair_gap_spectrum(build_spinwave(jm, cfg.b_field), pattern))
+            pair_gap_spectrum(build_spinwave(jm, cfg.b_field), pattern)
+            if cfg.model == "spinwave" else
+            level_gaps(_Dynamics(cfg, jm).rep(pattern), pattern))
         gaps = gaps / jm.j_max
         blocks.append(np.stack(np.broadcast_arrays(alpha, gaps, weights)))
         heavy = gaps[weights > 1e-3]

@@ -16,11 +16,12 @@ couplings flip spins in pairs), or the whole XY sector.  A
 ``HamiltonianRep`` holds only J, B and k; ``HamiltonianRep.sector``
 hands out the block of a pattern, built on first use.  The block
 (``Sector``) owns its basis states as ascending bitmasks and its
-sigma^z table, so no 2^N matrix or table is ever formed.  A parity
-block is kept in its Walsh-Hadamard form (_IsingBlock), an XY block as
-its field diagonal and coupling entries (_TripletBlock).  Both keep the
-coupling part X apart from the field diagonal D, so a noise draw J -> s J
-is the operator s X + D (``stack`` for dense blocks, ``scaled`` for
+sigma^z table, its only (dim x N) table, formed one site at a time;
+no 2^N matrix or table is formed.  A parity block is kept in its
+Walsh-Hadamard form (_IsingBlock), an XY block as its field diagonal
+and coupling entries (_TripletBlock).  Both keep the coupling part X
+apart from the field diagonal D, so a noise draw J -> s J is the
+operator s X + D (``stack`` for dense blocks, ``scaled`` for
 one op) and holds the same floats s J_ij as a model rebuilt from the
 scaled couplings.
 
@@ -34,17 +35,13 @@ spectrum is cached and also serves ``diagonal_ensemble`` and
 in its mirror-even and mirror-odd halves, which are never merged.  Above
 the cap the diagonal ensemble and the level gaps raise SizeError, and
 evolution runs one real Chebyshev expansion of exp(-i H t) inside the
-block (method "krylov").  A parity block's product is two Walsh-Hadamard
+block (method "krylov"), holding a few recurrence rows
+(_chebyshev_rows).  A parity block's product is two Walsh-Hadamard
 transforms; an XY block's is a sparse product, the only use of scipy in
 the package.
 
 One size rule, HamiltonianRep.check_size, decides what runs besides
-DENSE_CAP: the floats a block and one time chunk of its expansion
-hold at once, and the work time chunks x dimension x Chebyshev order,
-each against one budget.  A rep is checked when made, again with the
-time grid before evolve_draws enumerates a Krylov-sized block, and
-once per draw with the block's own spectral width before its
-expansion forms any Bessel value or table.
+DENSE_CAP, before any state or expansion is formed.
 """
 
 from __future__ import annotations
@@ -69,10 +66,9 @@ _DEGENERACY_RTOL = 1e-11  # level tolerance, relative to the spectral spread
 _MIRROR_RTOL = 1e-12      # inversion asymmetry of J, relative to |J| max
 _GAP_WEIGHT_FLOOR = 1e-12  # level pairs at or below this weight are dropped
 _CHEBYSHEV_TAIL = 1e-16   # largest Bessel coefficient the expansion drops
-_CHEBYSHEV_CHUNK = 64     # Chebyshev vectors held between accumulations;
-                          # even, so every chunk starts on an even order
 _TIME_CHUNK = 2**22       # amplitudes propagated at once
-_DRAW_CHUNK = 2**15       # amplitudes per block in one chunk of noise draws
+_DRAW_CHUNK = 2**15       # amplitudes per chunk of noise draws,
+                          # Chebyshev rows or dx signs
 _COEFFICIENT_CHUNK = 8    # times per slice of the Chebyshev coefficient tables
 _UNIFORM_ULPS = 4         # drift of a uniform grid, in ulps of max |t|
 
@@ -128,12 +124,16 @@ class _IsingBlock:
 
     @cached_property
     def dx(self) -> np.ndarray:
-        """The coupling energies, one per Hadamard basis vector x."""
+        """The coupling energies, one per Hadamard basis vector x, from
+        _DRAW_CHUNK signs at a time."""
         n = self._upper.shape[0]
-        x = np.arange(self.dim)
-        signs = np.ones((self.dim, n))
-        signs[:, 1:] = 1.0 - 2.0 * ((x[:, None] >> np.arange(n - 1)) & 1)
-        return ((signs @ self._upper) * signs).sum(axis=1)
+        out = np.empty(self.dim)
+        step = max(1, _DRAW_CHUNK // n)
+        for start in range(0, self.dim, step):
+            x = np.arange(start, min(start + step, self.dim))[:, None]
+            signs = 1.0 - 2.0 * _bits(x << 1, np.arange(n))  # x_0 = 1
+            out[start:start + step] = ((signs @ self._upper) * signs).sum(1)
+        return out
 
     @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -380,38 +380,37 @@ class HamiltonianRep:
         """The one size rule: SizeError unless a block of the rep and one
         Chebyshev expansion of it over times fit both budgets.
 
-        Memory counts the floats held at once: per block state the
-        sigma^z and bit tables (N each), the _CHEBYSHEV_CHUNK recurrence
-        rows and, in an XY sector, k (N - k) coupling entries; and one
-        time chunk of _sz_series, its complex states and its coefficient
-        tables of order entries per time.  Work counts time chunks x
-        dimension x order, since each chunk reruns the recurrence.  The
-        order exceeds max |R t|, which stands in for it, R being
-        half_width, the half-width of the block's spectral bounds.
-        Without it, as before the block exists, _half_width_floor(scale)
-        takes its place, a lower bound on R for every draw J -> s J with
-        s >= scale, so the check only admits more.  Sizes are Python
-        ints: 2^99 states do not overflow.
+        Memory counts the floats held at once: per block state 2 N (the
+        sigma^z table, states, diagonals, scratch) and the
+        _chebyshev_rows rows; in an XY sector 9 per coupling entry, k (N
+        - k) per state (8.6 measured: values, int64 indices, copies,
+        CSR); per time of one _sz_series chunk its real and imaginary
+        states and order coefficients.  Work counts time chunks x
+        dimension x order, as each chunk reruns the recurrence.  max |R
+        t| stands in for the order, which exceeds it, R being
+        half_width, the half-width of the block's spectral bounds;
+        before the block exists _half_width_floor(scale) takes its
+        place, a lower bound on R for every draw J -> s J with s >=
+        scale.  Sizes are Python ints: 2^99 states do not overflow.
 
-        Boundaries of the CLI's default power-law chain, one BLAS thread,
-        2 vCPU: _FLOAT_BUDGET = 2^26 floats (512 MiB) admits the N = 20
-        parity sector at 1/J_max with 5 times (6.0e7 floats: 9.3 s, 461
-        MB peak RSS) and refuses N = 21 (1.1e8).  _WORK_BUDGET = 2^32
-        admits N = 18 at 25/J_max with 60 times (2 chunks, 2.0e9: 48 s,
-        267 MB) and refuses N = 19 there (7.9e9 before the block is
-        built).  An XY sector peaks near 4x its counted floats (int64
-        indices, the CSR copy): C(20, 10) at 1/J_max, 3.8e7 floats, took
-        6.3 s and 1.3 GB.
+        At the boundaries (CLI default power-law chain, one BLAS thread,
+        2 vCPU), _FLOAT_BUDGET = 2^26 floats (512 MiB) admits N = 21 at
+        1/J_max with 5 times (5.7e7 floats: 45 s, 393 MB peak RSS; N =
+        20: 11 s, 230 MB) and C(18, 9) with 2 times (3.8e7: 1.4 s, 320
+        MB), and refuses N = 22 (1.1e8) and C(19, 9) (7.9e7).
+        _WORK_BUDGET = 2^32 admits N = 18 at 25/J_max with 60 times (2
+        chunks, 2.0e9: 45 s) and refuses N = 19 there (7.9e9).
         """
         n, k = self.n_ions, self.k_excitations
         dim = self.dimension // 2 if k is None else self.dimension
-        entries = 0 if k is None else dim * k * (n - k)
+        entries = 0 if k is None else 9 * dim * k * (n - k)
         if half_width is None:
             half_width = self._half_width_floor(scale)
         reach = half_width * float(np.abs(times).max(initial=0.0))
         step = max(1, _TIME_CHUNK // dim)  # times per chunk of _sz_series
-        floats = (dim * (2 * n + _CHEBYSHEV_CHUNK) + entries
-                  + min(len(times), step) * (2 * dim + reach))
+        held = min(len(times), step)
+        floats = (dim * (2 * n + _chebyshev_rows(dim, held)) + entries
+                  + held * (2 * dim + reach))
         work = -(-len(times) // step) * dim * reach
         if floats > _FLOAT_BUDGET or work > _WORK_BUDGET:
             raise SizeError(f"{'parity' if k is None else 'XY'} sector of "
@@ -477,27 +476,29 @@ class HamiltonianRep:
             n, k = self.n_ions, self.k_excitations
             if k is None:
                 b = np.arange(1 << (n - 1))
-                states = 2 * b + (_bits(b, n - 1).sum(axis=1) + key) % 2
+                states = 2 * b + (np.bitwise_count(b) + key) % 2
             else:
                 states = np.array(sorted(
                     sum(1 << i for i in combo)
                     for combo in combinations(range(n), k)))
-            occ = _bits(states, n)
-            dz = self.b_field * (2.0 * occ.sum(axis=1) - n)
+            dz = self.b_field * (2.0 * np.bitwise_count(states) - n)
             op = (_IsingBlock(np.triu(self.j_script, 1), dz) if k is None
                   else _xy_block(self.j_script, states, dz))
-            mirror = None
-            if self.mirror_symmetric:
-                mirror = np.searchsorted(
-                    states, occ[:, ::-1] @ (1 << np.arange(n)))
-            block = self._sectors[key] = Sector(states, op, 2.0 * occ - 1.0,
-                                                mirror)
+            zmat = np.empty((states.size, n))
+            mirrored = np.zeros_like(states)
+            for i in range(n):
+                bit = _bits(states, i)
+                zmat[:, i] = 2.0 * bit - 1.0
+                mirrored |= bit << (n - 1 - i)
+            mirror = (np.searchsorted(states, mirrored)
+                      if self.mirror_symmetric else None)
+            block = self._sectors[key] = Sector(states, op, zmat, mirror)
         return block
 
 
-def _bits(states: np.ndarray, n: int) -> np.ndarray:
-    """The (len(states), n) table of the states' bits 0 .. n-1."""
-    return (states[:, None] >> np.arange(n)) & 1
+def _bits(states: np.ndarray, sites) -> np.ndarray:
+    """Bit sites (0-based) of the states, broadcast together."""
+    return (states >> sites) & 1
 
 
 def _mirror_symmetric(jm: CouplingMatrix) -> bool:
@@ -651,9 +652,8 @@ def _dense_sz(block: Sector, idx0s: list[int], times: np.ndarray,
     + i V (sin(Et) c): two real (T, n) by (n, n) products per half,
     state and spectrum.  sz follows from the half amplitudes (_half_sz),
     so no block-basis amplitude is formed.  A uniform grid, checked once
-    for all of its chunks, takes cos and sin by angle addition from
-    about 2 sqrt(T) phases per eigenvalue; any other grid takes them
-    directly (see _cos_sin).
+    for all of its chunks, takes cos and sin by angle addition
+    (_cos_sin).
     """
     nf = block.halves[0].size
     dt = _uniform_step(times)
@@ -731,16 +731,15 @@ def evolve_draws(quenches, times: np.ndarray, scales
     s, each standing for J -> s J.  Each draw's sz is bit for bit that of
     the quench on the reps rebuilt from the couplings scaled by s, and
     the draws are added from zeros in draw order, so the mean is bit for
-    bit np.mean over them; memory holds one chunk of draws per thread,
-    not all S.  The quenches are grouped by block once, and each block
-    serves every draw.  For a chunk of draws a dense block takes one
-    stacked Sector.half_spectra and propagates all of its patterns in
-    one stacked product per half and real part; a chunk holds about
-    _DRAW_CHUNK amplitudes of the widest block.  Each dense block runs
-    its own chunk loop into its own rows, on _draw_workers threads at
-    once (one unless BLAS is pinned), so the results are bit for bit
-    those of one thread.  A Krylov-sized block evolves each draw on its
-    op.scaled(s), and the draw s = 1 on its own op.
+    bit np.mean over them; memory holds one chunk of draws per thread.
+    Quenches are grouped by block once.  For a chunk of draws a dense
+    block takes one stacked Sector.half_spectra and propagates all of
+    its patterns in one stacked product per half and real part; a chunk
+    holds about _DRAW_CHUNK amplitudes of the widest block.  Each dense
+    block runs its own chunk loop into its own rows, on _draw_workers
+    threads at once (one unless BLAS is pinned), so the results are bit
+    for bit those of one thread.  A Krylov-sized block evolves each
+    draw on its op.scaled(s), and the draw s = 1 on its own op.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     scales = np.asarray(scales, dtype=float)
@@ -780,7 +779,6 @@ def evolve_draws(quenches, times: np.ndarray, scales
         err[where] = errs
     for s in scales:
         for h, block, where, idx0s in krylov.values():
-            # 1.0 J == J, so the draw s = 1 runs on the block's own op
             op = block.op if s == 1.0 else block.op.scaled(s)
             lo, hi = op.bounds()  # the size rule at this draw's own R
             h.check_size(times, (hi - lo) / 2.0)
@@ -850,9 +848,17 @@ def _chebyshev_coefficients(z: np.ndarray, order: int
     return even, odd
 
 
+def _chebyshev_rows(dim: int, n_times: int) -> int:
+    """Chebyshev rows held at once: about _DRAW_CHUNK amplitudes, at least
+    the times (each flush rewrites every state), at least 4 (rows k,
+    k - 1, k - 2 apart) and even (chunks start on even orders)."""
+    return 2 * max(2, _DRAW_CHUNK // (2 * dim), -(-n_times // 2))
+
+
 def _chebyshev_states(op: _IsingBlock | _TripletBlock, idx0: int,
-                      times: np.ndarray) -> np.ndarray:
-    """Rows exp(-i H t) e_idx0 for every t, each up to a phase e^{-i c t}.
+                      times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts (T, dim) of exp(-i H t) e_idx0 for
+    every t, each up to a phase e^{-i c t}.
 
     With c and R the centre and half-width of the spectral bounds of the
     block operator op, Ht = (H - c) / R has its spectrum in [-1, 1] and
@@ -866,47 +872,48 @@ def _chebyshev_states(op: _IsingBlock | _TripletBlock, idx0: int,
     (exactly) at order 1.  The coefficients are real for even k and
     imaginary for odd k (_chebyshev_coefficients), so the even vectors
     feed only the real part of each state and the odd ones only its
-    imaginary part.  J_k(R t) falls faster than exponentially once k
-    exceeds |R t|, so the order follows from max |R t| and costs one
-    block product per order.  The phase e^{-i c t} is left out because
-    only |psi|^2 is read.
+    imaginary part; the _chebyshev_rows vectors are added to both
+    whenever they fill up.  The order follows from max |R t|
+    (_chebyshev_order).  The phase e^{-i c t} is left out because only
+    |psi|^2 is read.
     """
     lo, hi = op.bounds()
     centre, half = (hi + lo) / 2.0, (hi - lo) / 2.0
     z = half * times
-    psi = np.zeros((times.size, op.dim), dtype=complex)
+    re, im = np.zeros((2, times.size, op.dim))
     if half == 0.0:  # H = c: a pure phase
-        psi[:, idx0] = 1.0
-        return psi
+        re[:, idx0] = 1.0
+        return re, im
     order = _chebyshev_order(float(np.abs(z).max()))
     even, odd = _chebyshev_coefficients(z, order)
     twice = op.product(centre, half / 2.0)  # v -> 2 Ht v
-    rows = np.empty((min(order, _CHEBYSHEV_CHUNK), op.dim))
+    chunk = _chebyshev_rows(op.dim, times.size)
+    rows = np.zeros((min(order, chunk), op.dim))
     for k in range(order):
-        row = rows[k % _CHEBYSHEV_CHUNK]
+        row = rows[k % chunk]
         if k == 0:
-            row[:] = 0.0
             row[idx0] = 1.0
         else:
-            twice(rows[(k - 1) % _CHEBYSHEV_CHUNK], row)
+            twice(rows[(k - 1) % chunk], row)
             if k == 1:
                 row *= 0.5
             else:
-                row -= rows[(k - 2) % _CHEBYSHEV_CHUNK]
-        if (k + 1) % _CHEBYSHEV_CHUNK == 0 or k + 1 == order:
-            first = k - k % _CHEBYSHEV_CHUNK  # an even order
+                row -= rows[(k - 2) % chunk]
+        if (k + 1) % chunk == 0 or k + 1 == order:
+            first = k - k % chunk  # an even order
             n = k + 1 - first
-            psi.real += even[:, first // 2:(first + n + 1) // 2] @ rows[0:n:2]
-            psi.imag += odd[:, first // 2:(first + n) // 2] @ rows[1:n:2]
-    return psi
+            re += even[:, first // 2:(first + n + 1) // 2] @ rows[0:n:2]
+            im += odd[:, first // 2:(first + n) // 2] @ rows[1:n:2]
+    return re, im
 
 
 def _krylov_sz_series(op: _IsingBlock | _TripletBlock, zmat: np.ndarray,
                       idx0: int, times: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     def readout(tt):
-        psi = _chebyshev_states(op, idx0, tt)
-        prob = psi.real**2 + psi.imag**2
+        prob, im = _chebyshev_states(op, idx0, tt)
+        prob *= prob
+        prob += np.square(im, out=im)
         return prob.sum(axis=-1), prob @ zmat
 
     return _sz_series(times, readout, op.dim)

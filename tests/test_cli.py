@@ -208,22 +208,27 @@ class TestExitCodes:
             gaps.append((out / "gaps.csv").read_bytes())
         assert gaps[0] == gaps[1]
 
-    def test_multi_excitation_gap_request_is_3(self, tmp_path):
-        text = BASE + "patterns = 2,4\n"
-        cfg = write_config(tmp_path, text)
-        assert main(["gaps", "--config", cfg,
-                     "--out", str(tmp_path / "out")]) == 3
+    def test_multi_excitation_gap_request_is_2(self, tmp_path, capsys):
+        """Spin-wave pair gaps need one flip: a pattern of two is a
+        configuration error that names patterns, and writes no file."""
+        for n_ions in (4, 7):
+            text = BASE.replace("n_ions = 4", f"n_ions = {n_ions}")
+            cfg = write_config(tmp_path, text + "patterns = 2,4\n")
+            out = tmp_path / str(n_ions)
+            assert main(["gaps", "--config", cfg, "--out", str(out)]) == 2
+            assert "config error: patterns:" in capsys.readouterr().err
+            assert not list(out.iterdir())
 
     def test_oversized_exact_chain_is_3(self, tmp_path, capsys,
                                         monkeypatch):
-        """The size rule refuses 21 spins for their tables and 20 spins
+        """The size rule refuses 22 spins for their tables and 20 spins
         for their expansion to 25/J_max over 60 times, before any block
         state is enumerated."""
         def refuse(*args):
             raise AssertionError("block states enumerated")
 
         monkeypatch.setattr("ionquench.exact._bits", refuse)
-        for text, states in (("n_ions = 21\nn_times = 2\n", 2**20),
+        for text, states in (("n_ions = 22\nn_times = 2\n", 2**21),
                              ("n_ions = 20\n", 2**19)):
             out = tmp_path / str(states)
             assert main(["evolve", "--config", write_config(tmp_path, text),

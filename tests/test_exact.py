@@ -285,7 +285,10 @@ SIZE_TABLE = [
     ("exact", 17, None, 25.0, 60, True, 1.0),
     ("exact", 18, None, 25.0, 60, True, 1.0),
     ("exact", 20, None, 1.0, 5, True, 1.0),
-    ("xy", 20, 10, 1.0, 2, True, 1.0),
+    ("exact", 21, None, 1.0, 5, True, 1.0),
+    ("xy", 18, 9, 1.0, 2, True, 1.0),
+    ("exact", 22, None, 1.0, 5, False, 1.0),
+    ("xy", 20, 10, 1.0, 2, False, 1.0),
     ("exact", 13, None, 1e7, 60, False, 1.0),
     ("exact", 13, None, 1e7, 60, False, 0.0),
     ("xy", 16, 8, 1e7, 60, False, 1.0),
@@ -351,22 +354,23 @@ def test_half_width_floor_bounds_the_spectrum(model, n, k, field):
 
 
 def test_full_space_cap(no_enumeration):
-    """The N = 20 parity sectors fit the float budget; those of N = 21, 30
+    """The N = 21 parity sectors fit the float budget; those of N = 22, 30
     and 100 spins are refused before any state is enumerated."""
-    jm = power_law_couplings(20, JMAX, 1.0)
-    assert build_full_ising(jm, B_FIELD).dimension == 2**20
-    for n in (21, 30, 100):
+    jm = power_law_couplings(21, JMAX, 1.0)
+    assert build_full_ising(jm, B_FIELD).dimension == 2**21
+    for n in (22, 30, 100):
         jm = power_law_couplings(n, JMAX, 1.0)
         refused_before_enumeration(lambda: build_full_ising(jm, B_FIELD),
                                    f"parity sector of {2**(n - 1)} states")
 
 
-@pytest.mark.parametrize("n, k", [(20, 10), (24, 12), (25, 12), (40, 20)])
+@pytest.mark.parametrize("n, k", [(18, 9), (20, 10), (24, 12), (25, 12),
+                                  (40, 20)])
 def test_xy_sector_cap(no_enumeration, n, k):
-    """The XY sector C(20, 10) fits the float budget; the larger ones are
+    """The XY sector C(18, 9) fits the float budget; the larger ones are
     refused before any state is enumerated."""
     jm = power_law_couplings(n, JMAX, 1.0)
-    if n == 20:
+    if n == 18:
         assert build_xy_sector(jm, B_FIELD, k).dimension == math.comb(n, k)
     else:
         refused_before_enumeration(lambda: build_xy_sector(jm, B_FIELD, k),

@@ -3,8 +3,8 @@ import pytest
 
 from ionquench.cli import main
 from ionquench.config import load_config
-from ionquench.exact import (build_full_ising, default_time_grid,
-                             evolve_draws, level_gaps)
+from ionquench.exact import (build_full_ising, build_xy_sector,
+                             default_time_grid, evolve_draws, level_gaps)
 from ionquench.iocsv import write_csv
 from ionquench.observables import assemble_trace
 from ionquench.stochastic import noise_scales
@@ -81,6 +81,31 @@ def test_gaps_file_matches_column_composition(tmp_path):
         tmp_path, out / "gaps.csv", ("alpha", "gap_over_jmax", "weight"),
         (np.repeat(cfg.alpha_grid, [g.size for g in gaps]),
          np.concatenate(gaps), np.concatenate([w for _, w in spectra])))
+
+
+@pytest.mark.parametrize("patterns", ["3", "2,5"])
+def test_xy_gaps_pair_the_xy_sector_levels(tmp_path, patterns):
+    """gaps with model = xy pairs the levels of the pattern's XY sector
+    (level_gaps of build_xy_sector), not the spin-wave pair gaps, which
+    a one-flip pattern also has."""
+    text = f"n_ions = 7\npatterns = {patterns}\nalpha_grid = 0.55,1.33\n"
+    out, cfg = run_cli(tmp_path, "gaps", text + "model = xy\n")
+    pattern = cfg.patterns[0]
+    jms, _ = cfg.grid_couplings()
+    spectra = [level_gaps(build_xy_sector(jm, cfg.b_field,
+                                          pattern.n_excitations), pattern)
+               for jm in jms]
+    gaps = [g / jm.j_max for (g, _), jm in zip(spectra, jms)]
+    assert same_bytes(
+        tmp_path, out / "gaps.csv", ("alpha", "gap_over_jmax", "weight"),
+        (np.repeat(cfg.alpha_grid, [g.size for g in gaps]),
+         np.concatenate(gaps), np.concatenate([w for _, w in spectra])))
+    if pattern.n_excitations == 1:
+        spinwave = tmp_path / "spinwave"
+        assert main(["gaps", "--config", str(tmp_path / "gaps.cfg"),
+                     "--model", "spinwave", "--out", str(spinwave)]) == 0
+        assert ((spinwave / "gaps.csv").read_bytes()
+                != (out / "gaps.csv").read_bytes())
 
 
 def test_j_matrix_file_matches_index_labels(tmp_path):

@@ -230,7 +230,27 @@ def test_chebyshev_states_match_the_complex_table_expansion():
     expect = complex_table_chebyshev_states(
         lambda v: hadamard_form_product(op, v), op.dim, op.bounds(), local,
         times)
-    assert np.abs(_chebyshev_states(op, local, times) - expect).max() < 1e-12
+    re, im = _chebyshev_states(op, local, times)
+    assert np.abs(re + 1j * im - expect).max() < 1e-12
+
+
+@pytest.mark.parametrize("model", ["full", "xy"])
+def test_chebyshev_states_with_the_fewest_rows(monkeypatch, model):
+    """With a one-amplitude row budget and 4 times the expansion holds 4
+    rows, the fewest that keep rows k, k - 1 and k - 2 apart, and still
+    matches the whole complex coefficient table within 1e-12; the order
+    is far above 4, so the rows wrap around many times."""
+    monkeypatch.setattr("ionquench.exact._DRAW_CHUNK", 1)
+    pattern = ExcitationPattern(10, (2, 5, 9))
+    h = build(model, power_law_couplings(10, JMAX, 0.55), B_FIELD, pattern)
+    block, local = h.sector(pattern)
+    times = np.linspace(0.0, 5.0 / JMAX, 4)
+    assert exact._chebyshev_rows(block.dimension, times.size) == 4
+    expect = complex_table_chebyshev_states(
+        lambda v: block_product(block.op, v), block.dimension,
+        block.op.bounds(), local, times)
+    re, im = _chebyshev_states(block.op, local, times)
+    assert np.abs(re + 1j * im - expect).max() < 1e-12
 
 
 def test_krylov_builds_no_dense_block(monkeypatch):
@@ -265,8 +285,8 @@ def test_sector_evolution_matches_full_oracle(monkeypatch, n):
     evals, evecs = merged_spectrum(block)
     psi = evecs @ (np.exp(-1j * evals * times[-1]) * evecs[local])
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
-    psi = _chebyshev_states(block.op, local, times[-1:])[0]
-    assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
+    re, im = _chebyshev_states(block.op, local, times[-1:])
+    assert abs(np.linalg.norm(re[0] + 1j * im[0]) - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -354,7 +374,8 @@ def test_quench_conserves_energy(model, n):
     psi = np.zeros((2, times.size, 2**n), dtype=complex)
     psi[0][:, block.states] = (np.exp(-1j * np.outer(times, evals))
                                 * evecs[local]) @ evecs.T
-    psi[1][:, block.states] = _chebyshev_states(block.op, local, times)
+    re, im = _chebyshev_states(block.op, local, times)
+    psi[1][:, block.states] = re + 1j * im
     e0 = energy_expectation(h, product_state(pattern.flipped, n))
     scale = np.abs(evals).max()
     for states in psi:
