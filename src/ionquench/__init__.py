@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .coupling import (CouplingMatrix, EffectivePotential, effective_potential,
                        eigen_spectrum_lambda, fit_alpha, ion_couplings,
                        power_law_couplings, scale_rabi_for_jmax,
-                       tune_mu_for_alpha, with_fitted_alpha)
+                       tune_mu_for_alpha)
 from .errors import (ConfigError, ConvergenceError, EmptySelectionError,
                      ResonanceError, SectorError, SimulationError, SizeError,
                      StabilityError)
@@ -26,4 +26,4 @@ from .spinwave import (GgeState, SpinWaveSystem, build_spinwave, gge_lambdas,
                        gge_magnetization, gge_occupations, gge_state,
                        pair_gap_spectrum, quench_sz)
 from .stochastic import (NoiseModel, PostselectionResult, ShotCounts,
-                         noise_scales, postselect, shot_blocks, shot_pipeline)
+                         noise_scales, shot_blocks)

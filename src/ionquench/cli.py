@@ -263,7 +263,8 @@ def cmd_sweep_alpha(cfg: RunConfig, out: _OutDir) -> dict:
         raise ConfigError("coupling_source: trap parameters requested "
                           "but source is power_law")
     cfg.require_fit_ions()
-    # the trap comes tuned and Rabi-scaled, so rows read J_max at that Rabi
+    # a trap that tunes mu scans twice: couplings() fixes the drive and its
+    # Rabi rescale, so J_max reads at that Rabi; the scan below gives the rows
     _, trap, modes = cfg.couplings()
     scan = detuning_scan(trap, modes, (r["scan_detuning_min"],
                                        r["scan_detuning_max"]),

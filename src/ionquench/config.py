@@ -9,12 +9,13 @@ how the hardware is usually quoted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .constants import atomic_mass, elementary_charge
-from .coupling import (CouplingMatrix, ion_couplings, power_law_couplings,
-                       scale_rabi_for_jmax, tune_mu_for_alpha, with_fitted_alpha)
+from .coupling import (CouplingMatrix, fit_alpha, ion_couplings,
+                       power_law_couplings, scale_rabi_for_jmax,
+                       tune_mu_for_alpha)
 from .errors import ConfigError
 from .lattice import (Geometry, PhononModes, RAMAN_DELTA_K, TrapConfig,
                       axial_scale_from_spacing, exact_modes)
@@ -276,7 +277,7 @@ class RunConfig:
                                            TWO_PI * 1e3 * r["j_max_khz"])
             jm = ion_couplings(trap, modes)
             try:
-                jm = with_fitted_alpha(jm)
+                jm = replace(jm, alpha_fit=fit_alpha(jm))
             except ValueError:
                 pass  # negative couplings: no power-law fit exists
             built.append((jm, trap))

@@ -101,8 +101,6 @@ def _mode_weights(cfg: TrapConfig, modes: PhononModes) -> np.ndarray:
     |mu - omega_m| <= RESONANCE_RTOL omega_m for some mode.
     """
     freqs = modes.frequencies
-    if freqs is None:
-        raise ValueError("modes carry no frequencies; pass exact_modes(cfg)")
     if np.any(np.abs(cfg.mu - freqs) <= RESONANCE_RTOL * freqs):
         raise ResonanceError("mu lies on a transverse mode; detune the drive")
     return 1.0 / (cfg.mu**2 - freqs**2)
@@ -167,10 +165,6 @@ def fit_alpha(jm: CouplingMatrix) -> float:
     return _alpha_fitter(jm.n_ions)(jm)
 
 
-def with_fitted_alpha(jm: CouplingMatrix) -> CouplingMatrix:
-    return replace(jm, alpha_fit=fit_alpha(jm))
-
-
 @dataclass(frozen=True)
 class EffectivePotential:
     """Emergent single-excitation potential U_i = -J_ii, shifted to min 0."""
@@ -223,7 +217,7 @@ def detuning_scan(cfg: TrapConfig, modes: PhononModes,
         return  # no point has a power-law fit
     fit = _alpha_fitter(cfg.n_ions)
     for d in np.geomspace(detuning_range[0], detuning_range[1], n_grid):
-        trial = cfg.with_mu(cfg.omega_x * math.sqrt(1.0 + d))
+        trial = replace(cfg, mu=cfg.omega_x * math.sqrt(1.0 + d))
         try:
             jm = ion_couplings(trial, modes)
             alpha = fit(jm)
@@ -266,4 +260,4 @@ def scale_rabi_for_jmax(cfg: TrapConfig, modes: PhononModes,
     if target_jmax <= 0:
         raise ValueError("target_jmax must be positive")
     current = ion_couplings(cfg, modes).j_max
-    return cfg.with_rabi(cfg.rabi * math.sqrt(target_jmax / current))
+    return replace(cfg, rabi=cfg.rabi * math.sqrt(target_jmax / current))

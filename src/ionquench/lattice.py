@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,23 +73,6 @@ class TrapConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
-    @classmethod
-    def uniform(cls, n_ions: int, omega_x: float, mu: float, rabi: float,
-                spacing: float = 5e-6, **kw) -> "TrapConfig":
-        """Uniformly spaced chain; omega_z derived from the spacing."""
-        mass = kw.pop("mass", YB171_MASS)
-        charge = kw.pop("charge", elementary_charge)
-        wz = axial_scale_from_spacing(mass, charge, spacing)
-        return cls(n_ions=n_ions, omega_x=omega_x, omega_z=wz, mu=mu,
-                   rabi=rabi, mass=mass, charge=charge, spacing=spacing,
-                   geometry=Geometry.UNIFORM, **kw)
-
-    def with_mu(self, mu: float) -> "TrapConfig":
-        return replace(self, mu=mu)
-
-    def with_rabi(self, rabi: float) -> "TrapConfig":
-        return replace(self, rabi=rabi)
-
     def coulomb_length(self) -> float:
         """Length l with Q^2/(4 pi eps0 l^3) = M omega_z^2."""
         return (self.charge**2
@@ -101,20 +84,18 @@ class TrapConfig:
 class PhononModes:
     """Transverse mode set: columns of mode_matrix are eigenvectors of K.
 
-    kappas are the matching eigenvalues; frequencies (rad/s) come with
-    exact_modes, which solves the modes of a chain whatever its drive,
-    and obey omega_m^2 = omega_x^2 - omega_z^2 kappa_m.
+    kappas are the matching eigenvalues and frequencies (rad/s) obey
+    omega_m^2 = omega_x^2 - omega_z^2 kappa_m; exact_modes solves them
+    for a chain whatever its drive.
     """
 
     mode_matrix: np.ndarray
     kappas: np.ndarray
-    frequencies: np.ndarray | None = None
+    frequencies: np.ndarray
 
     def __post_init__(self):
-        self.mode_matrix.setflags(write=False)
-        self.kappas.setflags(write=False)
-        if self.frequencies is not None:
-            self.frequencies.setflags(write=False)
+        for name in ("mode_matrix", "kappas", "frequencies"):
+            getattr(self, name).setflags(write=False)
 
 
 def k_matrix(n: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import CouplingMatrix
-from .errors import SectorError, StabilityError
+from .errors import SectorError, SimulationError, StabilityError
 from .observables import ExcitationPattern
 
 
@@ -52,6 +52,7 @@ def build_spinwave(jm: CouplingMatrix, b_field: float) -> SpinWaveSystem:
 
     Raises StabilityError when B + nu_k <= 0 for some mode: there the
     Bogoliubov rotation is undefined and the boson model unstable.
+    Raises SimulationError when B (B + nu_k) overflows an energy.
     """
     if b_field <= 0:
         raise ValueError("b_field must be positive")
@@ -62,7 +63,10 @@ def build_spinwave(jm: CouplingMatrix, b_field: float) -> SpinWaveSystem:
             "boson model unstable at this field"
         )
     thetas = 0.5 * np.arctanh(nus / (nus + 2.0 * b_field))
-    epsilons = 2.0 * np.sqrt(b_field * (b_field + nus))
+    with np.errstate(over="ignore"):
+        epsilons = 2.0 * np.sqrt(b_field * (b_field + nus))
+    if not np.isfinite(epsilons).all():
+        raise SimulationError(f"B = {b_field:.4e} rad/s overflows an energy")
     return SpinWaveSystem(b_field=b_field, nus=nus, modes=vecs,
                           thetas=thetas, epsilons=epsilons)
 

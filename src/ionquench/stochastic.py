@@ -8,8 +8,7 @@ The shot emulation is a stream: shot_blocks draws the preparations and
 runs the dynamics of the distinct ones, then reads the shots out a
 block at a time, and ShotCounts tallies the post-selection counts as
 the blocks pass, so a caller can count and write the shots without
-holding them all.  shot_pipeline and postselect are the same stream
-and counts applied to one (n_shots, N) array.
+holding them all.
 """
 
 from __future__ import annotations
@@ -224,14 +223,6 @@ class ShotCounts:
         )
 
 
-def postselect(shots: np.ndarray, k: int) -> PostselectionResult:
-    """Keep only shots whose detected excitation count equals k: the
-    ShotCounts of the (n_shots, N) 0/1 array as one block."""
-    counts = ShotCounts(k)
-    counts.add(np.asarray(shots))
-    return counts.result()
-
-
 def shot_blocks(pattern: ExcitationPattern,
                 run_to_sz: Callable[[list[ExcitationPattern]], np.ndarray],
                 model: NoiseModel, n_shots: int) -> Iterator[np.ndarray]:
@@ -279,17 +270,3 @@ def shot_blocks(pattern: ExcitationPattern,
         raise ValueError("sz marginals must be finite and lie in [-1, 1]")
     return _readout(np.clip((sz + 1.0) / 2.0, 0.0, 1.0), codes, model,
                     n_shots, sites.size)
-
-
-def shot_pipeline(pattern: ExcitationPattern,
-                  run_to_sz: Callable[[list[ExcitationPattern]], np.ndarray],
-                  model: NoiseModel, n_shots: int) -> np.ndarray:
-    """The shot_blocks stream gathered into one (n_shots, N) uint8 array
-    of the detected bits."""
-    blocks = shot_blocks(pattern, run_to_sz, model, n_shots)
-    bits = np.empty((n_shots, pattern.n_ions), dtype=np.uint8)
-    start = 0
-    for block in blocks:
-        bits[start:start + len(block)] = block
-        start += len(block)
-    return bits

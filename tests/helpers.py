@@ -17,9 +17,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from ionquench.exact import _chebyshev_order, evolve_draws
-from ionquench.lattice import PhononModes
 from ionquench.observables import ExcitationPattern, assemble_trace
-from ionquench.stochastic import noise_scales
+from ionquench.stochastic import ShotCounts, noise_scales
 
 TWO_PI = 2.0 * math.pi
 JMAX = TWO_PI * 600.0     # rad/s, default strongest coupling
@@ -234,7 +233,15 @@ def observable_c(sz) -> float:
     return float(np.dot(weights, (sz + 1.0) / 2.0))
 
 
-def perturbative_modes(n: int) -> PhononModes:
+@dataclass(frozen=True)
+class PerturbativeModes:
+    """Mode profiles, one per column, and their eigenvalues of K."""
+
+    mode_matrix: np.ndarray
+    kappas: np.ndarray
+
+
+def perturbative_modes(n: int) -> PerturbativeModes:
     """Closed-form cosine-wave modes of the uniform chain.
 
     Valid to leading order in the dipolar coupling: mode m has profile
@@ -250,7 +257,7 @@ def perturbative_modes(n: int) -> PhononModes:
     v[:, 0] = np.sqrt(1.0 / n)
     r = np.arange(1, n // 2 + 1)[:, None]
     kappas = ((2.0 - 2.0 * np.cos(m * r * np.pi / n)) / r**3.0).sum(axis=0)
-    return PhononModes(mode_matrix=v, kappas=kappas)
+    return PerturbativeModes(mode_matrix=v, kappas=kappas)
 
 
 # -- spin-wave Heisenberg propagator -----------------------------------------
@@ -408,3 +415,12 @@ def whole_array_shots(pattern, run_to_sz, model, n_shots: int) -> np.ndarray:
     if model.detection_error > 0:
         bits ^= model.rng(3).random(shape) < model.detection_error
     return bits
+
+
+def postselected(blocks, k: int):
+    """The post-selection on k detected excitations of a stream of
+    (rows, N) shot blocks, counted block by block by ShotCounts.add."""
+    counts = ShotCounts(k)
+    for bits in blocks:
+        counts.add(bits)
+    return counts.result()

@@ -15,15 +15,17 @@ import pytest
 from helpers import (B_FIELD, JMAX, conditional_marginals,
                      detected_probability, evolve, excitation_drift,
                      fock_occupation_dynamics, mixture_conditional_truth,
-                     noise_average, observable_c, propagator)
+                     noise_average, observable_c, postselected, propagator)
 from ionquench.cli import main
+from ionquench.constants import elementary_charge
 from ionquench.coupling import effective_potential, power_law_couplings
 from ionquench.exact import (build_full_ising, build_xy_sector,
                              default_time_grid, diagonal_ensemble)
-from ionquench.lattice import TrapConfig, exact_modes
+from ionquench.lattice import (YB171_MASS, TrapConfig,
+                               axial_scale_from_spacing, exact_modes)
 from ionquench.observables import ExcitationPattern
 from ionquench.spinwave import build_spinwave, gge_state, quench_sz
-from ionquench.stochastic import NoiseModel, postselect, shot_pipeline
+from ionquench.stochastic import NoiseModel, shot_blocks
 
 TWO_PI = 2.0 * math.pi
 
@@ -197,9 +199,10 @@ def test_hundred_ion_couplings_form_double_well():
     nearly parabolic, and the lowest hopping doublet recombines into
     states living in one well each."""
     start = time.perf_counter()
-    trap = TrapConfig.uniform(100, omega_x=TWO_PI * 4.8e6,
-                              mu=TWO_PI * 4.8e6 * (1.0 + 1e-5),
-                              rabi=TWO_PI * 50e3)
+    trap = TrapConfig(n_ions=100, omega_x=TWO_PI * 4.8e6,
+                      omega_z=axial_scale_from_spacing(
+                          YB171_MASS, elementary_charge, 5e-6),
+                      mu=TWO_PI * 4.8e6 * (1.0 + 1e-5), rabi=TWO_PI * 50e3)
     from ionquench.coupling import ion_couplings
     jm = ion_couplings(trap, exact_modes(trap))
     pot = effective_potential(jm)
@@ -283,8 +286,7 @@ def test_shot_estimates_cover_exact_conditional_truth():
     for trial in range(50):
         model = NoiseModel(prep_flip_fidelity=prep, detection_error=det,
                            seed=1000 + trial)
-        shots = shot_pipeline(pattern, run_to_sz, model, 1500)
-        res = postselect(shots, 1)
+        res = postselected(shot_blocks(pattern, run_to_sz, model, 1500), 1)
         err = np.maximum(res.p_err, 1.0 / res.n_accepted)
         hits += int(np.sum(np.abs(res.p_up - truth) <= 3.0 * err))
         total += truth.size
@@ -302,11 +304,9 @@ def test_detection_free_postselection_is_unbiased():
     h = build_xy_sector(jm, B_FIELD, 1)
     p = (evolve(h, pattern, t_shot).sz[0] + 1.0) / 2.0
     model = NoiseModel(prep_flip_fidelity=1.0, detection_error=0.0, seed=3)
-    shots = shot_pipeline(pattern,
-                          lambda pats: np.array([evolve(h, pat, t_shot).sz[0]
-                                                 for pat in pats]),
-                          model, 30000)
-    res = postselect(shots, 1)
+    res = postselected(shot_blocks(
+        pattern, lambda pats: np.array([evolve(h, pat, t_shot).sz[0]
+                                        for pat in pats]), model, 30000), 1)
     truth = conditional_marginals(p, 1)
     err = np.maximum(res.p_err, 1.0 / res.n_accepted)
     assert np.all(np.abs(res.p_up - truth) < 4.0 * err)

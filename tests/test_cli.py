@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import postselected, whole_array_shots
 from ionquench import __version__, stochastic
 from ionquench.cli import main
 from ionquench.config import load_config
@@ -18,7 +19,7 @@ from ionquench.coupling import (detuning_scan, fit_alpha, ion_couplings,
 from ionquench.errors import ConfigError
 from ionquench.iocsv import write_csv, write_shot_lines
 from ionquench.spinwave import build_spinwave, quench_sz
-from ionquench.stochastic import noise_scales, postselect, shot_pipeline
+from ionquench.stochastic import noise_scales
 
 BASE = """
 n_ions = 4
@@ -245,6 +246,21 @@ class TestExitCodes:
         assert main(["evolve", "--config", write_config(tmp_path, text),
                      "--out", str(out)]) == 3
         assert "XY sector of 137846528820 states" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("argv", [["evolve"], ["gaps"], ["shots"],
+                                      ["evolve", "--model", "exact"]])
+    def test_overflowing_spin_wave_energies_are_3(self, tmp_path, capsys,
+                                                  argv):
+        """A field whose spin-wave energies overflow exits 3 before any
+        file is written, instead of writing NaN rows with exit 0; exact
+        evolve needs the spin waves for its GGE file."""
+        text = ("n_ions = 5\npatterns = 2\nn_times = 3\nmodel = spinwave\n"
+                "b_khz = 1e200\n")
+        out = tmp_path / "out"
+        assert main([*argv, "--config", write_config(tmp_path, text),
+                     "--out", str(out)]) == 3
+        assert "rad/s overflows an energy" in capsys.readouterr().err
         assert not list(out.iterdir())
 
     @pytest.mark.parametrize("where", ["file", "file/sub"])
@@ -620,8 +636,8 @@ class TestShotStream:
     def test_streamed_files_equal_the_whole_array(self, tmp_path, n_shots,
                                                   detection_error):
         """shots.txt and shot_estimates.csv equal write_shot_lines and
-        postselect of the whole-array shot_pipeline, for any remainder
-        of the last block."""
+        ShotCounts of the independent whole-array draws, for any
+        remainder of the last block."""
         text = ("n_ions = 13\nmodel = spinwave\npatterns = 2,5,9\n"
                 f"prep_fidelity = 0.6\ndetection_error = {detection_error}\n"
                 f"n_shots = {n_shots}\nshot_time_over_jmax = 4\n")
@@ -632,10 +648,10 @@ class TestShotStream:
         jm, _, _ = cfg.couplings()
         sw = build_spinwave(jm, cfg.b_field)
         t_shot = np.array([4.0 / jm.j_max])
-        shots = shot_pipeline(cfg.patterns[0],
-                              lambda pats: quench_sz(sw, pats, t_shot)[:, 0],
-                              cfg.noise_model(), n_shots)
-        result = postselect(shots, 3)
+        shots = whole_array_shots(
+            cfg.patterns[0], lambda pats: quench_sz(sw, pats, t_shot)[:, 0],
+            cfg.noise_model(), n_shots)
+        result = postselected([shots], 3)
         write_shot_lines(tmp_path / "shots.txt", [shots])
         write_csv(tmp_path / "shot_estimates.csv",
                   ("site", "p_up", "p_err", "sz", "sz_err"),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,12 +12,11 @@ from scipy.constants import hbar
 import ionquench.constants
 
 from conftest import make_trap_config, make_trap_couplings
-from helpers import perturbative_modes
+from ionquench.config import load_config
 from ionquench.coupling import (CouplingMatrix, effective_potential,
                                 eigen_spectrum_lambda, fit_alpha,
                                 ion_couplings, power_law_couplings,
-                                scale_rabi_for_jmax, tune_mu_for_alpha,
-                                with_fitted_alpha)
+                                scale_rabi_for_jmax, tune_mu_for_alpha)
 from ionquench.errors import ResonanceError
 from ionquench.lattice import exact_modes
 
@@ -92,11 +92,6 @@ def test_two_ion_coupling_closed_form():
     assert jm.j[0, 1] == pytest.approx(expect, rel=1e-12)
 
 
-def test_couplings_need_modes_with_frequencies():
-    with pytest.raises(ValueError, match="frequencies"):
-        ion_couplings(make_trap_config(5), perturbative_modes(5))
-
-
 def test_mode_lambdas_are_coupling_eigenvalues():
     cfg = make_trap_config(6)
     modes = exact_modes(cfg)
@@ -126,7 +121,7 @@ def test_lambdas_share_the_resonance_check_of_the_couplings():
     both functions apply the one check |mu - omega_m| <= 1e-6 omega_m."""
     cfg = make_trap_config(5)
     modes = exact_modes(cfg)
-    near = cfg.with_mu(float(modes.frequencies[1]) * (1.0 + 7e-7))
+    near = replace(cfg, mu=float(modes.frequencies[1]) * (1.0 + 7e-7))
     with pytest.raises(ResonanceError):
         ion_couplings(near, modes)
     with pytest.raises(ResonanceError):
@@ -137,7 +132,7 @@ def test_resonant_mu_rejected():
     cfg = make_trap_config(4)
     modes = exact_modes(cfg)
     with pytest.raises(ResonanceError):
-        ion_couplings(cfg.with_mu(float(modes.frequencies[1])), modes)
+        ion_couplings(replace(cfg, mu=float(modes.frequencies[1])), modes)
 
 
 def test_tune_mu_hits_requested_exponent():
@@ -176,6 +171,11 @@ def test_effective_potential_rejects_flat_diagonal():
         effective_potential(power_law_couplings(5, 1.0, 0.7))
 
 
-def test_with_fitted_alpha_attaches_exponent():
-    jm = with_fitted_alpha(power_law_couplings(6, 1.0, 1.1))
-    assert jm.alpha_fit == pytest.approx(1.1, abs=1e-12)
+def test_with_fitted_alpha_attaches_exponent(tmp_path):
+    """Trap couplings come with the exponent that fit_alpha finds in them."""
+    path = tmp_path / "trap.cfg"
+    path.write_text("n_ions = 6\ncoupling_source = trap\n"
+                    "target_alpha = 1.1\n")
+    jm, _, _ = load_config(path).couplings()
+    assert jm.alpha_fit == fit_alpha(jm)
+    assert jm.alpha_fit == pytest.approx(1.1, abs=0.05)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,7 +90,7 @@ def test_resonant_drive_rejected():
     """The modes belong to the chain; the coupling build rejects the drive."""
     cfg = make_trap_config(5)
     nominal = exact_modes(cfg)
-    resonant = cfg.with_mu(float(nominal.frequencies[2]))
+    resonant = replace(cfg, mu=float(nominal.frequencies[2]))
     modes = exact_modes(resonant)
     for name in ("mode_matrix", "kappas", "frequencies"):
         assert (getattr(modes, name).tobytes()

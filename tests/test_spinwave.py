@@ -6,7 +6,7 @@ import pytest
 from helpers import (B_FIELD, JMAX, fock_boson_hamiltonian,
                      fock_occupation_dynamics, observable_c, propagator)
 from ionquench.coupling import CouplingMatrix, power_law_couplings
-from ionquench.errors import SectorError, StabilityError
+from ionquench.errors import SectorError, SimulationError, StabilityError
 from ionquench.observables import ExcitationPattern, assemble_trace
 from ionquench.spinwave import (build_spinwave, gge_lambdas,
                                 gge_occupations, gge_state,
@@ -36,6 +36,17 @@ def test_unstable_field_rejected():
         two_site_system(1.0, 0.5)  # B + nu_min = -0.5
     with pytest.raises(ValueError):
         two_site_system(1.0, -1.0)
+
+
+def test_overflowing_energies_rejected():
+    """2 sqrt(B (B + nu)) overflows in B (B + nu) once B passes about
+    1.3e154 rad/s: the build raises instead of returning infinite
+    energies, whose quenches read NaN."""
+    jm = power_law_couplings(5, JMAX, 0.55)
+    for b_khz in (1e155, 1e200):
+        with pytest.raises(SimulationError, match="B = .* rad/s overflows"):
+            build_spinwave(jm, TWO_PI * 1e3 * b_khz)
+    assert np.isfinite(build_spinwave(jm, TWO_PI * 1e3 * 1e150).epsilons).all()
 
 
 def test_gge_occupations_against_fock_oracle():

@@ -3,15 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import B_FIELD, JMAX, conditional_marginals, whole_array_shots
+from helpers import (B_FIELD, JMAX, conditional_marginals, postselected,
+                     whole_array_shots)
 from ionquench import stochastic
 from ionquench.coupling import power_law_couplings
 from ionquench.errors import EmptySelectionError
 from ionquench.iocsv import write_shot_lines
 from ionquench.observables import ExcitationPattern
 from ionquench.spinwave import build_spinwave, quench_sz
-from ionquench.stochastic import (NoiseModel, noise_scales, postselect,
-                                  shot_pipeline)
+from ionquench.stochastic import (NoiseModel, ShotCounts, noise_scales,
+                                  shot_blocks)
 
 BASE_JM = power_law_couplings(5, JMAX, 0.55)
 PATTERN = ExcitationPattern(5, (2,))
@@ -81,13 +82,20 @@ def own_sz(patterns):
     return np.array([pat.sz() for pat in patterns])
 
 
+def gathered(pattern, run_to_sz, model, n_shots):
+    """The shot_blocks stream of one preparation as one (n_shots, N)
+    array, its blocks joined in shot order."""
+    return np.concatenate(list(shot_blocks(pattern, run_to_sz, model,
+                                           n_shots)))
+
+
 def shots_of(sz, n_shots, **noise):
     """Shots of fixed site marginals: preparation never fails and the
     dynamics return sz whatever the pattern."""
     sz = np.asarray(sz, dtype=float)
     model = NoiseModel(prep_flip_fidelity=1.0, **noise)
-    return shot_pipeline(ExcitationPattern(sz.size, (1,)), fixed_sz(sz),
-                         model, n_shots)
+    return gathered(ExcitationPattern(sz.size, (1,)), fixed_sz(sz), model,
+                    n_shots)
 
 
 def test_prep_errors_limits():
@@ -95,9 +103,9 @@ def test_prep_errors_limits():
     keep = NoiseModel(prep_flip_fidelity=1.0, detection_error=0.0)
     drop = NoiseModel(prep_flip_fidelity=0.0, detection_error=0.0)
     run = own_sz
-    assert np.array_equal(shot_pipeline(pattern, run, keep, 50),
+    assert np.array_equal(gathered(pattern, run, keep, 50),
                           np.tile(pattern.occupations(), (50, 1)))
-    assert not shot_pipeline(pattern, run, drop, 50).any()
+    assert not gathered(pattern, run, drop, 50).any()
 
 
 def test_prep_errors_statistics():
@@ -105,7 +113,7 @@ def test_prep_errors_statistics():
     pattern = ExcitationPattern(7, (2, 4))
     # the dynamics return the kept pattern itself, so the bits show
     # which flips succeeded
-    shots = shot_pipeline(pattern, own_sz, model, 20000)
+    shots = gathered(pattern, own_sz, model, 20000)
     assert not shots[:, [0, 2, 4, 5, 6]].any()
     kept2 = shots[:, 1].mean()
     kept4 = shots[:, 3].mean()
@@ -160,7 +168,7 @@ def test_shots_match_per_shot_scalar_oracle():
                          + 0.2 * np.sin(np.arange(5.0) + sum(pat.flipped))
                          for pat in patterns])
 
-    shots = shot_pipeline(pattern, run, model, 400)
+    shots = gathered(pattern, run, model, 400)
     prep, outcome, detect = model.rng(1), model.rng(2), model.rng(3)
     kept = [tuple(s for s in pattern.flipped if prep.random() < 0.8)
             for _ in range(400)]
@@ -206,7 +214,7 @@ def test_streamed_readout_equals_whole_array_draws(n_shots, flipped,
                        detection_error=detection_error, seed=31)
     run, calls = logged_dynamics(13)
     ref_run, ref_calls = logged_dynamics(13)
-    shots = shot_pipeline(pattern, run, model, n_shots)
+    shots = gathered(pattern, run, model, n_shots)
     oracle = whole_array_shots(pattern, ref_run, model, n_shots)
     assert shots.dtype == oracle.dtype and shots.shape == oracle.shape
     assert np.array_equal(shots, oracle)
@@ -220,7 +228,7 @@ def test_wide_preparations_stream_as_whole_array_draws():
     model = NoiseModel(prep_flip_fidelity=0.97, detection_error=0.05, seed=3)
     run, calls = logged_dynamics(80)
     ref_run, ref_calls = logged_dynamics(80)
-    shots = shot_pipeline(pattern, run, model, 900)
+    shots = gathered(pattern, run, model, 900)
     assert np.array_equal(shots, whole_array_shots(pattern, ref_run, model,
                                                    900))
     assert calls == ref_calls and len(calls[0]) > 100
@@ -242,47 +250,62 @@ def test_distinct_rows_equal_unique_rows(width):
 
 
 def test_readout_and_writer_stay_near_the_bit_array(tmp_path):
-    """Peak traced memory of 50 000 shots of 100 sites, written out, stays
-    under three bit arrays: the draws stream through fixed blocks and the
-    writer makes no bytes copy (whole-array draws peaked above 17)."""
+    """Peak traced memory of 50 000 shots of 100 sites, streamed from
+    shot_blocks through ShotCounts.tally into write_shot_lines, stays
+    under three (n_shots, N) bit arrays: the draws stream through fixed
+    blocks and the writer makes no bytes copy (whole-array draws peaked
+    above 17)."""
     pattern = ExcitationPattern(100, (3, 50, 99))
     sz = 0.9 * np.cos(np.arange(100.0))
+    bit_array = 50000 * 100   # bytes of the (n_shots, N) uint8 array
+    counts = ShotCounts(3)
     tracemalloc.start()
     try:
-        shots = shot_pipeline(pattern, fixed_sz(sz), NoiseModel(seed=4),
-                              50000)
-        write_shot_lines(tmp_path / "shots.txt", [shots])
+        blocks = shot_blocks(pattern, fixed_sz(sz), NoiseModel(seed=4), 50000)
+        write_shot_lines(tmp_path / "shots.txt", counts.tally(blocks))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert shots.nbytes == 5_000_000
-    assert peak < 3 * shots.nbytes
+    assert counts.n_shots == 50000
+    assert (tmp_path / "shots.txt").stat().st_size == 50000 * 101
+    assert peak < 3 * bit_array
 
 
 def test_postselect_partitions_and_errors():
     shots = np.array([[1, 0, 0], [0, 1, 1], [0, 0, 1], [0, 0, 0]],
                      dtype=np.uint8)
-    res = postselect(shots, 1)
+    res = postselected([shots], 1)
     assert res.n_accepted == 2
     assert res.acceptance_fraction == 0.5
     assert res.p_up == pytest.approx([0.5, 0.0, 0.5])
     assert res.sz == pytest.approx(2.0 * res.p_up - 1.0)
     assert res.sz_err == pytest.approx(2.0 * res.p_err)
 
+    # blocks of any split count the same shots
+    split = postselected(np.array_split(shots, 3), 1)
+    assert split.n_accepted == 2 and np.array_equal(split.p_up, res.p_up)
+
     with pytest.raises(EmptySelectionError) as info:
-        postselect(shots, 3)
+        postselected([shots], 3)
     assert info.value.acceptance_fraction == 0.0
     with pytest.raises(ValueError):
-        postselect(np.empty((0, 3), dtype=np.uint8), 1)
+        postselected([np.empty((0, 3), dtype=np.uint8)], 1)
+    with pytest.raises(ValueError):
+        postselected([], 1)
 
 
 def test_postselect_leaves_shots_unchanged():
+    """tally passes each block on as it was, counted, to the writer."""
     shots = shots_of(np.full(6, -0.6), 500, seed=8)
-    before = shots.copy()
-    res = postselect(shots, 1)
+    blocks = np.array_split(shots, 4)
+    before = [bits.copy() for bits in blocks]
+    counts = ShotCounts(1)
+    passed = list(counts.tally(iter(blocks)))
+    res = counts.result()
     assert 0 < res.n_accepted < 500
-    assert shots.dtype == np.uint8
-    assert np.array_equal(shots, before)
+    assert all(a is b for a, b in zip(passed, blocks)) and len(passed) == 4
+    assert all(bits.dtype == np.uint8 for bits in blocks)
+    assert all(np.array_equal(a, b) for a, b in zip(blocks, before))
 
 
 def test_postselect_counts_without_a_float_copy():
@@ -295,7 +318,7 @@ def test_postselect_counts_without_a_float_copy():
     np.put_along_axis(shots, up, 1, axis=1)
     tracemalloc.start()
     try:
-        res = postselect(shots, 3)
+        res = postselected([shots], 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -310,7 +333,8 @@ def test_postselection_matches_conditional_law():
     sys = build_spinwave(BASE_JM, B_FIELD)
     sz = quench_sz(sys, [PATTERN], np.array([8.0 / JMAX]))[0, 0]
     p = (sz + 1.0) / 2.0
-    res = postselect(shots_of(sz, 40000, detection_error=0.0, seed=21), 1)
+    model = NoiseModel(prep_flip_fidelity=1.0, detection_error=0.0, seed=21)
+    res = postselected(shot_blocks(PATTERN, fixed_sz(sz), model, 40000), 1)
     truth = conditional_marginals(p, 1)
     err = np.maximum(res.p_err, 1e-4)
     assert np.all(np.abs(res.p_up - truth) < 4.0 * err)
@@ -324,8 +348,8 @@ def test_pipeline_deterministic():
         return np.array([quench_sz(sys, [pat], np.array([8.0 / JMAX]))[0, 0]
                          for pat in patterns])
 
-    a = shot_pipeline(PATTERN, run, model, 300)
-    b = shot_pipeline(PATTERN, run, model, 300)
+    a = gathered(PATTERN, run, model, 300)
+    b = gathered(PATTERN, run, model, 300)
     assert a.shape == (300, 5)
     assert np.array_equal(a, b)
 
@@ -338,7 +362,7 @@ def test_pipeline_caches_dynamics_per_pattern():
         calls.extend(pat.flipped for pat in patterns)
         return np.tile(PATTERN.sz(), (len(patterns), 1))
 
-    shot_pipeline(PATTERN, run, model, 100)
+    shot_blocks(PATTERN, run, model, 100)
     # empty corruptions short-circuit, successful ones run once
     assert calls == [(2,)]
 
@@ -349,7 +373,7 @@ def test_pipeline_empty_pattern_short_circuit():
     def run(patterns):
         raise AssertionError("dynamics must not run for the empty pattern")
 
-    shots = shot_pipeline(PATTERN, run, model, 40)
+    shots = gathered(PATTERN, run, model, 40)
     assert shots.shape == (40, 5)
     assert not shots.any()
 
@@ -362,5 +386,5 @@ def test_pipeline_rejects_sz_of_the_wrong_shape(shape):
     one (N,) row for all of them included, instead of broadcasting."""
     model = NoiseModel(prep_flip_fidelity=0.5, detection_error=0.0, seed=1)
     with pytest.raises(ValueError, match="for 3 patterns"):
-        shot_pipeline(ExcitationPattern(5, (1, 2)),
-                      lambda patterns: np.zeros(shape), model, 200)
+        shot_blocks(ExcitationPattern(5, (1, 2)),
+                    lambda patterns: np.zeros(shape), model, 200)
