@@ -10,9 +10,8 @@ measurement emulation) and cli (reproducible runs to CSV/JSON).
 __version__ = "0.1.0"
 
 from .coupling import (CouplingMatrix, EffectivePotential, effective_potential,
-                       eigen_spectrum_lambda, fit_alpha, ion_couplings,
-                       power_law_couplings, scale_rabi_for_jmax,
-                       tune_mu_for_alpha)
+                       fit_alpha, ion_couplings, power_law_couplings,
+                       scale_rabi_for_jmax, tune_mu_for_alpha)
 from .errors import (ConfigError, ConvergenceError, EmptySelectionError,
                      ResonanceError, SectorError, SimulationError, SizeError,
                      StabilityError)

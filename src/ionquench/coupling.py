@@ -121,16 +121,6 @@ def ion_couplings(cfg: TrapConfig, modes: PhononModes) -> CouplingMatrix:
     return CouplingMatrix._from_symmetric(0.5 * (j + j.T))
 
 
-def eigen_spectrum_lambda(cfg: TrapConfig, modes: PhononModes) -> np.ndarray:
-    """Eigenvalues of the full J matrix, one per phonon mode.
-
-    lambda_m = hbar dk^2 Omega^2 / (2 M (mu^2 - omega_m^2)), from the
-    weights and the resonance check of ion_couplings; the matching
-    eigenvectors are the mode profiles themselves.
-    """
-    return _prefactor(cfg) * _mode_weights(cfg, modes)
-
-
 def _alpha_fitter(n: int):
     """fit_alpha for n-ion couplings, with its least-squares design built
     once: np.polyfit's column-scaled Vandermonde matrix of log |i-j| and

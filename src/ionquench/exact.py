@@ -19,20 +19,18 @@ hands out the block of a pattern, built on first use.  The block
 sigma^z table, its only (dim x N) table, formed one site at a time;
 no 2^N matrix or table is formed.  A parity block is kept in its
 Walsh-Hadamard form (_IsingBlock), an XY block as its field diagonal
-and coupling entries (_TripletBlock).  Both keep the coupling part X
-apart from the field diagonal D, so a noise draw J -> s J is the
-operator s X + D (``stack`` for dense blocks, ``scaled`` for
-one op) and holds the same floats s J_ij as a model rebuilt from the
-scaled couplings.
+and coupling entries (_TripletBlock).  Both hand out their coupling
+entries apart from the field diagonal, so a noise draw J -> s J holds
+the same floats s J_ij as a model rebuilt from the scaled couplings.
 
 ``evolve_draws`` is the one quench path, and ``HamiltonianRep.dense``
 (the rep's dimension, not the block's, is at most DENSE_CAP) alone
-picks its propagator.
-A dense block is diagonalised once per stack of draws; the scale 1.0
-spectrum is cached and also serves ``diagonal_ensemble`` and
-``level_gaps``.  When J is inversion symmetric (within _MIRROR_RTOL of
-|J| max), H commutes with the chain inversion and each spectrum is kept
-in its mirror-even and mirror-odd halves, which are never merged.  Above
+picks its propagator.  A dense block is diagonalised once per stack of
+draws; the scale 1.0 spectrum is cached and also serves
+``diagonal_ensemble`` and ``level_gaps``.  When J is inversion
+symmetric (within _MIRROR_RTOL of |J| max), H commutes with the chain
+inversion and each spectrum is kept in its mirror-even and mirror-odd
+halves, never merged, each filled from the entries in turn.  Above
 the cap the diagonal ensemble and the level gaps raise SizeError, and
 evolution runs one real Chebyshev expansion of exp(-i H t) inside the
 block (method "krylov"), holding a few recurrence rows
@@ -71,19 +69,6 @@ _DRAW_CHUNK = 2**15       # amplitudes per chunk of noise draws,
                           # Chebyshev rows or dx signs
 _COEFFICIENT_CHUNK = 8    # times per slice of the Chebyshev coefficient tables
 _UNIFORM_ULPS = 4         # drift of a uniform grid, in ulps of max |t|
-
-
-def _dense_stack(scales: np.ndarray, dz: np.ndarray, rows: np.ndarray,
-                 cols: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The dense blocks s X + diag(dz), one per scale s, as an (S, dim,
-    dim) stack; X holds the coupling values at (rows, cols), indices and
-    values broadcast together.  Entries are added into zeros, so a field
-    of -0.0 reads 0.0."""
-    b = np.arange(dz.size)
-    out = np.zeros((len(scales), dz.size, dz.size))
-    out[:, b, b] += dz
-    out[:, rows, cols] += np.multiply.outer(scales, values)
-    return out
 
 
 def _hadamard(bits: int) -> np.ndarray:
@@ -143,12 +128,11 @@ class _IsingBlock:
         b = (bits - a) // 2
         return _hadamard(a), _hadamard(b), _hadamard(bits - a - b)
 
-    def stack(self, scales: np.ndarray) -> np.ndarray:
-        """The dense blocks (see _dense_stack): pair (i, j) puts J_ij at
-        every entry (b, b ^ mask)."""
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The coupling entries (rows, cols, values), broadcast together:
+        pair (i, j) puts J_ij at every entry (b, b ^ mask)."""
         b = np.arange(self.dim)[:, None]
-        return _dense_stack(scales, self.dz, b, b ^ self.masks,
-                            self.values[None])
+        return b, b ^ self.masks, self.values
 
     def product(self, centre: float, half: float):
         """The product (v, out) -> out = (H - centre) v / half of real
@@ -196,10 +180,9 @@ class _TripletBlock:
         """The block with couplings s J_ij."""
         return _TripletBlock(self.dz, self.rows, self.cols, s * self.values)
 
-    def stack(self, scales: np.ndarray) -> np.ndarray:
-        """The dense blocks (see _dense_stack)."""
-        return _dense_stack(scales, self.dz, self.rows, self.cols,
-                            self.values)
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The coupling entries (rows, cols, values)."""
+        return self.rows, self.cols, self.values
 
     def product(self, centre: float, half: float):
         """The product (v, out) -> out = (H - centre) v / half of real
@@ -231,7 +214,7 @@ class Sector:
     """One block of a HamiltonianRep that dynamics never leave.
 
     states are the block's basis states as ascending bitmasks (bit i-1
-    set when site i is up), op the block's operator (stack, product,
+    set when site i is up), op the block's operator (entries, product,
     bounds, scaled) and zmat the matching (dim, n_ions) table of sigma^z
     eigenvalues (+-1).  mirror maps each block index to that of its
     chain-inverted state, or is None when H does not commute with the
@@ -263,11 +246,33 @@ class Sector:
         return np.flatnonzero(mirror == own), lo, mirror[lo]
 
     @cached_property
+    def half_maps(self) -> tuple:
+        """Per mirror half, what _half_eigh fills it from: its size, its
+        f part's size, dz and two (int32 flat index, value) maps."""
+        f, lo, hi = self.halves
+        nf, ne, dim = f.size, f.size + lo.size, self.dimension
+        where = np.empty(dim, dtype=np.int64)  # even index, hi as R hi
+        where[f] = np.arange(nf)
+        where[lo] = where[hi] = np.arange(nf, ne)
+        is_hi = np.isin(np.arange(dim), hi)
+        rows, cols, values = np.broadcast_arrays(*self.op.entries())
+        r, c, to_hi = where[rows], where[cols], is_hi[cols]
+        own = ~is_hi[rows] & ~to_hi
+        cross = ~is_hi[rows] & to_hi & (r >= nf)
+        return tuple(
+            (n, split, self.op.dz[states],
+             [(((r[k] - off) * n + c[k] - off).astype(np.int32),
+               sign * values[k]) for k, sign in ((inner, 1.0), (cross, pm))])
+            for n, split, states, off, inner, pm in (
+                (ne, nf, np.concatenate((f, lo)), 0, own, 1.0),
+                (lo.size, 0, lo, nf, own & (r >= nf) & (c >= nf), -1.0)))
+
+    @cached_property
     def half_spectrum(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """The even and odd (eigenvalues, eigenvectors) of the block: the
         half spectra of scale 1, since 1.0 J == J."""
         halves = tuple((evals[0], evecs[0]) for evals, evecs
-                       in _half_eigh(self.op, np.ones(1), *self.halves))
+                       in _half_eigh(np.ones(1), self.half_maps))
         for evals, evecs in halves:
             evals.setflags(write=False)
             evecs.setflags(write=False)
@@ -277,15 +282,13 @@ class Sector:
                      ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """The even and odd halves' eigenvalues (S, n), ascending, and
         eigenvectors (S, n, n) of the block with J -> s J for each s in
-        scales, from one stacked eigh per half (see _half_eigh).  Each
-        slice equals the half spectra of the block rebuilt from the
-        scaled couplings, bit for bit: the entries s J_ij are the same
-        floats.  So scales of exactly [1.0] take the cached
-        half_spectrum, stacked."""
+        scales (see _half_eigh).  Each slice equals the half spectra of
+        the block rebuilt from the scaled couplings, bit for bit, so
+        scales of exactly [1.0] take the cached half_spectrum."""
         if np.array_equal(scales, [1.0]):
             return tuple((evals[None], evecs[None])
                          for evals, evecs in self.half_spectrum)
-        return _half_eigh(self.op, scales, *self.halves)
+        return _half_eigh(scales, self.half_maps)
 
     def half_coords(self, idx0s) -> tuple[np.ndarray, np.ndarray]:
         """The block's basis states idx0s in the half bases, as rows
@@ -316,15 +319,7 @@ class Sector:
                 self.zmat[lo] - self.zmat[hi])
 
 
-def _eigh(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh of a stack; a stack of empty halves takes none."""
-    if stack.shape[-1] == 0:
-        return np.zeros(stack.shape[:-1]), stack
-    return np.linalg.eigh(stack)
-
-
-def _half_eigh(op: _IsingBlock | _TripletBlock, scales: np.ndarray,
-               f: np.ndarray, lo: np.ndarray, hi: np.ndarray
+def _half_eigh(scales: np.ndarray, maps: tuple
                ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Stacked eigh of blocks through their two mirror halves.
 
@@ -335,24 +330,26 @@ def _half_eigh(op: _IsingBlock | _TripletBlock, scales: np.ndarray,
         H+ = [[H_ff, sqrt2 H_fl], [sqrt2 H_lf, H_ll + H_lh]],
         H- = H_ll - H_lh,
 
-    formed from the scaled blocks op.stack(scales), so the sqrt2 entries
-    round as in a rebuilt block.  A block without a mirror is its own
-    even half, uncopied, and its empty odd half takes no eigh.  The
-    dense stack is freed once the halves are formed, so the peak stays
-    near that of one unsplit eigh.
+    one per scale s, filled into zeros from the block's entries
+    (Sector.half_maps): dz, s J among f and lo, then +-s J of the (lo,
+    hi) entries at (lo, R hi), so each entry rounds as in a rebuilt
+    block; H+'s (f, lo) part is then scaled by sqrt2 and H_lf set to its
+    transpose.  No hi row or whole block is formed, and H+ is dropped
+    before H- is built.  A block without a mirror is its own even half.
     """
-    nf, even_states = f.size, np.concatenate((f, lo))
-    hmat = op.stack(scales)
-    h_lh = hmat[:, lo[:, None], hi]
-    odd = hmat[:, lo[:, None], lo] - h_lh
-    even = (hmat if nf == op.dim
-            else hmat[:, even_states[:, None], even_states])
-    del hmat
-    even[:, :nf, nf:] *= np.sqrt(2.0)
-    even[:, nf:, :nf] = even[:, :nf, nf:].transpose(0, 2, 1)
-    even[:, nf:, nf:] += h_lh
-    del h_lh
-    return _eigh(even), _eigh(odd)
+    halves = []
+    for n, split, dz, entries in maps:
+        half = np.zeros((scales.size, n, n))
+        flat = half.reshape(scales.size, -1)
+        flat[:, ::n + 1] += dz
+        for idx, values in entries:
+            flat[:, idx] += np.multiply.outer(scales, values)
+        half[:, :split, split:] *= np.sqrt(2.0)
+        half[:, split:, :split] = half[:, :split, split:].transpose(0, 2, 1)
+        halves.append(np.linalg.eigh(half) if n
+                      else (np.zeros((scales.size, 0)), half))
+        del half, flat
+    return tuple(halves)
 
 
 @dataclass(frozen=True)
@@ -391,15 +388,8 @@ class HamiltonianRep:
         half_width, the half-width of the block's spectral bounds;
         before the block exists _half_width_floor(scale) takes its
         place, a lower bound on R for every draw J -> s J with s >=
-        scale.  Sizes are Python ints: 2^99 states do not overflow.
-
-        At the boundaries (CLI default power-law chain, one BLAS thread,
-        2 vCPU), _FLOAT_BUDGET = 2^26 floats (512 MiB) admits N = 21 at
-        1/J_max with 5 times (5.7e7 floats: 45 s, 393 MB peak RSS; N =
-        20: 11 s, 230 MB) and C(18, 9) with 2 times (3.8e7: 1.4 s, 320
-        MB), and refuses N = 22 (1.1e8) and C(19, 9) (7.9e7).
-        _WORK_BUDGET = 2^32 admits N = 18 at 25/J_max with 60 times (2
-        chunks, 2.0e9: 45 s) and refuses N = 19 there (7.9e9).
+        scale.  Sizes are Python ints: 2^99 states do not overflow.  The
+        README gives the budgets' boundaries on the CLI's default chain.
         """
         n, k = self.n_ions, self.k_excitations
         dim = self.dimension // 2 if k is None else self.dimension
@@ -412,7 +402,7 @@ class HamiltonianRep:
         floats = (dim * (2 * n + _chebyshev_rows(dim, held)) + entries
                   + held * (2 * dim + reach))
         work = -(-len(times) // step) * dim * reach
-        if floats > _FLOAT_BUDGET or work > _WORK_BUDGET:
+        if not (floats <= _FLOAT_BUDGET and work <= _WORK_BUDGET):  # NaN too
             raise SizeError(f"{'parity' if k is None else 'XY'} sector of "
                             f"{dim} states: {floats:.3g} floats and {work:.3g}"
                             f" Chebyshev expansion updates over {len(times)}"
@@ -431,12 +421,15 @@ class HamiltonianRep:
         sector also spread over at least m = 2 floor((N - 1) / 2), so its
         field energies B (2 popcount - N) span 2 |B| m and R >= |B| m.
         """
-        n, k, j = self.n_ions, self.k_excitations, self.j_script
-        s2 = scale**2 * float((j**2).sum() - (np.diag(j)**2).sum())
+        n, k = self.n_ions, self.k_excitations
+        j = np.abs(self.j_script[~np.eye(n, dtype=bool)])
+        top = float(j.max(initial=0.0))
+        # scale sqrt(S) without forming J_ij^2, which may overflow
+        root = scale * top * float(np.linalg.norm(j / top)) if top else 0.0
         if k is None:
             return max(abs(self.b_field) * 2 * ((n - 1) // 2),
-                       math.sqrt(s2 / 2.0))
-        return math.sqrt(s2 * k * (n - k) / (n * (n - 1))) if n > 1 else 0.0
+                       root / math.sqrt(2.0))
+        return root * math.sqrt(k * (n - k) / (n * (n - 1))) if n > 1 else 0.0
 
     @property
     def dimension(self) -> int:

@@ -41,10 +41,6 @@ class ExcitationPattern:
             n[i - 1] = 1.0
         return n
 
-    def sz(self) -> np.ndarray:
-        """Initial <sigma^z_i> values, exactly +-1."""
-        return 2.0 * self.occupations() - 1.0
-
 
 def _location_weights(n: int) -> np.ndarray:
     """Signed distance of each site from the chain center, in [-1, 1]."""
@@ -75,10 +71,6 @@ class QuenchTrace:
     def __post_init__(self):
         for name in ("times", "sz", "c_series", "c_cumulative", "n_excitations"):
             getattr(self, name).setflags(write=False)
-
-    @property
-    def n_sites(self) -> int:
-        return self.sz.shape[1]
 
 
 def assemble_trace(times: np.ndarray, sz: np.ndarray) -> QuenchTrace:

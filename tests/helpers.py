@@ -1,13 +1,15 @@
 """Shared oracles for the test suite.
 
 Everything here is an independent reference implementation: dense
-Pauli-product Hamiltonians, a truncated-Fock boson propagator, the
-spin-wave Heisenberg propagator at one time, closed-form cosine phonon
-modes, the location observable C of one magnetization row, mirrored
-patterns, Poisson-binomial conditionals, a whole-array shot readout and
-a noise average over rebuilt models, all built from first principles so
-the package code can be checked against them.  ``evolve``, one exact
-quench as a trace, is the package's quench at the single draw s = 1.
+Pauli-product Hamiltonians, a block as one dense matrix, a
+truncated-Fock boson propagator, the spin-wave Heisenberg propagator at
+one time, closed-form cosine phonon modes, the location observable C of
+one magnetization row, initial and mirrored patterns, the coupling
+eigenvalue of each phonon mode, Poisson-binomial conditionals, a
+whole-array shot readout and a noise average over rebuilt models, all
+built from first principles so the package code can be checked against
+them.  ``evolve``, one exact quench as a trace, is the package's quench
+at the single draw s = 1.
 """
 
 import math
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.constants import hbar
 
 from ionquench.exact import _chebyshev_order, evolve_draws
 from ionquench.observables import ExcitationPattern, assemble_trace
@@ -157,6 +160,16 @@ def one_shot_chebyshev_coefficients(z, order: int):
     return even, odd
 
 
+def dense_block(op) -> np.ndarray:
+    """A block operator as one dense matrix: its field diagonal and its
+    coupling entries (op.entries()), each added into zeros."""
+    h = np.zeros((op.dim, op.dim))
+    h[np.arange(op.dim), np.arange(op.dim)] += op.dz
+    rows, cols, values = op.entries()
+    h[rows, cols] += values
+    return h
+
+
 def block_product(op, v: np.ndarray) -> np.ndarray:
     """H v of a real v by the block's own product at centre 0 and
     half-width 1."""
@@ -215,6 +228,11 @@ def noise_average(run, times, model, n_samples: int) -> list:
 
 # -- patterns, the location observable and phonon modes --------------------
 
+def pattern_sz(pattern: ExcitationPattern) -> np.ndarray:
+    """Initial <sigma^z_i> of a pattern, exactly +-1."""
+    return 2.0 * pattern.occupations() - 1.0
+
+
 def mirrored(pattern: ExcitationPattern) -> ExcitationPattern:
     """The pattern reflected through the chain centre, site i to N + 1 - i."""
     n = pattern.n_ions
@@ -231,6 +249,14 @@ def observable_c(sz) -> float:
         raise ValueError("observable needs at least 2 sites")
     weights = (2.0 * np.arange(1, n + 1) - n - 1.0) / (n - 1.0)
     return float(np.dot(weights, (sz + 1.0) / 2.0))
+
+
+def mode_lambdas(cfg, modes) -> np.ndarray:
+    """The eigenvalues of the couplings J of a trap, one per phonon mode:
+    lambda_m = hbar dk^2 Omega^2 / (2 M (mu^2 - omega_m^2)), the mode
+    profiles being the matching eigenvectors."""
+    return (hbar * cfg.delta_k**2 * cfg.rabi**2 / (2.0 * cfg.mass)
+            / (cfg.mu**2 - modes.frequencies**2))
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,10 @@ from scipy.constants import hbar
 import ionquench.constants
 
 from conftest import make_trap_config, make_trap_couplings
+from helpers import mode_lambdas
 from ionquench.config import load_config
 from ionquench.coupling import (CouplingMatrix, effective_potential,
-                                eigen_spectrum_lambda, fit_alpha,
-                                ion_couplings, power_law_couplings,
+                                fit_alpha, ion_couplings, power_law_couplings,
                                 scale_rabi_for_jmax, tune_mu_for_alpha)
 from ionquench.errors import ResonanceError
 from ionquench.lattice import exact_modes
@@ -96,7 +96,7 @@ def test_mode_lambdas_are_coupling_eigenvalues():
     cfg = make_trap_config(6)
     modes = exact_modes(cfg)
     jm = ion_couplings(cfg, modes)
-    lams = np.sort(eigen_spectrum_lambda(cfg, modes))
+    lams = np.sort(mode_lambdas(cfg, modes))
     evals = np.sort(np.linalg.eigvalsh(jm.j))
     assert np.abs(lams - evals).max() < 1e-9 * np.abs(evals).max()
 
@@ -116,16 +116,14 @@ def test_constants_are_the_scipy_values():
                 == getattr(scipy.constants, name))
 
 
-def test_lambdas_share_the_resonance_check_of_the_couplings():
-    """mu = omega_2 (1 + 7e-7) lies within RESONANCE_RTOL of the mode;
-    both functions apply the one check |mu - omega_m| <= 1e-6 omega_m."""
+def test_mu_within_the_resonance_tolerance_is_rejected():
+    """mu = omega_2 (1 + 7e-7) lies within RESONANCE_RTOL of the mode:
+    the check is |mu - omega_m| <= 1e-6 omega_m."""
     cfg = make_trap_config(5)
     modes = exact_modes(cfg)
     near = replace(cfg, mu=float(modes.frequencies[1]) * (1.0 + 7e-7))
     with pytest.raises(ResonanceError):
         ion_couplings(near, modes)
-    with pytest.raises(ResonanceError):
-        eigen_spectrum_lambda(near, modes)
 
 
 def test_resonant_mu_rejected():

@@ -1,21 +1,23 @@
 import math
 import time
 import tracemalloc
+import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy.special import jv
 
-from helpers import (B_FIELD, JMAX, dense_ising_oracle, dense_sz_dynamics,
-                     dense_xy_oracle, energy_expectation, evolve,
-                     excitation_drift, one_shot_chebyshev_coefficients,
-                     product_state)
+from helpers import (B_FIELD, JMAX, dense_block, dense_ising_oracle,
+                     dense_sz_dynamics, dense_xy_oracle, energy_expectation,
+                     evolve, excitation_drift, one_shot_chebyshev_coefficients,
+                     pattern_sz, product_state)
 from ionquench.cli import main
 from ionquench.coupling import CouplingMatrix, power_law_couplings
 from ionquench.errors import SectorError, SizeError
-from ionquench.exact import (_CHEBYSHEV_TAIL, _chebyshev_coefficients,
-                             _chebyshev_order, build_full_ising, build_xy_sector,
+from ionquench.exact import (_CHEBYSHEV_TAIL, HamiltonianRep,
+                             _chebyshev_coefficients, _chebyshev_order,
+                             build_full_ising, build_xy_sector,
                              default_time_grid, diagonal_ensemble,
                              evolve_draws)
 from ionquench.observables import ExcitationPattern
@@ -43,7 +45,7 @@ def test_full_matrix_matches_kron_oracle(n):
     assert np.all(ref[np.ix_(even, odd)] == 0.0)
     for block in blocks:
         idx = block.states
-        dense = block.op.stack(np.ones(1))[0]
+        dense = dense_block(block.op)
         assert np.abs(dense - ref[np.ix_(idx, idx)]).max() == 0.0
 
 
@@ -54,7 +56,7 @@ def test_xy_sector_matches_restricted_oracle():
     ref = dense_xy_oracle(jm.j_script, B_FIELD)
     masks = h.block(0).states
     assert h.dimension == math.comb(n, k)
-    block = h.block(0).op.stack(np.ones(1))[0]
+    block = dense_block(h.block(0).op)
     assert np.abs(block - ref[np.ix_(masks, masks)]).max() < 1e-9
     expect = sorted(sum(1 << i for i in c) for c in combinations(range(n), k))
     assert list(masks) == expect
@@ -65,7 +67,7 @@ def test_single_excitation_sector_is_hopping_matrix():
     jm = power_law_couplings(n, JMAX, 0.55)
     h = build_xy_sector(jm, B_FIELD, 1)
     expect = jm.j_script + B_FIELD * (2.0 - n) * np.eye(n)
-    assert np.abs(h.block(0).op.stack(np.ones(1))[0] - expect).max() == 0.0
+    assert np.abs(dense_block(h.block(0).op) - expect).max() == 0.0
 
 
 @pytest.mark.parametrize("sites", [(1,), (1, 3)])
@@ -219,7 +221,7 @@ def test_krylov_zero_width_block_is_a_pure_phase(monkeypatch):
     pattern = ExcitationPattern(5, (2, 5))
     trace = evolve(h, pattern, np.linspace(0.0, 3.0, 4))
     assert not h.dense
-    assert np.array_equal(trace.sz, np.tile(pattern.sz(), (4, 1)))
+    assert np.array_equal(trace.sz, np.tile(pattern_sz(pattern), (4, 1)))
 
 
 def test_auto_method_respects_dense_cap(monkeypatch):
@@ -324,6 +326,21 @@ def test_size_rule_admits_and_refuses(no_enumeration, model, n, k,
     else:
         with pytest.raises(SizeError):
             check()
+
+
+def test_size_rule_refuses_overflowing_couplings():
+    """Couplings near 1e304 overflow J_ij^2.  The floor on R stays finite,
+    so a 2^29-state parity sector is refused when the rep is made, with
+    no RuntimeWarning, and N = 5 with the same couplings is admitted."""
+    def rep(n):
+        j = power_law_couplings(n, 1e304, 0.55).j_script
+        return HamiltonianRep(n_ions=n, b_field=1.0, j_script=j)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SizeError):
+            rep(30)
+        rep(5).check_size(np.array([0.0]))
 
 
 @pytest.mark.parametrize("model, n, k, field", [

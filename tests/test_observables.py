@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import mirrored, observable_c
+from helpers import mirrored, observable_c, pattern_sz
 from ionquench.observables import ExcitationPattern, assemble_trace
 
 
@@ -20,7 +20,7 @@ def test_pattern_sorted_unique_in_range():
 def test_pattern_vectors():
     p = ExcitationPattern(5, (1, 4))
     assert np.array_equal(p.occupations(), [1, 0, 0, 1, 0])
-    assert np.array_equal(p.sz(), [1, -1, -1, 1, -1])
+    assert np.array_equal(pattern_sz(p), [1, -1, -1, 1, -1])
     assert ExcitationPattern(5, ()).occupations().sum() == 0
 
 
@@ -34,9 +34,9 @@ def test_pattern_mirror():
 
 def test_observable_c_edges_and_center():
     # single excitation at the edges maps to -1 and +1 exactly
-    assert observable_c(ExcitationPattern(7, (1,)).sz()) == pytest.approx(-1.0)
-    assert observable_c(ExcitationPattern(7, (7,)).sz()) == pytest.approx(+1.0)
-    assert observable_c(ExcitationPattern(7, (4,)).sz()) == pytest.approx(0.0)
+    for site, c in ((1, -1.0), (7, +1.0), (4, 0.0)):
+        sz = pattern_sz(ExcitationPattern(7, (site,)))
+        assert observable_c(sz) == pytest.approx(c)
     # all spins down carries no excitation anywhere
     assert observable_c(-np.ones(7)) == pytest.approx(0.0)
 
@@ -59,7 +59,7 @@ def test_assemble_trace_running_mean_and_count():
     assert tr.c_series == pytest.approx([-1.0, 1.0, -1.0])
     assert tr.c_cumulative == pytest.approx([-1.0, 0.0, -1.0 / 3.0])
     assert tr.n_excitations == pytest.approx([1.0, 1.0, 1.0])
-    assert tr.n_sites == 2
+    assert tr.sz.shape == (3, 2)
     with pytest.raises(ValueError):
         assemble_trace(times, sz[:2])
 

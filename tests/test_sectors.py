@@ -18,11 +18,11 @@ import pytest
 import ionquench.cli as cli
 import ionquench.exact as exact
 from helpers import (B_FIELD, JMAX, block_product,
-                     complex_table_chebyshev_states,
+                     complex_table_chebyshev_states, dense_block,
                      dense_ising_oracle, dense_sz_dynamics, dense_xy_oracle,
                      direct_trig_dense_sz, energy_expectation,
                      evolve, hadamard_form_product, mirrored,
-                     noise_average, product_state)
+                     noise_average, pattern_sz, product_state)
 from ionquench.cli import main
 from ionquench.config import load_config
 from ionquench.coupling import CouplingMatrix, power_law_couplings
@@ -104,7 +104,7 @@ def merged_spectrum(block):
 def assert_block_matches_oracle(block, ref):
     """Every entry of the block against the 2^N oracle restricted to it:
     couplings exactly, the field to the rounding of the oracle's sum."""
-    dense = block.op.stack(np.ones(1))[0]
+    dense = dense_block(block.op)
     expect = ref[np.ix_(block.states, block.states)]
     off = ~np.eye(block.dimension, dtype=bool)
     assert np.abs(dense - expect)[off].max(initial=0.0) == 0.0
@@ -128,7 +128,7 @@ def test_full_model_is_hermitian_and_parity_block_diagonal(n):
                           np.arange(2**n))
     assert np.all(ref[np.ix_(even.states, odd.states)] == 0.0)
     for block in (even, odd):
-        dense = block.op.stack(np.ones(1))[0]
+        dense = dense_block(block.op)
         assert np.array_equal(dense, dense.T)
         assert_block_matches_oracle(block, ref)
 
@@ -144,7 +144,7 @@ def test_sector_holds_the_pattern_parity(n):
     assert block is h.block(pattern.n_excitations % 2)
     assert_block_matches_oracle(block, dense_ising_oracle(jm.j_script,
                                                           b_field))
-    assert np.array_equal(block.zmat[local], pattern.sz())
+    assert np.array_equal(block.zmat[local], pattern_sz(pattern))
 
 
 @pytest.mark.parametrize("case", ["random", "mirror"])
@@ -178,7 +178,7 @@ def test_block_product_and_bounds_match_the_oracle(n, case):
 @pytest.mark.parametrize("n", SIZES)
 def test_scaled_block_equals_the_rebuilt_block(model, n):
     """op.scaled(s) holds the floats s J_ij of a block rebuilt from the
-    scaled couplings: its stack, bounds and product match bit for bit."""
+    scaled couplings: its entries, bounds and product match bit for bit."""
     jm, b_field, _ = random_case(n)
     pattern = ExcitationPattern(n, tuple(range(1, n // 2 + 1)))
     block, _ = build(model, jm, b_field, pattern).sector(pattern)
@@ -187,7 +187,9 @@ def test_scaled_block_equals_the_rebuilt_block(model, n):
         op = block.op.scaled(s)
         rebuilt = build(model, jm.scaled(s), b_field, pattern).sector(
             pattern)[0].op
-        assert np.array_equal(op.stack(np.ones(1)), rebuilt.stack(np.ones(1)))
+        assert np.array_equal(op.dz, rebuilt.dz)
+        for got, want in zip(op.entries(), rebuilt.entries()):
+            assert np.array_equal(got, want)
         assert op.bounds() == rebuilt.bounds()
         lo, hi = op.bounds()
         for centre, half in ((0.0, 1.0), ((hi + lo) / 2.0, (hi - lo) / 4.0)):
@@ -254,10 +256,10 @@ def test_chebyshev_states_with_the_fewest_rows(monkeypatch, model):
 
 
 def test_krylov_builds_no_dense_block(monkeypatch):
-    def refuse(self, scales):
+    def refuse(*args):
         raise AssertionError("dense block built on the Krylov path")
 
-    monkeypatch.setattr(_IsingBlock, "stack", refuse)
+    monkeypatch.setattr(exact, "_half_eigh", refuse)
     monkeypatch.setattr("ionquench.exact.DENSE_CAP", 0)
     jm, b_field, pattern = random_case(8)
     times = np.linspace(0.0, 2.0 / JMAX, 4)
@@ -395,7 +397,7 @@ def mirror_case(n, uniform=False):
 def unsplit_reference(block, local):
     """Spectrum, level energies, level weights and diagonal ensemble from
     one eigh of the whole block; levels group at 1e-9 of the spread."""
-    evals, evecs = np.linalg.eigh(block.op.stack(np.ones(1))[0])
+    evals, evecs = np.linalg.eigh(dense_block(block.op))
     spread = max(evals[-1] - evals[0], abs(evals[-1]), 1e-300)
     levels = np.split(np.arange(evals.size),
                       np.flatnonzero(np.diff(evals) > 1e-9 * spread) + 1)
@@ -498,6 +500,23 @@ def test_dense_memory_stays_within_the_halves():
     assert cached < 8 * dim**2
 
 
+def test_first_half_spectrum_stays_below_one_dense_block():
+    """The first half_spectrum of an N = 11 block (1024 states) peaks
+    below one dense (dim, dim) float block of traced memory: its halves
+    are filled from the block's entries one at a time, and no whole
+    block is formed."""
+    h = build_full_ising(power_law_couplings(11, JMAX, 0.55), 10.0 * JMAX)
+    block = h.block(0)
+    tracemalloc.start()
+    try:
+        block.half_spectrum
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.dimension == 1024
+    assert peak < 8 * block.dimension**2
+
+
 @pytest.mark.parametrize("model", ["full", "xy"])
 @pytest.mark.parametrize("n", [5, 6])
 def test_degenerate_levels_straddle_the_mirror_halves(model, n):
@@ -528,7 +547,7 @@ def test_asymmetric_couplings_fall_back_to_one_eigh(model, n, eigh_sizes):
     assert block.mirror is None
     spectrum = merged_spectrum(block)
     assert eigh_sizes == [block.dimension]
-    evals, evecs = np.linalg.eigh(block.op.stack(np.ones(1))[0])
+    evals, evecs = np.linalg.eigh(dense_block(block.op))
     assert np.array_equal(spectrum[0], evals)
     assert np.array_equal(spectrum[1], evecs)
 

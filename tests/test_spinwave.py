@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import (B_FIELD, JMAX, fock_boson_hamiltonian,
-                     fock_occupation_dynamics, observable_c, propagator)
+                     fock_occupation_dynamics, observable_c, pattern_sz,
+                     propagator)
 from ionquench.coupling import CouplingMatrix, power_law_couplings
 from ionquench.errors import SectorError, SimulationError, StabilityError
 from ionquench.observables import ExcitationPattern, assemble_trace
@@ -221,4 +222,4 @@ def test_batched_evolution_matches_propagator_loop(n):
             ref = _propagator_loop(sys, pattern, times)
             assert sz.shape == ref.shape
             assert np.abs(sz - ref).max() < 1e-12
-        assert np.abs(sz[0] - pattern.sz()).max() < 1e-12
+        assert np.abs(sz[0] - pattern_sz(pattern)).max() < 1e-12

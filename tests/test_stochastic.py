@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (B_FIELD, JMAX, conditional_marginals, postselected,
-                     whole_array_shots)
+from helpers import (B_FIELD, JMAX, conditional_marginals, pattern_sz,
+                     postselected, whole_array_shots)
 from ionquench import stochastic
 from ionquench.coupling import power_law_couplings
 from ionquench.errors import EmptySelectionError
@@ -79,7 +79,7 @@ def fixed_sz(sz):
 
 def own_sz(patterns):
     """Dynamics that leave every pattern as it was prepared."""
-    return np.array([pat.sz() for pat in patterns])
+    return np.array([pattern_sz(pat) for pat in patterns])
 
 
 def gathered(pattern, run_to_sz, model, n_shots):
@@ -164,7 +164,7 @@ def test_shots_match_per_shot_scalar_oracle():
     pattern = ExcitationPattern(5, (1, 3, 4))
 
     def run(patterns):
-        return np.array([0.7 * pat.sz()
+        return np.array([0.7 * pattern_sz(pat)
                          + 0.2 * np.sin(np.arange(5.0) + sum(pat.flipped))
                          for pat in patterns])
 
@@ -360,7 +360,7 @@ def test_pipeline_caches_dynamics_per_pattern():
 
     def run(patterns):
         calls.extend(pat.flipped for pat in patterns)
-        return np.tile(PATTERN.sz(), (len(patterns), 1))
+        return np.tile(pattern_sz(PATTERN), (len(patterns), 1))
 
     shot_blocks(PATTERN, run, model, 100)
     # empty corruptions short-circuit, successful ones run once
