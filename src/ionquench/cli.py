@@ -63,10 +63,10 @@ class _Dynamics:
 
     Patterns of one sector share one HamiltonianRep and so its cached
     spectrum: the full model for exact (both parity sectors), one rep
-    per excitation number for xy.  Spin waves keep the system of the
-    unscaled couplings.  A noise-free run is the draw s = 1.  Every
-    model returns the draw mean of its quenches, adding the draws in
-    draw order, so memory does not grow with the draw count.
+    per excitation number for xy.  Spin waves scale the one system of
+    the unscaled couplings per draw.  A noise-free run is the draw s = 1.
+    Every model returns the draw mean of its quenches, adding the draws
+    in draw order, so memory does not grow with the draw count.
     """
 
     def __init__(self, cfg: RunConfig, jm):
@@ -92,9 +92,8 @@ class _Dynamics:
         J -> s J and the largest norm error, None for spin waves.
 
         exact and xy run exact.evolve_draws on this model's reps; spin
-        waves build one SpinWaveSystem per draw (1.0 J == J, so the draw
-        s = 1 takes self.spinwave) and add its quench_sz to a total that
-        starts from zeros, as exact.evolve_draws does.
+        waves add the quench_sz of each self.spinwave.scaled(s) to a
+        total that starts from zeros, as exact.evolve_draws does.
         """
         if self.cfg.model != "spinwave":
             mean, err = evolve_draws([(self.rep(p), p) for p in patterns],
@@ -102,10 +101,7 @@ class _Dynamics:
             return mean, float(err.max())
         total = np.zeros((len(patterns), times.size, self.jm.n_ions))
         for s in scales:
-            total += quench_sz(self.spinwave if s == 1.0 else
-                               build_spinwave(self.jm.scaled(s),
-                                              self.cfg.b_field),
-                               patterns, times)
+            total += quench_sz(self.spinwave.scaled(s), patterns, times)
         return total / len(scales), None
 
 
@@ -183,7 +179,7 @@ def cmd_evolve(cfg: RunConfig, out: _OutDir) -> dict:
 
 def cmd_gge(cfg: RunConfig, out: _OutDir) -> dict:
     jm, _, _ = cfg.couplings()
-    sw = build_spinwave(jm, cfg.b_field)
+    sw = _Dynamics(cfg, jm).spinwave
     for pattern in cfg.patterns:
         tag = _pattern_tag(pattern)
         state = gge_state(sw, pattern)
@@ -207,10 +203,10 @@ def cmd_gaps(cfg: RunConfig, out: _OutDir) -> dict:
     fits = {}
     for alpha, jm in zip(cfg.alpha_grid, jms, strict=True):
         fits[str(alpha)] = jm.alpha_fit
-        gaps, weights = (
-            pair_gap_spectrum(build_spinwave(jm, cfg.b_field), pattern)
-            if cfg.model == "spinwave" else
-            level_gaps(_Dynamics(cfg, jm).rep(pattern), pattern))
+        dyn = _Dynamics(cfg, jm)
+        gaps, weights = (pair_gap_spectrum(dyn.spinwave, pattern)
+                         if cfg.model == "spinwave" else
+                         level_gaps(dyn.rep(pattern), pattern))
         gaps = gaps / jm.j_max
         blocks.append(np.stack(np.broadcast_arrays(alpha, gaps, weights)))
         heavy = gaps[weights > 1e-3]

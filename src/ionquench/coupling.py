@@ -70,21 +70,14 @@ class CouplingMatrix:
             raise ValueError("all off-diagonal couplings vanish")
         return cls(j=j, j_script=script, j_max=j_max, alpha_fit=alpha_fit)
 
-    def scaled(self, factor: float) -> "CouplingMatrix":
-        """Global rescale J -> factor * J (noise realizations use this)."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return CouplingMatrix(j=self.j * factor, j_script=self.j_script * factor,
-                              j_max=self.j_max * factor, alpha_fit=self.alpha_fit)
-
 
 def power_law_couplings(n: int, j_max: float, alpha: float) -> CouplingMatrix:
     """Idealized J_ij = j_max / |i-j|^alpha with an exactly zero diagonal."""
     if n < 2:
         raise ValueError("need at least 2 ions")
-    if j_max <= 0:
+    if not j_max > 0:
         raise ValueError("j_max must be positive")
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError("alpha must be non-negative")
     idx = np.arange(n)
     dist = np.abs(idx[:, None] - idx[None, :]).astype(float)
@@ -101,7 +94,7 @@ def _mode_weights(cfg: TrapConfig, modes: PhononModes) -> np.ndarray:
     |mu - omega_m| <= RESONANCE_RTOL omega_m for some mode.
     """
     freqs = modes.frequencies
-    if np.any(np.abs(cfg.mu - freqs) <= RESONANCE_RTOL * freqs):
+    if not np.all(np.abs(cfg.mu - freqs) > RESONANCE_RTOL * freqs):
         raise ResonanceError("mu lies on a transverse mode; detune the drive")
     return 1.0 / (cfg.mu**2 - freqs**2)
 
@@ -136,7 +129,7 @@ def _alpha_fitter(n: int):
 
     def fit(jm: CouplingMatrix) -> float:
         vals = jm.j_script[iu, ju]
-        if np.any(vals <= 0):
+        if not np.all(vals > 0):
             raise ValueError(
                 "off-diagonal couplings must be positive to fit alpha")
         slope = np.linalg.lstsq(lhs, np.log(vals), rcond)[0][0] / scale[0]

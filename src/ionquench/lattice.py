@@ -70,7 +70,7 @@ class TrapConfig:
             raise ValueError("need at least 2 ions")
         for name in ("omega_x", "omega_z", "mu", "rabi", "delta_k",
                      "mass", "charge", "spacing"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
     def coulomb_length(self) -> float:
@@ -190,7 +190,7 @@ def exact_modes(cfg: TrapConfig) -> PhononModes:
         k = _laplacian(np.abs(z[:, None] - z[None, :]) / cfg.coulomb_length())
     kappas, vecs = np.linalg.eigh(k)
     omega_sq = cfg.omega_x**2 - cfg.omega_z**2 * kappas
-    if np.any(omega_sq <= 0):
+    if not np.all(omega_sq > 0):
         raise StabilityError(
             "transverse mode frequency squared is not positive; "
             "reduce omega_z or stiffen omega_x"

@@ -57,19 +57,17 @@ class QuenchTrace:
 
     sz has shape (n_times, n_sites).  c_series is the mean excitation
     location C = sum_i [(2i - N - 1)/(N - 1)] (sz_i + 1)/2 of each row,
-    in [-1, 1] and negative when the excitation sits in the left half;
-    c_cumulative is its running mean over the sampled grid, and
-    n_excitations is the expected total up count per time.
+    in [-1, 1] and negative when the excitation sits in the left half,
+    and c_cumulative is its running mean over the sampled grid.
     """
 
     times: np.ndarray
     sz: np.ndarray
     c_series: np.ndarray
     c_cumulative: np.ndarray
-    n_excitations: np.ndarray
 
     def __post_init__(self):
-        for name in ("times", "sz", "c_series", "c_cumulative", "n_excitations"):
+        for name in ("times", "sz", "c_series", "c_cumulative"):
             getattr(self, name).setflags(write=False)
 
 
@@ -82,5 +80,4 @@ def assemble_trace(times: np.ndarray, sz: np.ndarray) -> QuenchTrace:
     p_up = (sz + 1.0) / 2.0
     c = p_up @ _location_weights(sz.shape[1])
     c_cum = np.cumsum(c) / np.arange(1, len(c) + 1)
-    n_exc = p_up.sum(axis=1)
-    return QuenchTrace(times, sz, c, c_cum, n_exc)
+    return QuenchTrace(times, sz, c, c_cum)

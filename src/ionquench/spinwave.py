@@ -11,6 +11,9 @@ theta_k = arctanh(nu_k / (nu_k + 2B)) / 2 diagonalizes each k into
 quasiparticles d_k of energy epsilon_k = 2 sqrt(B (B + nu_k)), whose
 occupations are conserved and fix the GGE.
 
+A noise draw J -> s J keeps the modes of build_spinwave's one eigh and
+scales each nu_k, so SpinWaveSystem.scaled(s) reruns only the rotation.
+
 The Heisenberg propagators are diagonal in the mode basis, so the quench
 dynamics need no N x N matrix per time: quench_sz evaluates the whole
 time grid at once from the flipped sites' rows of the mode profiles, in
@@ -46,29 +49,38 @@ class SpinWaveSystem:
     def n_ions(self) -> int:
         return self.modes.shape[0]
 
+    def scaled(self, s: float) -> SpinWaveSystem:
+        """The system of s J: the same modes, eigenvalues s nu_k."""
+        if not s > 0:
+            raise ValueError("scale factor must be positive")
+        return _quasiparticles(self.b_field, s * self.nus, self.modes)
 
-def build_spinwave(jm: CouplingMatrix, b_field: float) -> SpinWaveSystem:
-    """Diagonalize the hopping matrix and rotate to quasiparticles.
 
-    Raises StabilityError when B + nu_k <= 0 for some mode: there the
-    Bogoliubov rotation is undefined and the boson model unstable.
+def _quasiparticles(b_field: float, nus, modes) -> SpinWaveSystem:
+    """Rotate the hopping modes (nus, modes) at field B to quasiparticles.
+
+    Raises StabilityError unless B + nu_k > 0 for every mode: elsewhere
+    the Bogoliubov rotation is undefined and the boson model unstable.
     Raises SimulationError when B (B + nu_k) overflows an energy.
     """
-    if b_field <= 0:
-        raise ValueError("b_field must be positive")
-    nus, vecs = np.linalg.eigh(jm.j_script)
-    if np.any(b_field + nus <= 0):
-        raise StabilityError(
-            f"B + nu_min = {b_field + nus.min():.4e} <= 0; "
-            "boson model unstable at this field"
-        )
+    if not np.all(b_field + nus > 0):
+        raise StabilityError(f"B + nu_min = {b_field + nus.min():.4e} <= 0; "
+                             "boson model unstable at this field")
     thetas = 0.5 * np.arctanh(nus / (nus + 2.0 * b_field))
     with np.errstate(over="ignore"):
         epsilons = 2.0 * np.sqrt(b_field * (b_field + nus))
     if not np.isfinite(epsilons).all():
         raise SimulationError(f"B = {b_field:.4e} rad/s overflows an energy")
-    return SpinWaveSystem(b_field=b_field, nus=nus, modes=vecs,
+    return SpinWaveSystem(b_field=b_field, nus=nus, modes=modes,
                           thetas=thetas, epsilons=epsilons)
+
+
+def build_spinwave(jm: CouplingMatrix, b_field: float) -> SpinWaveSystem:
+    """Diagonalize the hopping matrix and rotate to quasiparticles."""
+    if not b_field > 0:
+        raise ValueError("b_field must be positive")
+    nus, vecs = np.linalg.eigh(jm.j_script)
+    return _quasiparticles(b_field, nus, vecs)
 
 
 def _check_pattern(sys: SpinWaveSystem, pattern: ExcitationPattern) -> np.ndarray:
@@ -93,7 +105,7 @@ def gge_lambdas(occupations: np.ndarray) -> np.ndarray:
     infinite multiplier, returned as +inf rather than tripping overflow.
     """
     occ = np.asarray(occupations, dtype=float)
-    if np.any(occ < 0):
+    if not np.all(occ >= 0):
         raise ValueError("occupations must be non-negative")
     out = np.full_like(occ, np.inf)
     pos = occ > 0

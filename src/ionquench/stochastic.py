@@ -47,8 +47,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.j_relative_sigma < 0:
-            raise ValueError("j_relative_sigma must be non-negative")
+        if not 0.0 <= self.j_relative_sigma < np.inf:
+            raise ValueError("j_relative_sigma must be finite and >= 0")
         if not 0.0 <= self.prep_flip_fidelity <= 1.0:
             raise ValueError("prep_flip_fidelity must be a probability")
         if not 0.0 <= self.detection_error <= 1.0:

@@ -4,7 +4,8 @@ Everything here is an independent reference implementation: dense
 Pauli-product Hamiltonians, a block as one dense matrix, a
 truncated-Fock boson propagator, the spin-wave Heisenberg propagator at
 one time, closed-form cosine phonon modes, the location observable C of
-one magnetization row, initial and mirrored patterns, the coupling
+one magnetization row and the excitation number of a trace, initial and
+mirrored patterns, the couplings s J of a noise draw, the coupling
 eigenvalue of each phonon mode, Poisson-binomial conditionals, a
 whole-array shot readout and a noise average over rebuilt models, all
 built from first principles so the package code can be checked against
@@ -19,6 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.constants import hbar
 
+from ionquench.coupling import CouplingMatrix
 from ionquench.exact import _chebyshev_order, evolve_draws
 from ionquench.observables import ExcitationPattern, assemble_trace
 from ionquench.stochastic import ShotCounts, noise_scales
@@ -197,9 +199,15 @@ def energy_expectation(h, psi: np.ndarray) -> float:
     return float(np.real(total))
 
 
+def excitation_number(trace) -> np.ndarray:
+    """The expected total up count sum_i (sz_i + 1) / 2 at each time."""
+    return ((trace.sz + 1.0) / 2.0).sum(axis=1)
+
+
 def excitation_drift(trace) -> float:
     """Largest excursion of the total excitation number from its start."""
-    return float(np.abs(trace.n_excitations - trace.n_excitations[0]).max())
+    n = excitation_number(trace)
+    return float(np.abs(n - n[0]).max())
 
 
 def evolve(h, pattern, times):
@@ -227,6 +235,14 @@ def noise_average(run, times, model, n_samples: int) -> list:
 
 
 # -- patterns, the location observable and phonon modes --------------------
+
+def scaled_couplings(jm: CouplingMatrix, factor: float) -> CouplingMatrix:
+    """The couplings of the noise draw J -> factor * J."""
+    if not factor > 0:
+        raise ValueError("scale factor must be positive")
+    return CouplingMatrix(j=jm.j * factor, j_script=jm.j_script * factor,
+                          j_max=jm.j_max * factor, alpha_fit=jm.alpha_fit)
+
 
 def pattern_sz(pattern: ExcitationPattern) -> np.ndarray:
     """Initial <sigma^z_i> of a pattern, exactly +-1."""

@@ -15,7 +15,8 @@ import pytest
 from helpers import (B_FIELD, JMAX, conditional_marginals,
                      detected_probability, evolve, excitation_drift,
                      fock_occupation_dynamics, mixture_conditional_truth,
-                     noise_average, observable_c, postselected, propagator)
+                     noise_average, observable_c, postselected, propagator,
+                     scaled_couplings)
 from ionquench.cli import main
 from ionquench.constants import elementary_charge
 from ionquench.coupling import effective_potential, power_law_couplings
@@ -90,7 +91,8 @@ def test_steep_decay_quench_relaxes_to_gge():
 
     model = NoiseModel(j_relative_sigma=0.12, seed=0)
     noisy = noise_average(
-        lambda scales: ([evolve(build_full_ising(jm.scaled(s), B_FIELD),
+        lambda scales: ([evolve(build_full_ising(scaled_couplings(jm, s),
+                                                 B_FIELD),
                                 pattern, times).sz] for s in scales),
         times, model, 128,
     )[0]
@@ -123,7 +125,8 @@ def test_soft_decay_quench_remembers_initial_side(trap55):
 
     model = NoiseModel(j_relative_sigma=0.12, seed=0)
     noisy = noise_average(
-        lambda scales: ([evolve(build_full_ising(trap55.scaled(s), B_FIELD),
+        lambda scales: ([evolve(build_full_ising(scaled_couplings(trap55, s),
+                                                 B_FIELD),
                                 ExcitationPattern(7, (1,)), times).sz]
                         for s in scales),
         times, model, 128,

@@ -263,6 +263,22 @@ class TestExitCodes:
         assert "rad/s overflows an energy" in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    def test_unstable_spin_wave_draw_is_3(self, tmp_path, capsys):
+        """At alpha = 0, nu_min = -J_max, so B = 1.02 J_max is stable for
+        J but not for a draw s > 1.02: the noisy run exits 3 and writes
+        no trace, while the noise-free run of the same chain succeeds."""
+        text = ("n_ions = 4\nmodel = spinwave\nalpha = 0\nb_khz = 0.612\n"
+                "patterns = 1\nn_times = 3\nseed = 5\n")
+        assert main(["evolve", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "free")]) == 0
+        noisy = write_config(tmp_path, text + "noise_samples = 16\n",
+                             "noisy.cfg")
+        assert max(noise_scales(load_config(noisy).noise_model(), 16)) > 1.02
+        out = tmp_path / "noisy"
+        assert main(["evolve", "--config", noisy, "--out", str(out)]) == 3
+        assert "boson model unstable" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize("where", ["file", "file/sub"])
     def test_out_that_cannot_be_created_is_2(self, tmp_path, capsys, where):
         (tmp_path / "file").write_text("")
@@ -408,6 +424,20 @@ class TestArtifacts:
             "--out", str(tmp_path / "free")]) == 0
         assert "diagnostics" not in json.loads(
             (tmp_path / "free" / "manifest.json").read_text())
+
+    def test_noisy_spin_wave_evolve_runs_one_eigh(self, tmp_path,
+                                                   monkeypatch):
+        """Every draw scales the one system of J, so a noisy power-law
+        spin-wave run diagonalizes J once, whatever its draw count."""
+        calls = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: (
+            calls.append(a.shape) or real(a, *args, **kw)))
+        cfg = write_config(tmp_path, BASE + "patterns = 1; 2,4\n"
+                           "noise_samples = 7\n")
+        assert main(["evolve", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert calls == [(4, 4)]
 
     def test_model_override_renames_traces(self, tmp_path):
         cfg = write_config(tmp_path, BASE)

@@ -12,13 +12,15 @@ from scipy.constants import hbar
 import ionquench.constants
 
 from conftest import make_trap_config, make_trap_couplings
-from helpers import mode_lambdas
+from helpers import mode_lambdas, scaled_couplings
 from ionquench.config import load_config
 from ionquench.coupling import (CouplingMatrix, effective_potential,
                                 fit_alpha, ion_couplings, power_law_couplings,
                                 scale_rabi_for_jmax, tune_mu_for_alpha)
 from ionquench.errors import ResonanceError
 from ionquench.lattice import exact_modes
+from ionquench.spinwave import build_spinwave, gge_lambdas
+from ionquench.stochastic import NoiseModel
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,11 +73,46 @@ def test_from_full_validation():
 
 def test_scaled_couplings():
     jm = power_law_couplings(4, 1.0, 1.0)
-    s = jm.scaled(2.5)
+    s = scaled_couplings(jm, 2.5)
     assert s.j_max == pytest.approx(2.5)
     assert np.allclose(s.j_script, 2.5 * jm.j_script)
     with pytest.raises(ValueError):
-        jm.scaled(0.0)
+        scaled_couplings(jm, 0.0)
+
+
+_NAN_ROWS = np.array([[0.0, math.nan, 1.0], [math.nan, 0.0, 1.0],
+                      [1.0, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: NoiseModel(j_relative_sigma=math.nan),
+                 id="noise-sigma-nan"),
+    pytest.param(lambda: NoiseModel(j_relative_sigma=math.inf),
+                 id="noise-sigma-inf"),
+    pytest.param(lambda: replace(make_trap_config(5), omega_x=math.nan),
+                 id="trap-omega-x-nan"),
+    pytest.param(lambda: power_law_couplings(4, math.nan, 1.0),
+                 id="power-law-j-max-nan"),
+    pytest.param(lambda: power_law_couplings(4, 1.0, math.nan),
+                 id="power-law-alpha-nan"),
+    pytest.param(lambda: fit_alpha(CouplingMatrix(_NAN_ROWS, _NAN_ROWS, 1.0)),
+                 id="fit-alpha-nan-coupling"),
+    pytest.param(lambda: gge_lambdas(np.array([0.5, math.nan])),
+                 id="gge-lambdas-nan"),
+    pytest.param(lambda: build_spinwave(power_law_couplings(4, 1.0, 1.0),
+                                        math.nan),
+                 id="spinwave-field-nan"),
+    pytest.param(lambda: build_spinwave(power_law_couplings(4, 1.0, 1.0),
+                                        10.0).scaled(math.nan),
+                 id="spinwave-scale-nan"),
+])
+def test_guards_refuse_non_finite_input(build):
+    """A NaN or infinite argument fails each guard with ValueError, as
+    a non-positive one does, instead of passing a comparison that NaN
+    makes False: a NaN noise sigma used to loop forever in the scale
+    draw, and an infinite one gave infinite scales."""
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_two_ion_coupling_closed_form():

@@ -11,7 +11,7 @@ from scipy.special import jv
 from helpers import (B_FIELD, JMAX, dense_block, dense_ising_oracle,
                      dense_sz_dynamics, dense_xy_oracle, energy_expectation,
                      evolve, excitation_drift, one_shot_chebyshev_coefficients,
-                     pattern_sz, product_state)
+                     pattern_sz, product_state, scaled_couplings)
 from ionquench.cli import main
 from ionquench.coupling import CouplingMatrix, power_law_couplings
 from ionquench.errors import SectorError, SizeError
@@ -360,7 +360,7 @@ def test_half_width_floor_bounds_the_spectrum(model, n, k, field):
 
     for scale in (1.0, 0.8):
         bound = rep(jm)._half_width_floor(scale)
-        draw = rep(jm.scaled(scale))
+        draw = rep(scaled_couplings(jm, scale))
         for key in ((0,) if model == "xy" else (0, 1)):
             evals = np.concatenate(
                 [e for e, _ in draw.block(key).half_spectrum])

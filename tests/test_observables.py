@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import mirrored, observable_c, pattern_sz
+from helpers import excitation_number, mirrored, observable_c, pattern_sz
 from ionquench.observables import ExcitationPattern, assemble_trace
 
 
@@ -58,7 +58,7 @@ def test_assemble_trace_running_mean_and_count():
     tr = assemble_trace(times, sz)
     assert tr.c_series == pytest.approx([-1.0, 1.0, -1.0])
     assert tr.c_cumulative == pytest.approx([-1.0, 0.0, -1.0 / 3.0])
-    assert tr.n_excitations == pytest.approx([1.0, 1.0, 1.0])
+    assert excitation_number(tr) == pytest.approx([1.0, 1.0, 1.0])
     assert tr.sz.shape == (3, 2)
     with pytest.raises(ValueError):
         assemble_trace(times, sz[:2])

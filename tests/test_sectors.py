@@ -22,7 +22,8 @@ from helpers import (B_FIELD, JMAX, block_product,
                      dense_ising_oracle, dense_sz_dynamics, dense_xy_oracle,
                      direct_trig_dense_sz, energy_expectation,
                      evolve, hadamard_form_product, mirrored,
-                     noise_average, pattern_sz, product_state)
+                     noise_average, pattern_sz, product_state,
+                     scaled_couplings)
 from ionquench.cli import main
 from ionquench.config import load_config
 from ionquench.coupling import CouplingMatrix, power_law_couplings
@@ -185,8 +186,8 @@ def test_scaled_block_equals_the_rebuilt_block(model, n):
     v = np.random.default_rng(n).normal(size=block.dimension)
     for s in noise_scales(NoiseModel(seed=n), 3):
         op = block.op.scaled(s)
-        rebuilt = build(model, jm.scaled(s), b_field, pattern).sector(
-            pattern)[0].op
+        rebuilt = build(model, scaled_couplings(jm, s), b_field,
+                        pattern).sector(pattern)[0].op
         assert np.array_equal(op.dz, rebuilt.dz)
         for got, want in zip(op.entries(), rebuilt.entries()):
             assert np.array_equal(got, want)
@@ -562,8 +563,9 @@ def test_stacked_spectra_equal_rebuilt_models(n, symmetric):
     scales = np.array([0.7, 1.0, 1.0 + 2.0**-40, 1.3])
 
     def rebuilt(s, k):
-        return (build_full_ising(jm.scaled(s), b_field) if k is None
-                else build_xy_sector(jm.scaled(s), b_field, k))
+        couplings = scaled_couplings(jm, s)
+        return (build_full_ising(couplings, b_field) if k is None
+                else build_xy_sector(couplings, b_field, k))
 
     for k in [None] + list(range(n + 1)):
         h = rebuilt(1.0, k) if k is None else build_xy_sector(jm, b_field, k)
@@ -863,7 +865,7 @@ def test_noise_averaged_traces_match_per_pattern_oracle(tmp_path):
     times = default_time_grid(jm.j_max, r["t_max_over_jmax"], r["n_times"])
     for pattern in cfg.patterns:
         oracle = noise_average(
-            lambda scales: ([evolve(build_full_ising(jm.scaled(s),
+            lambda scales: ([evolve(build_full_ising(scaled_couplings(jm, s),
                                                     cfg.b_field),
                                    pattern, times).sz]
                             for s in scales),
@@ -882,13 +884,14 @@ def test_noise_averaged_traces_match_per_pattern_oracle(tmp_path):
     ("exact", "1; 6; 2,3"),
     # the k = 3 sector of 20 states holds two patterns: chunks of 4 draws
     ("xy", "1,2,3; 4,5,6; 2"),
-    # one boson system per draw, no stacked spectra
+    # one boson system scaled per draw, no stacked spectra
     ("spinwave", "1; 6; 2,3"),
 ])
 def test_noisy_evolve_equals_mean_of_rebuilt_draws(tmp_path, monkeypatch,
                                                    model, patterns):
     """Draw chunks that do not divide the draw count change no bit: the
-    CSVs equal np.mean over per-draw models rebuilt from J -> s J."""
+    CSVs equal np.mean over per-draw models rebuilt from J -> s J, or for
+    spin waves over the scaled(s) of the system of J."""
     chunks = []
     real = Sector.half_spectra
     monkeypatch.setattr(Sector, "half_spectra", lambda self, scales: (
@@ -909,18 +912,43 @@ def test_noisy_evolve_equals_mean_of_rebuilt_draws(tmp_path, monkeypatch,
         "diagnostics"]["noise_scales"]
     assert len(scales) == samples
     if model == "spinwave":
-        draws = [[quench_sz(sw, [p], times)[0] for p in cfg.patterns]
-                 for sw in (build_spinwave(jm.scaled(s), cfg.b_field)
-                            for s in scales)]
+        sw = build_spinwave(jm, cfg.b_field)
+        draws = [[quench_sz(sw.scaled(s), [p], times)[0]
+                  for p in cfg.patterns] for s in scales]
     else:
         draws = [[evolve(dyn.rep(p), p, times).sz for p in cfg.patterns]
-                 for dyn in (cli._Dynamics(cfg, jm.scaled(s))
+                 for dyn in (cli._Dynamics(cfg, scaled_couplings(jm, s))
                              for s in scales)]
     for p, pattern in enumerate(cfg.patterns):
         mean = np.mean([sz[p] for sz in draws], axis=0)
         tag = cli._pattern_tag(pattern)
         assert np.array_equal(
             read_column(out / f"trace_{model}_{tag}.csv", "sz"), mean.ravel())
+
+
+def test_noisy_spin_waves_match_systems_rebuilt_per_draw(tmp_path):
+    """Scaling the eigenvalues of J instead of diagonalizing each s J
+    moves the spin-wave draw mean by round-off only: the CSV lies within
+    1e-12 of the mean over systems rebuilt from J -> s J."""
+    path = tmp_path / "run.cfg"
+    path.write_text("n_ions = 9\nmodel = spinwave\npatterns = 1; 5; 2,7\n"
+                    "n_times = 40\nalpha = 0.8\nnoise_samples = 12\n"
+                    "seed = 37\n")
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+    cfg = load_config(path)
+    jm, _, _ = cfg.couplings()
+    times = default_time_grid(jm.j_max, 25, 40)
+    scales = json.loads((out / "manifest.json").read_text())[
+        "diagnostics"]["noise_scales"]
+    rebuilt = np.mean([quench_sz(build_spinwave(scaled_couplings(jm, s),
+                                                cfg.b_field),
+                                 cfg.patterns, times) for s in scales],
+                      axis=0)
+    for pattern, want in zip(cfg.patterns, rebuilt):
+        got = read_column(out / f"trace_spinwave_{cli._pattern_tag(pattern)}"
+                               ".csv", "sz")
+        assert np.abs(got - want.ravel()).max() <= 1e-12
 
 
 def test_dense_patterns_share_the_model_beside_krylov_ones(tmp_path,
@@ -948,7 +976,7 @@ def test_dense_patterns_share_the_model_beside_krylov_ones(tmp_path,
     times = default_time_grid(jm.j_max, 1, 5)
     scales = json.loads((out / "manifest.json").read_text())[
         "diagnostics"]["noise_scales"]
-    dyns = [cli._Dynamics(cfg, jm.scaled(s)) for s in scales]
+    dyns = [cli._Dynamics(cfg, scaled_couplings(jm, s)) for s in scales]
     draws = [[evolve(dyn.rep(p), p, times) for p in cfg.patterns]
              for dyn in dyns]
     assert [dyns[0].rep(p).dense for p in cfg.patterns] == [True, False]
@@ -983,7 +1011,8 @@ def test_noisy_krylov_draws_share_the_full_model(tmp_path, monkeypatch,
     times = default_time_grid(jm.j_max, 2, 6)
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["derived"]["method"].values()) == {"krylov"}
-    draws = [[evolve(build_full_ising(jm.scaled(s), cfg.b_field), p, times)
+    draws = [[evolve(build_full_ising(scaled_couplings(jm, s), cfg.b_field),
+                     p, times)
               for p in cfg.patterns]
              for s in manifest["diagnostics"]["noise_scales"]]
     for p, pattern in enumerate(cfg.patterns):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (B_FIELD, JMAX, fock_boson_hamiltonian,
-                     fock_occupation_dynamics, observable_c, pattern_sz,
-                     propagator)
+from helpers import (B_FIELD, JMAX, excitation_number,
+                     fock_boson_hamiltonian, fock_occupation_dynamics,
+                     observable_c, pattern_sz, propagator, scaled_couplings)
 from ionquench.coupling import CouplingMatrix, power_law_couplings
 from ionquench.errors import SectorError, SimulationError, StabilityError
 from ionquench.observables import ExcitationPattern, assemble_trace
@@ -37,6 +37,46 @@ def test_unstable_field_rejected():
         two_site_system(1.0, 0.5)  # B + nu_min = -0.5
     with pytest.raises(ValueError):
         two_site_system(1.0, -1.0)
+
+
+def test_scaled_one_is_the_system_itself(trap55):
+    """1.0 * nus == nus, so the draw s = 1 repeats every float of the
+    system it came from."""
+    sys = build_spinwave(trap55, B_FIELD)
+    same = sys.scaled(1.0)
+    assert same.b_field == sys.b_field
+    for name in ("nus", "modes", "thetas", "epsilons"):
+        assert getattr(same, name).tobytes() == getattr(sys, name).tobytes()
+
+
+@pytest.mark.parametrize("s", [0.6, 0.97, 1.05, 1.4])
+def test_scaled_system_matches_the_rebuilt_one(trap55, s):
+    """sJ has J's modes and eigenvalues s nu_k: the energies and angles of
+    scaled(s) equal those of a system rebuilt from sJ to round-off."""
+    sys = build_spinwave(trap55, B_FIELD).scaled(s)
+    ref = build_spinwave(scaled_couplings(trap55, s), B_FIELD)
+    assert np.abs(sys.epsilons - ref.epsilons).max() <= 1e-12 * B_FIELD
+    assert np.abs(sys.thetas - ref.thetas).max() <= 1e-12
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, math.nan])
+def test_scaled_refuses_a_scale_that_is_not_positive(s):
+    with pytest.raises(ValueError, match="scale factor must be positive"):
+        two_site_system(1.0, 10.0).scaled(s)
+
+
+def test_scaled_draw_keeps_the_stability_and_overflow_checks():
+    """nu = -1, 1: at B = 1.5 the draw s is unstable once 1.5 - s <= 0,
+    and at B = 1.3e154 the draw s = 1e154 overflows B (B + s nu)."""
+    sys = two_site_system(1.0, 1.5)
+    assert np.all(sys.scaled(1.4).epsilons > 0)
+    for s in (1.5, 2.0):
+        with pytest.raises(StabilityError, match="B \\+ nu_min"):
+            sys.scaled(s)
+    big = two_site_system(1.0, 1.3e154)
+    assert np.isfinite(big.epsilons).all()
+    with pytest.raises(SimulationError, match="overflows an energy"):
+        big.scaled(1e154)
 
 
 def test_overflowing_energies_rejected():
@@ -153,7 +193,7 @@ def test_large_field_freezes_pair_production():
     trace = assemble_trace(
         times, quench_sz(sys, [ExcitationPattern(5, (3,))], times)[0])
     # total excitation content stays at one for B >> J
-    assert np.abs(trace.n_excitations - 1.0).max() < 1e-6
+    assert np.abs(excitation_number(trace) - 1.0).max() < 1e-6
 
 
 def test_time_average_converges_to_gge():
